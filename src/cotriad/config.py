@@ -137,6 +137,13 @@ class RunConfig:
             self._fail("filter.direction", f"unknown filter.direction {v['filter.direction']!r}")
         if v["perturb.epsilon"] <= 0:
             self._fail("perturb.epsilon", "perturb.epsilon must be positive")
+        if v["train.steps_per_epoch"] < 0:
+            self._fail(
+                "train.steps_per_epoch",
+                "train.steps_per_epoch must be >= 0 (0 = one full unlabeled pass)",
+            )
+        if v["teacher.update_every"] < 1:
+            self._fail("teacher.update_every", "teacher.update_every must be >= 1")
         if not v["train.seeds"]:
             self._fail("train.seeds", "train.seeds must list at least one seed")
         for t, lu, la in self.teacher_grid():

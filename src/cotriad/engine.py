@@ -6,8 +6,9 @@ mutual information, cross-view filtering through the teacher's threshold
 embedding attacks and the adversarial entropy term, the supervised term, one
 SGD step per student on the weighted total, then the teacher meta-update.
 The meta-gradient is taken from the pre-step student parameters through a
-virtual update by default; ``meta_after_step`` flips it to the post-step
-parameters.
+virtual update by default, reusing the step's adversarial-entropy gradient;
+``meta_after_step`` flips it to the post-step parameters, where that
+gradient is recomputed.
 
 Every random draw derives from (config seed, purpose tag, epoch, step, view),
 so a run is a pure function of (config, dataset).
@@ -108,6 +109,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.labeled_batch < 1 or self.unlabeled_ratio < 1:
             raise InvalidInputError("invalid epoch or batch settings")
+        if self.steps_per_epoch < 0:
+            raise InvalidInputError("steps_per_epoch must be >= 0 (0 = one full pass)")
+        if self.teacher_update_every < 1:
+            raise InvalidInputError("teacher_update_every must be >= 1")
         if self.unsup_enabled and self.filter_mode == "mi" and self.mc_passes < 2:
             raise InvalidInputError("MI filtering needs at least 2 MC passes")
         if self.filter_mode not in ("mi", "confidence", "mi_conf", "none"):
@@ -380,11 +385,13 @@ def train_step(
             else:
                 zero_accepted[view] = True
 
+        adv_grad = None
         if use_adv:
             keep_adv[view] = _keeps(
                 _rng(cfg, _RNG_KEEP_ADV, epoch, step, view), n_u, cfg.hidden, cfg.dropout
             )
             l_a, g_a = loss_and_grads(s[view], x_adv[view], None, "entropy", keep_adv[view])
+            adv_grad = (s[view], g_a)
             loss_adv += l_a
             g_total = g_total.plus(g_a, lam_adv)
             train_rows += n_u
@@ -405,6 +412,7 @@ def train_step(
                     x_val=views_v[view],
                     y_val=y_v,
                     gate_sign=gate_sign,
+                    adv_grad=adv_grad,
                 )
             )
 

@@ -186,6 +186,15 @@ def alternating_best_response(
 # The trained game: payoffs measured on a dataset, students retrained.
 
 
+def _attack_rng(probe_seed: int, view: int) -> np.random.Generator:
+    """Dropout-mask stream for an attack on one view's probe (drawn only at gamma > 0).
+
+    A fresh stream per call keeps every payoff and residual a pure function
+    of its arguments.
+    """
+    return np.random.default_rng(np.random.SeedSequence([probe_seed, view]))
+
+
 @dataclass(frozen=True)
 class StudentBudget:
     """Deterministic best-response operator: retrain for a fixed budget."""
@@ -290,7 +299,8 @@ class TrainedTriadicGame:
                 )
                 cost += lam_u * loss * (accepted.size / n)
             if lam_adv > 0:
-                delta, _, _, _ = pgd_perturb_batch(s[view], x, g)
+                rng = _attack_rng(self.probe_seed, view)
+                delta, _, _, _ = pgd_perturb_batch(s[view], x, g, rng)
                 loss, _ = loss_and_grads(s[view], x + delta, None, "entropy")
                 cost += lam_adv * loss
         return cost
@@ -300,7 +310,8 @@ class TrainedTriadicGame:
         (x1, x2), _ = self._probe_stats(s)
         total = 0.0
         for view, x in ((0, x1), (1, x2)):
-            delta, _, _, _ = pgd_perturb_batch(s[view], x, g)
+            rng = _attack_rng(self.probe_seed, view)
+            delta, _, _, _ = pgd_perturb_batch(s[view], x, g, rng)
             logits, _ = forward_batch(s[view], x + delta)
             total += float(entropy_rows(softmax_rows(logits)).mean())
         return total / 2.0
@@ -391,7 +402,9 @@ def stackelberg_residual(
     x_adv = [None, None]
     if cfg.adv_enabled:
         for view in (0, 1):
-            delta, _, _, _ = pgd_perturb_batch(students[view], x_u[view], cfg.perturb)
+            delta, _, _, _ = pgd_perturb_batch(
+                students[view], x_u[view], cfg.perturb, _attack_rng(probe_seed, view)
+            )
             x_adv[view] = x_u[view] + delta
 
     # Student stationarity: gradient of the weighted total loss.
@@ -408,9 +421,11 @@ def stackelberg_residual(
                 students[view], x_u[view][accepted], stats[other].pseudo_label[accepted], "ce"
             )
             g_total = g_total.plus(g_u, lam_u * accepted.size / n)
+        adv_grad = None
         if lam_adv > 0 and x_adv[view] is not None:
             _, g_a = loss_and_grads(students[view], x_adv[view], None, "entropy")
             g_total = g_total.plus(g_a, lam_adv)
+            adv_grad = (students[view], g_a)
         student_res = max(student_res, g_total.inf_norm())
         sign = 1.0 if cfg.filter_direction == "above" else -1.0
         batches.append(
@@ -424,6 +439,7 @@ def stackelberg_residual(
                 x_val=x_v[view],
                 y_val=y_v,
                 gate_sign=sign,
+                adv_grad=adv_grad,
             )
         )
 
@@ -439,7 +455,9 @@ def stackelberg_residual(
     )
     gen_res = 0.0
     for view in (0, 1):
-        _, _, residuals, _ = pgd_perturb_batch(students[view], x_u[view], attack)
+        _, _, residuals, _ = pgd_perturb_batch(
+            students[view], x_u[view], attack, _attack_rng(probe_seed, view)
+        )
         gen_res += float(residuals.mean())
     return StackelbergResiduals(
         teacher=teacher_res, students=student_res, generator=gen_res / 2.0

@@ -137,13 +137,19 @@ def init_student(
     )
 
 
-def gelu(u: np.ndarray) -> np.ndarray:
-    return u * 0.5 * (1.0 + erf(u * _INV_SQRT2))
+def gelu(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
+    """Exact GELU; ``erf_u`` is erf(u / sqrt 2) when the caller already has it."""
+    if erf_u is None:
+        erf_u = erf(u * _INV_SQRT2)
+    return u * 0.5 * (1.0 + erf_u)
 
 
-def gelu_prime(u: np.ndarray) -> np.ndarray:
+def gelu_prime(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
+    """GELU derivative; ``erf_u`` as for ``gelu``, e.g. from a forward cache."""
+    if erf_u is None:
+        erf_u = erf(u * _INV_SQRT2)
     phi = np.exp(-0.5 * u * u) * _INV_SQRT2PI
-    return 0.5 * (1.0 + erf(u * _INV_SQRT2)) + u * phi
+    return 0.5 * (1.0 + erf_u) + u * phi
 
 
 def draw_mask(rng: np.random.Generator, d_h: int, dropout_rate: float) -> DropoutMask:
@@ -177,35 +183,57 @@ def _keep_scale(params: StudentParams, keep: np.ndarray | None, n: int) -> np.nd
     return k.astype(np.float64) / (1.0 - params.dropout_rate)
 
 
-class _Cache:
-    __slots__ = ("x", "pre", "act", "scale", "hidden", "logits")
+class _Hidden:
+    """The dropout-free hidden layer of one (params, input) pair.
 
-    def __init__(self, x, pre, act, scale, hidden, logits):
+    Dropout acts after the activation, so every pass over the same input and
+    parameters, whatever its keep pattern, shares these arrays.
+    """
+
+    __slots__ = ("x", "pre", "erf_pre", "act")
+
+    def __init__(self, params: StudentParams, x: np.ndarray):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            x = x[None, :]
+        if x.shape[1] != params.d_in:
+            raise InvalidInputError(
+                f"input dim {x.shape[1]} does not match d_in {params.d_in}"
+            )
         self.x = x
-        self.pre = pre
-        self.act = act
+        self.pre = x @ params.w1 + params.b1
+        self.erf_pre = erf(self.pre * _INV_SQRT2)
+        self.act = gelu(self.pre, self.erf_pre)
+
+
+class _Cache:
+    __slots__ = ("x", "pre", "erf_pre", "act", "scale", "hidden", "logits")
+
+    def __init__(self, layer: _Hidden, scale, hidden, logits):
+        self.x = layer.x
+        self.pre = layer.pre
+        self.erf_pre = layer.erf_pre
+        self.act = layer.act
         self.scale = scale
         self.hidden = hidden
         self.logits = logits
+
+
+def _output_layer(
+    params: StudentParams, layer: _Hidden, keep: np.ndarray | None
+) -> tuple[np.ndarray, _Cache]:
+    """Dropout and the second layer on top of a computed hidden layer."""
+    scale = _keep_scale(params, keep, layer.x.shape[0])
+    hidden = layer.act if scale is None else layer.act * scale
+    logits = hidden @ params.w2 + params.b2
+    return logits, _Cache(layer, scale, hidden, logits)
 
 
 def forward_batch(
     params: StudentParams, x: np.ndarray, keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, _Cache]:
     """Batch forward pass. ``keep=None`` is evaluation mode (no dropout)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != params.d_in:
-        raise InvalidInputError(
-            f"input dim {x.shape[1]} does not match d_in {params.d_in}"
-        )
-    pre = x @ params.w1 + params.b1
-    act = gelu(pre)
-    scale = _keep_scale(params, keep, x.shape[0])
-    hidden = act if scale is None else act * scale
-    logits = hidden @ params.w2 + params.b2
-    return logits, _Cache(x, pre, act, scale, hidden, logits)
+    return _output_layer(params, _Hidden(params, x), keep)
 
 
 def forward(
@@ -246,8 +274,8 @@ def mc_forward_batch(
     """
     if n_passes < 1:
         raise InvalidInputError("n_passes must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    layer = _Hidden(params, x)
+    n = layer.x.shape[0]
     if sample_ids is None:
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         keeps = rng.random((n_passes, n, params.d_h)) >= params.dropout_rate
@@ -258,7 +286,7 @@ def mc_forward_batch(
             keeps[:, j, :] = sub.random((n_passes, params.d_h)) >= params.dropout_rate
     probs = np.empty((n_passes, n, params.n_classes))
     for k in range(n_passes):
-        logits, _ = forward_batch(params, x, keeps[k])
+        logits, _ = _output_layer(params, layer, keeps[k])
         probs[k] = softmax_rows(logits)
     return probs
 
@@ -268,7 +296,7 @@ def _backward(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> Grad
     db2 = dlogits.sum(axis=0)
     dhidden = dlogits @ params.w2.T
     dact = dhidden if cache.scale is None else dhidden * cache.scale
-    dpre = dact * gelu_prime(cache.pre)
+    dpre = dact * gelu_prime(cache.pre, cache.erf_pre)
     dw1 = cache.x.T @ dpre
     db1 = dpre.sum(axis=0)
     return Gradients(w1=dw1, b1=db1, w2=dw2, b2=db2)
@@ -277,7 +305,7 @@ def _backward(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> Grad
 def _backward_to_input(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> np.ndarray:
     dhidden = dlogits @ params.w2.T
     dact = dhidden if cache.scale is None else dhidden * cache.scale
-    dpre = dact * gelu_prime(cache.pre)
+    dpre = dact * gelu_prime(cache.pre, cache.erf_pre)
     return dpre @ params.w1.T
 
 
@@ -338,24 +366,29 @@ def weighted_ce_grads(
     y: np.ndarray,
     weights: np.ndarray,
     keep: np.ndarray | None = None,
-) -> tuple[float, Gradients]:
-    """Unnormalized weighted cross-entropy sum and its gradients.
+) -> tuple[list[float], list[Gradients]]:
+    """Unnormalized weighted cross-entropy sums and their gradients.
 
-    Returns sum_i weights[i] * CE_i; callers own the normalization. This is
-    the building block for soft-gated losses and their threshold derivative.
+    ``weights`` is (m, n): one row of per-sample weights per returned pair
+    (sum_i weights[r, i] * CE_i, its gradient). All rows share one forward
+    pass; callers own the normalization. This is the building block for
+    soft-gated losses and their threshold derivative.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n == 0:
         raise InvalidInputError("empty batch")
     yv = np.asarray(y, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
+    rows = np.asarray(weights, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise InvalidInputError(f"weights shape {rows.shape} is not (m, {n})")
     logits, cache = forward_batch(params, x, keep)
     probs = softmax_rows(logits)
-    py = np.maximum(probs[np.arange(n), yv], PROB_FLOOR)
-    loss = float((w * -np.log(py)).sum())
-    dlogits = _ce_dlogits(probs, yv) * w[:, None]
-    return loss, _backward(params, cache, dlogits)
+    nll = -np.log(np.maximum(probs[np.arange(n), yv], PROB_FLOOR))
+    dce = _ce_dlogits(probs, yv)
+    losses = [float((w * nll).sum()) for w in rows]
+    grads = [_backward(params, cache, dce * w[:, None]) for w in rows]
+    return losses, grads
 
 
 def input_entropy_grad(
@@ -382,12 +415,12 @@ def input_mi_grad(
     ``keeps`` is an (n_passes, n, d_h) bool array of frozen masks; freezing
     them is what makes the estimate differentiable in the input.
     """
-    x = np.asarray(x, dtype=np.float64)
+    layer = _Hidden(params, x)
     n_passes = keeps.shape[0]
-    probs = np.empty((n_passes, x.shape[0], params.n_classes))
+    probs = np.empty((n_passes, layer.x.shape[0], params.n_classes))
     caches = []
     for k in range(n_passes):
-        logits, cache = forward_batch(params, x, keeps[k])
+        logits, cache = _output_layer(params, layer, keeps[k])
         probs[k] = softmax_rows(logits)
         caches.append(cache)
     mean = probs.mean(axis=0)
@@ -395,7 +428,7 @@ def input_mi_grad(
     h_each = entropy_rows(probs.reshape(-1, params.n_classes)).reshape(n_passes, -1)
     mi = h_mean - h_each.mean(axis=0)
     log_mean = np.where(mean > 0.0, np.log(np.maximum(mean, PROB_FLOOR)), 0.0)
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(layer.x)
     for k in range(n_passes):
         pk = probs[k]
         # d H(mean) / d logits_k, plus -1/K of the per-pass entropy term.

@@ -125,6 +125,12 @@ class MetaBatch:
     unrolled objective is a deterministic function of the strategy vector.
     ``gate_sign`` selects the acceptance direction the soft gate surrogates:
     +1 accepts above the threshold, -1 below.
+
+    ``adv_grad`` optionally carries ``(params, gradient)``: the adversarial
+    entropy gradient the caller already took at ``x_adv``/``keep_adv`` with
+    those parameters. It is reused only when the meta-gradient is taken at
+    that same ``StudentParams`` object, and recomputed otherwise (e.g. from
+    post-step students).
     """
 
     x_unsup: np.ndarray  # (n_u, d) view of this student
@@ -136,6 +142,15 @@ class MetaBatch:
     x_val: np.ndarray  # (n_v, d) validation inputs for this view
     y_val: np.ndarray  # (n_v,)
     gate_sign: float = 1.0
+    adv_grad: tuple[StudentParams, Gradients] | None = None
+
+
+def _adv_grad(params: StudentParams, batch: MetaBatch) -> Gradients:
+    """Entropy gradient at the perturbed inputs, reused from the batch if valid."""
+    if batch.adv_grad is not None and batch.adv_grad[0] is params:
+        return batch.adv_grad[1]
+    _, grads = loss_and_grads(params, batch.x_adv, None, "entropy", batch.keep_adv)
+    return grads
 
 
 def soft_unsup_loss_and_grads(
@@ -156,11 +171,12 @@ def soft_unsup_loss_and_grads(
     sign = batch.gate_sign
     w = soft_gate(sign * batch.mi_from_other, sign * mi_threshold, temperature)
     a = -sign * w * (1.0 - w) / temperature
-    loss_w, grads_w = weighted_ce_grads(
-        params, batch.x_unsup, batch.pseudo_from_other, w / n, batch.keep_unsup
-    )
-    _, grads_a = weighted_ce_grads(
-        params, batch.x_unsup, batch.pseudo_from_other, a / n, batch.keep_unsup
+    (loss_w, _), (grads_w, grads_a) = weighted_ce_grads(
+        params,
+        batch.x_unsup,
+        batch.pseudo_from_other,
+        np.stack([w / n, a / n]),
+        batch.keep_unsup,
     )
     return loss_w, grads_w, grads_a
 
@@ -177,8 +193,7 @@ def virtual_update(
     _, g_unsup, _ = soft_unsup_loss_and_grads(params, batch, tau, temperature)
     g = g_unsup.scaled(lu)
     if batch.x_adv is not None:
-        _, g_adv = loss_and_grads(params, batch.x_adv, None, "entropy", batch.keep_adv)
-        g = g.plus(g_adv, la)
+        g = g.plus(_adv_grad(params, batch), la)
     return StudentParams(
         w1=params.w1 - eta_student * g.w1,
         b1=params.b1 - eta_student * g.b1,
@@ -233,9 +248,8 @@ def meta_grad(
     d_mapped = np.zeros(3)
     for params, batch in zip(students, batches):
         _, g_unsup, dA_dtau = soft_unsup_loss_and_grads(params, batch, tau, temperature)
-        has_adv = batch.x_adv is not None
-        if has_adv:
-            _, g_adv = loss_and_grads(params, batch.x_adv, None, "entropy", batch.keep_adv)
+        if batch.x_adv is not None:
+            g_adv = _adv_grad(params, batch)
         else:
             g_adv = Gradients.zeros_like(params)
         inner = g_unsup.scaled(lu).plus(g_adv, la)

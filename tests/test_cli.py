@@ -1,6 +1,7 @@
 """Config grammar, override precedence, subcommands, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -209,6 +210,46 @@ class TestCommands:
         payload = json.loads((out / "equilibrium_report.json").read_text())
         assert set(payload["nash_residuals"]) == {"teacher", "students", "generator"}
         assert "stackelberg_residuals" in payload
+
+    def test_equilibrium_on_run_trained_with_gamma(self, tiny_cfg, tmp_path, capsys):
+        # gamma > 0 attacks draw dropout masks; the diagnostics derive them
+        # from the probe seed.
+        out = tmp_path / "run"
+        gamma = ["--perturb.gamma", "0.5", "--perturb.mi_passes", "3"]
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + gamma) == 0
+        args = [
+            "equilibrium", "--run", str(out),
+            "--game.probe_size", "32", "--game.budget_epochs", "1",
+            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
+            "--game.lambda_adv_grid", "0.25",
+        ]
+        assert main(args) == 0
+        first = (out / "equilibrium_report.json").read_bytes()
+        payload = json.loads(first)
+        assert payload["generator_config"]["gamma"] == 0.5
+        residuals = list(payload["stackelberg_residuals"].values())
+        assert all(math.isfinite(r) for r in residuals)
+        assert main(args) == 0
+        assert (out / "equilibrium_report.json").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("teacher.update_every", "0", "teacher.update_every must be >= 1"),
+            ("train.steps_per_epoch", "-2", "train.steps_per_epoch must be >= 0"),
+        ],
+    )
+    def test_degenerate_schedule_rejected_at_parse_time(
+        self, tiny_cfg, tmp_path, capsys, key, value, message
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(tiny_cfg.read_text() + f"{key} = {value}\n")
+        line = len(cfg.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: {message}" in err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_cost_command(self, tiny_cfg, capsys):
         assert main(["cost", "--config", str(tiny_cfg)]) == 0

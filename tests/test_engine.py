@@ -1,6 +1,7 @@
 """Training loop semantics: ordering, determinism, identities, counters."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -158,6 +159,51 @@ class TestTrainStepSemantics:
         r = rep.step_reports[0]
         assert r.zero_accepted == (True, True)
         assert r.loss_unsup == 0.0
+
+
+    @pytest.mark.parametrize(
+        "field, value", [("teacher_update_every", 0), ("steps_per_epoch", -1)]
+    )
+    def test_config_rejects_degenerate_schedule(self, field, value):
+        with pytest.raises(InvalidInputError):
+            small_cfg(**{field: value})
+
+
+class TestGoldenDigest:
+    # sha256 over both students' w1/b1/w2/b2 and the teacher z after the
+    # run below, recorded before one-forward-per-step sharing was introduced.
+    GOLDEN = "6f23cf4d78fe556a6639f2569dea37fb170d6e95b5e7382a8e141308ce5994e3"
+
+    def test_full_config_run_digest_is_unchanged(self):
+        """Two epochs (10 steps) of the acceptance full configuration.
+
+        Every speed-up must leave this digest alone; a change that moves
+        rounding on purpose says so and records the new value. Recorded on
+        x86-64 with NumPy 2.4.6 and SciPy 1.17.1 on scipy-openblas 0.3.31
+        (Haswell kernels), with 1 and 2 BLAS threads alike; another BLAS
+        build may round matmuls differently and fail this test without any
+        change to the code.
+        """
+        ds = gen_synthetic_two_view(2540, 4, 16, 16, view_noise=0.6, seed=101)
+        ds = split_by_counts(ds, n_labeled=40, n_validation=4, n_test=500, seed=101)
+        cfg = TrainConfig(
+            epochs=2,
+            lr=0.1,
+            dropout=0.3,
+            seed=1,
+            filter_mode="mi_conf",
+            filter_direction="below",
+            tau_conf=0.9,
+            perturb=PerturbConfig(epsilon=0.25, steps=1),
+        )
+        rep = run_training(cfg, ds)
+        assert rep.total_steps == 10
+        h = hashlib.sha256()
+        for p in rep.students:
+            for a in (p.w1, p.b1, p.w2, p.b2):
+                h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(rep.teacher.z, dtype=np.float64).tobytes())
+        assert h.hexdigest() == self.GOLDEN
 
 
 class TestEarlyStopping:

@@ -18,6 +18,7 @@ from cotriad.student import (
     forward_batch,
     fresh_optimizer,
     gelu,
+    gelu_prime,
     grads_to_vector,
     init_student,
     input_entropy_grad,
@@ -89,6 +90,15 @@ class TestForward:
         assert gelu(np.array([0.0]))[0] == 0.0
         assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-12)
 
+    def test_cached_erf_is_bit_identical(self):
+        # The forward pass keeps erf(pre / sqrt 2); reusing it must round
+        # exactly like recomputing it.
+        params = init_student(16, 32, 4, dropout_rate=0.3, seed=4)
+        x = np.random.default_rng(4).normal(size=(64, 16))
+        _, cache = forward_batch(params, x)
+        assert np.array_equal(gelu(cache.pre), cache.act)
+        assert np.array_equal(gelu_prime(cache.pre, cache.erf_pre), gelu_prime(cache.pre))
+
 
 class TestMcForward:
     def test_zero_dropout_collapses(self):
@@ -108,6 +118,26 @@ class TestMcForward:
     def test_rejects_zero_passes(self):
         with pytest.raises(InvalidInputError):
             mc_forward(toy_params(), np.zeros(3), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("with_ids", [False, True])
+    def test_batch_equals_separate_forward_passes(self, with_ids):
+        # Oracle: one full forward pass per keep pattern, bit for bit.
+        params = init_student(16, 32, 4, dropout_rate=0.3, seed=5)
+        x = np.random.default_rng(5).normal(size=(64, 16))
+        passes, seed = 5, 17
+        ids = np.arange(100, 164) if with_ids else None
+        if with_ids:
+            keeps = np.empty((passes, 64, 32), dtype=bool)
+            for j, sid in enumerate(ids):
+                sub = np.random.default_rng(np.random.SeedSequence([seed, int(sid)]))
+                keeps[:, j, :] = sub.random((passes, 32)) >= 0.3
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([seed]))
+            keeps = rng.random((passes, 64, 32)) >= 0.3
+        expected = np.stack(
+            [softmax_rows(forward_batch(params, x, keeps[k])[0]) for k in range(passes)]
+        )
+        assert np.array_equal(mc_forward_batch(params, x, passes, seed, ids), expected)
 
     def test_batch_schedule_invariance_with_sample_ids(self):
         # Masks keyed by (seed, sample id): permuting rows permutes outputs.
@@ -212,7 +242,9 @@ class TestGradients:
         x = rng.normal(size=(5, 3))
         y = rng.integers(0, 3, size=5)
         w = rng.random(5)
-        loss, grads = weighted_ce_grads(params, x, y, w)
+        (loss,), (grads,) = weighted_ce_grads(params, x, y, w[None, :])
+        with pytest.raises(InvalidInputError):
+            weighted_ce_grads(params, x, y, w)
         acc = 0.0
         vec = np.zeros_like(params_to_vector(params))
         for i in range(5):

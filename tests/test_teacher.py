@@ -1,5 +1,6 @@
 """Teacher strategy: constraint mapping, soft gate, meta-gradient, stopping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 from cotriad.errors import InsufficientHistoryError, InvalidInputError
 from cotriad.numerics import finite_diff_grad
 from cotriad.student import (
+    Gradients,
+    StudentParams,
     draw_keep_matrix,
     init_student,
     loss_and_grads,
     params_to_vector,
+    weighted_ce_grads,
 )
 from cotriad.teacher import (
     MetaBatch,
@@ -24,6 +28,7 @@ from cotriad.teacher import (
     should_stop,
     sigmoid,
     soft_gate,
+    soft_unsup_loss_and_grads,
     stability_score,
     teacher_step,
     unrolled_validation_loss,
@@ -64,6 +69,11 @@ def random_meta_setup(seed, n_unsup=8, n_val=8, with_adv=True, dropout=0.0):
         )
         students.append(params)
     return tuple(students), tuple(batches)
+
+
+def assert_grads_identical(a, b):
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def random_generic_z(rng, margin=1e-3):
@@ -191,6 +201,55 @@ class TestMetaGradient:
         # Gate weights underflow to zero, so the virtual update is the
         # identity and every coupling term vanishes.
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("gate_sign", [1.0, -1.0])
+    def test_soft_unsup_one_forward_matches_two_weighted_calls(self, gate_sign):
+        # Oracle: one forward pass per weighting, as two separate calls.
+        students, batches = random_meta_setup(11, n_unsup=32, dropout=0.3)
+        params = students[0]
+        batch = dataclasses.replace(batches[0], gate_sign=gate_sign)
+        tau, temperature = 0.12, 0.05
+        loss, grads_w, grads_a = soft_unsup_loss_and_grads(params, batch, tau, temperature)
+        n = batch.x_unsup.shape[0]
+        w = soft_gate(gate_sign * batch.mi_from_other, gate_sign * tau, temperature)
+        a = -gate_sign * w * (1.0 - w) / temperature
+        args = (params, batch.x_unsup, batch.pseudo_from_other)
+        (loss_ref,), (grads_w_ref,) = weighted_ce_grads(*args, (w / n)[None], batch.keep_unsup)
+        _, (grads_a_ref,) = weighted_ce_grads(*args, (a / n)[None], batch.keep_unsup)
+        assert loss == loss_ref
+        assert_grads_identical(grads_w, grads_w_ref)
+        assert_grads_identical(grads_a, grads_a_ref)
+
+    def test_supplied_adversarial_gradient_is_reused_bit_exactly(self):
+        students, batches = random_meta_setup(12, dropout=0.3)
+        strategy = TeacherStrategy(z=np.array([logit(0.1), 0.2, -0.4]), gate_temperature=0.05)
+        supplied = []
+        for params, b in zip(students, batches):
+            _, g_adv = loss_and_grads(params, b.x_adv, None, "entropy", b.keep_adv)
+            supplied.append(dataclasses.replace(b, adv_grad=(params, g_adv)))
+        recomputed = meta_grad(strategy, students, batches, 0.05)
+        reused = meta_grad(strategy, students, tuple(supplied), 0.05)
+        assert np.array_equal(reused, recomputed)
+
+    def test_adversarial_gradient_of_other_params_is_ignored(self):
+        # The carried gradient belongs to one StudentParams object: a bogus
+        # gradient is used when the params match and ignored otherwise, as
+        # for post-step students.
+        students, batches = random_meta_setup(13)
+        strategy = init_strategy(gate_temperature=0.05)
+        recomputed = meta_grad(strategy, students, batches, 0.05)
+
+        def with_zero_adv(owners):
+            return tuple(
+                dataclasses.replace(b, adv_grad=(owner, Gradients.zeros_like(owner)))
+                for owner, b in zip(owners, batches)
+            )
+
+        copies = [StudentParams(p.w1, p.b1, p.w2, p.b2, p.dropout_rate) for p in students]
+        ignored = meta_grad(strategy, students, with_zero_adv(copies), 0.05)
+        assert np.array_equal(ignored, recomputed)
+        used = meta_grad(strategy, students, with_zero_adv(students), 0.05)
+        assert used[2] == 0.0 and recomputed[2] != 0.0
 
     def test_virtual_update_isolation(self):
         students, batches = random_meta_setup(5)

@@ -17,11 +17,11 @@ from .errors import (
     OracleFailureError,
 )
 from .game import GameProfile, TrainedTriadicGame, nash_residual, stackelberg_residual
-from .generator import PerturbConfig, Perturbation, pgd_perturb, project_linf
+from .generator import PerturbConfig, pgd_perturb_batch, project_linf
 from .numerics import cross_entropy, entropy, finite_diff_grad, softmax
-from .student import DropoutMask, OptimizerState, StudentParams, init_student
+from .student import OptimizerState, StudentParams, init_student
 from .teacher import TeacherStrategy, init_strategy, map_strategy, soft_gate
-from .uncertainty import UncertaintyEstimate, confidence_filter, mi_filter, mutual_information
+from .uncertainty import batch_statistics, confidence_filter, mi_filter
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "BatchIterator",
     "BatchPlan",
     "ConfigError",
-    "DropoutMask",
     "FormatError",
     "GameProfile",
     "InsufficientHistoryError",
@@ -37,7 +36,6 @@ __all__ = [
     "OptimizerState",
     "OracleFailureError",
     "PerturbConfig",
-    "Perturbation",
     "StepReport",
     "StudentParams",
     "TeacherStrategy",
@@ -45,7 +43,7 @@ __all__ = [
     "TrainedTriadicGame",
     "TrainingReport",
     "TwoViewDataset",
-    "UncertaintyEstimate",
+    "batch_statistics",
     "confidence_filter",
     "cross_entropy",
     "entropy",
@@ -57,9 +55,8 @@ __all__ = [
     "make_splits",
     "map_strategy",
     "mi_filter",
-    "mutual_information",
     "nash_residual",
-    "pgd_perturb",
+    "pgd_perturb_batch",
     "project_linf",
     "run_training",
     "soft_gate",

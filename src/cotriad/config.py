@@ -137,6 +137,15 @@ class RunConfig:
             self._fail("filter.direction", f"unknown filter.direction {v['filter.direction']!r}")
         if v["perturb.epsilon"] <= 0:
             self._fail("perturb.epsilon", "perturb.epsilon must be positive")
+        if v["perturb.gamma"] > 0 and v["perturb.mi_passes"] < 2:
+            self._fail("perturb.mi_passes", "perturb.mi_passes must be >= 2 when perturb.gamma > 0")
+        if v["train.unsup_enabled"]:
+            need = 2 if v["filter.mode"] in ("mi", "mi_conf") else 1
+            if v["train.mc_passes"] < need:
+                self._fail(
+                    "train.mc_passes",
+                    f"train.mc_passes must be >= {need} with filter.mode = {v['filter.mode']}",
+                )
         if v["train.steps_per_epoch"] < 0:
             self._fail(
                 "train.steps_per_epoch",

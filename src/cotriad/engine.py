@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,8 +30,9 @@ from .data import (
     BatchIterator,
     BatchPlan,
     TwoViewDataset,
+    _read_exact,
 )
-from .errors import InvalidInputError
+from .errors import FormatError, InvalidInputError
 from .generator import PerturbConfig, pgd_perturb_batch
 from .numerics import entropy_rows, softmax_rows
 from .student import (
@@ -38,6 +40,7 @@ from .student import (
     OptimizerState,
     StudentParams,
     cosine_lr,
+    draw_keeps,
     forward_batch,
     fresh_optimizer,
     init_student,
@@ -81,7 +84,7 @@ class TrainConfig:
     unsup_enabled: bool = True
     adv_enabled: bool = True
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
-    filter_mode: str = "mi"  # mi | confidence | none
+    filter_mode: str = "mi"  # mi | confidence | mi_conf | none
     filter_direction: str = "above"
     tau_conf: float = 0.95
     teacher_enabled: bool = True
@@ -113,8 +116,12 @@ class TrainConfig:
             raise InvalidInputError("steps_per_epoch must be >= 0 (0 = one full pass)")
         if self.teacher_update_every < 1:
             raise InvalidInputError("teacher_update_every must be >= 1")
-        if self.unsup_enabled and self.filter_mode == "mi" and self.mc_passes < 2:
-            raise InvalidInputError("MI filtering needs at least 2 MC passes")
+        if self.unsup_enabled:
+            need = 2 if self.filter_mode in ("mi", "mi_conf") else 1
+            if self.mc_passes < need:
+                raise InvalidInputError(
+                    f"filter_mode {self.filter_mode!r} needs at least {need} MC passes"
+                )
         if self.filter_mode not in ("mi", "confidence", "mi_conf", "none"):
             raise InvalidInputError(f"unknown filter_mode {self.filter_mode!r}")
         if self.filter_direction not in ("above", "below"):
@@ -201,24 +208,27 @@ class ConvergenceMonitor:
         )
 
 
+def _view_key(cfg: TrainConfig, view: int) -> int:
+    """The view entry of a seed; 0 for both views under ``tie_view_rng``."""
+    return 0 if cfg.tie_view_rng else view
+
+
 def _rng(cfg: TrainConfig, tag: int, epoch: int, step: int, view: int) -> np.random.Generator:
-    v = 0 if cfg.tie_view_rng else view
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, tag, epoch, step, v]))
+    key = [cfg.seed, tag, epoch, step, _view_key(cfg, view)]
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def _seed(cfg: TrainConfig, tag: int, epoch: int, step: int, view: int) -> int:
-    v = 0 if cfg.tie_view_rng else view
-    return int(
-        np.random.default_rng(np.random.SeedSequence([cfg.seed, tag, epoch, step, v])).integers(
-            0, 2**63 - 1
-        )
-    )
+    return int(_rng(cfg, tag, epoch, step, view).integers(0, 2**63 - 1))
 
 
-def _keeps(rng: np.random.Generator, n: int, d_h: int, rate: float) -> np.ndarray | None:
-    if rate <= 0.0 or n == 0:
+def _keeps(
+    cfg: TrainConfig, tag: int, epoch: int, step: int, view: int, n: int
+) -> np.ndarray | None:
+    """Dropout keeps for n rows of one (step, view, term); None without dropout."""
+    if cfg.dropout <= 0.0:
         return None
-    return rng.random((n, d_h)) >= rate
+    return draw_keeps(_rng(cfg, tag, epoch, step, view), (n, cfg.hidden), cfg.dropout)
 
 
 def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> TrainerState:
@@ -229,12 +239,8 @@ def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> Traine
     students = []
     opts = []
     for view in (0, 1):
-        v = 0 if cfg.tie_view_rng else view
-        seed = int(
-            np.random.default_rng(np.random.SeedSequence([cfg.seed, _RNG_INIT, v])).integers(
-                0, 2**31 - 1
-            )
-        )
+        key = [cfg.seed, _RNG_INIT, _view_key(cfg, view)]
+        seed = int(np.random.default_rng(np.random.SeedSequence(key)).integers(0, 2**31 - 1))
         params = init_student(dims[view], cfg.hidden, classes, cfg.dropout, seed)
         bound = cfg.weight_norm_bound if cfg.weight_norm_bound > 0 else None
         opts.append(fresh_optimizer(params, cfg.lr, cfg.momentum, total_steps, bound))
@@ -355,16 +361,14 @@ def train_step(
             views_l[view],
             y_l,
             "ce",
-            _keeps(_rng(cfg, _RNG_KEEP_SUP, epoch, step, view), lab_rows.size, cfg.hidden, cfg.dropout),
+            _keeps(cfg, _RNG_KEEP_SUP, epoch, step, view, lab_rows.size),
         )
         loss_sup += l_sup
         g_total = g_sup
         train_rows = lab_rows.size
 
         if use_unsup:
-            keep_unsup_full[view] = _keeps(
-                _rng(cfg, _RNG_KEEP_UNSUP, epoch, step, view), n_u, cfg.hidden, cfg.dropout
-            )
+            keep_unsup_full[view] = _keeps(cfg, _RNG_KEEP_UNSUP, epoch, step, view, n_u)
             acc = accepted[other]  # pseudo-labels sourced from the other view
             if acc.size:
                 keep = keep_unsup_full[view][acc] if keep_unsup_full[view] is not None else None
@@ -387,9 +391,7 @@ def train_step(
 
         adv_grad = None
         if use_adv:
-            keep_adv[view] = _keeps(
-                _rng(cfg, _RNG_KEEP_ADV, epoch, step, view), n_u, cfg.hidden, cfg.dropout
-            )
+            keep_adv[view] = _keeps(cfg, _RNG_KEEP_ADV, epoch, step, view, n_u)
             l_a, g_a = loss_and_grads(s[view], x_adv[view], None, "entropy", keep_adv[view])
             adv_grad = (s[view], g_a)
             loss_adv += l_a
@@ -720,60 +722,37 @@ MODEL_VERSION = 1
 
 
 def save_model(path, students: tuple[StudentParams, StudentParams], teacher: TeacherStrategy):
-    import struct
-
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<H", MODEL_VERSION))
         for p in students:
             fh.write(struct.pack("<IIId", p.d_in, p.d_h, p.n_classes, p.dropout_rate))
-            for arr in (p.w1, p.b1, p.w2, p.b2):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(p.vector, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(teacher.z, dtype="<f8").tobytes())
         fh.write(struct.pack("<dd", teacher.lr_teacher, teacher.gate_temperature))
 
 
 def load_model(path) -> tuple[tuple[StudentParams, StudentParams], TeacherStrategy]:
-    import struct
-
-    from .errors import FormatError
-
-    def take(fh, count, offset):
-        buf = fh.read(count)
-        if len(buf) != count:
-            raise FormatError(path, offset + len(buf), f"truncated: wanted {count} bytes")
-        return buf
-
     with open(path, "rb") as fh:
-        offset = 0
-        magic = take(fh, 4, offset)
+        magic = _read_exact(fh, 4, path, 0)
         if magic != MODEL_MAGIC:
             raise FormatError(path, 0, f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        offset += 4
-        (version,) = struct.unpack("<H", take(fh, 2, offset))
+        (version,) = struct.unpack("<H", _read_exact(fh, 2, path, 4))
         if version != MODEL_VERSION:
-            raise FormatError(path, offset, f"unsupported version {version}")
-        offset += 2
+            raise FormatError(path, 4, f"unsupported version {version}")
+        offset = 6
         students = []
         for _ in range(2):
-            d_in, d_h, n_classes, dropout = struct.unpack("<IIId", take(fh, 20, offset))
+            header = _read_exact(fh, 20, path, offset)
+            d_in, d_h, n_classes, dropout = struct.unpack("<IIId", header)
             offset += 20
-            shapes = [(d_in, d_h), (d_h,), (d_h, n_classes), (n_classes,)]
-            arrays = []
-            for shape in shapes:
-                count = 8 * int(np.prod(shape))
-                arrays.append(
-                    np.frombuffer(take(fh, count, offset), dtype="<f8").reshape(shape).copy()
-                )
-                offset += count
-            students.append(
-                StudentParams(
-                    w1=arrays[0], b1=arrays[1], w2=arrays[2], b2=arrays[3], dropout_rate=dropout
-                )
-            )
-        z = np.frombuffer(take(fh, 24, offset), dtype="<f8").copy()
+            count = 8 * (d_in * d_h + d_h + d_h * n_classes + n_classes)
+            vector = np.frombuffer(_read_exact(fh, count, path, offset), dtype="<f8").copy()
+            students.append(StudentParams(vector, (d_in, d_h, n_classes), dropout))
+            offset += count
+        z = np.frombuffer(_read_exact(fh, 24, path, offset), dtype="<f8").copy()
         offset += 24
-        lr_teacher, temperature = struct.unpack("<dd", take(fh, 16, offset))
+        lr_teacher, temperature = struct.unpack("<dd", _read_exact(fh, 16, path, offset))
         offset += 16
         if fh.read(1):
             raise FormatError(path, offset, "trailing bytes after payload")

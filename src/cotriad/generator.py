@@ -13,12 +13,12 @@ dropout masks are frozen once per ascent step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .student import StudentParams, input_entropy_grad, input_mi_grad
+from .student import StudentParams, draw_keeps, input_entropy_grad, input_mi_grad
 
 BUDGET_TOL = 1e-12
 
@@ -50,16 +50,6 @@ class PerturbConfig:
         return self.epsilon if self.step_size is None else self.step_size
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """One sample's attack result."""
-
-    delta: np.ndarray
-    objective_value: float
-    fixed_point_residual: float
-    zero_gradient: bool = field(default=False)
-
-
 def project_linf(delta: np.ndarray, epsilon: float) -> np.ndarray:
     """Coordinatewise clamp onto the L-infinity ball; idempotent.
 
@@ -69,12 +59,6 @@ def project_linf(delta: np.ndarray, epsilon: float) -> np.ndarray:
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     return np.clip(np.asarray(delta, dtype=np.float64), -epsilon, epsilon)
-
-
-def _draw_keeps(
-    rng: np.random.Generator, n_passes: int, n: int, d_h: int, dropout_rate: float
-) -> np.ndarray:
-    return rng.random((n_passes, n, d_h)) >= dropout_rate
 
 
 def _objective_and_grad(
@@ -89,24 +73,6 @@ def _objective_and_grad(
         values = values + cfg.gamma * mi
         grad = grad + cfg.gamma * mi_grad
     return values, grad
-
-
-def perturb_objective(
-    params: StudentParams,
-    x: np.ndarray,
-    delta: np.ndarray,
-    cfg: PerturbConfig,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Objective value at a given perturbation of a single sample."""
-    x_pert = (np.asarray(x, dtype=np.float64) + np.asarray(delta, dtype=np.float64))[None, :]
-    keeps = None
-    if cfg.gamma > 0.0:
-        if rng is None:
-            raise InvalidInputError("gamma > 0 requires an rng for the dropout masks")
-        keeps = _draw_keeps(rng, cfg.mi_passes, 1, params.d_h, params.dropout_rate)
-    values, _ = _objective_and_grad(params, x_pert, cfg, keeps)
-    return float(values[0])
 
 
 def pgd_perturb_batch(
@@ -137,7 +103,7 @@ def pgd_perturb_batch(
             return None
         if rng is None:
             raise InvalidInputError("gamma > 0 requires an rng for the dropout masks")
-        return _draw_keeps(rng, cfg.mi_passes, n, params.d_h, params.dropout_rate)
+        return draw_keeps(rng, (cfg.mi_passes, n, params.d_h), params.dropout_rate)
 
     keeps = draw()
     delta = np.zeros_like(x)
@@ -167,24 +133,6 @@ def pgd_perturb_batch(
     residuals = np.abs(delta - image).max(axis=1)
     zero_grad = np.all(grad == 0.0, axis=1)
     return delta, values, residuals, zero_grad
-
-
-def pgd_perturb(
-    params: StudentParams,
-    x: np.ndarray,
-    cfg: PerturbConfig,
-    rng: np.random.Generator | None = None,
-) -> Perturbation:
-    """Single-sample attack. Zero gradient everywhere is flagged, not an error."""
-    delta, values, residuals, zero_grad = pgd_perturb_batch(
-        params, np.asarray(x, dtype=np.float64)[None, :], cfg, rng
-    )
-    return Perturbation(
-        delta=delta[0],
-        objective_value=float(values[0]),
-        fixed_point_residual=float(residuals[0]),
-        zero_gradient=bool(zero_grad[0]),
-    )
 
 
 def fixed_point_residual(

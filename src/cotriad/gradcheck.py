@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import finite_diff_grad
-from .student import (
-    draw_keep_matrix,
-    grads_to_vector,
-    init_student,
-    input_entropy_grad,
-    loss_and_grads,
-    params_to_vector,
-    vector_to_params,
-)
+from .student import draw_keeps, init_student, input_entropy_grad, loss_and_grads
 from .teacher import MetaBatch, TeacherStrategy, meta_grad, sigmoid, unrolled_validation_loss
 
 TOY = dict(d_in=3, d_h=4, n_classes=3)
@@ -54,16 +46,16 @@ def student_gradient_suite(n_instances: int = 100, seed: int = 0) -> SuiteResult
         params = init_student(**TOY, dropout_rate=dropout, seed=1000 + trial)
         x = rng.normal(size=(4, TOY["d_in"]))
         y = rng.integers(0, TOY["n_classes"], size=4)
-        keep = draw_keep_matrix(rng, 4, TOY["d_h"], dropout) if dropout else None
+        keep = draw_keeps(rng, (4, TOY["d_h"]), dropout) if dropout else None
         kind = "ce" if trial % 3 else "entropy"
         _, grads = loss_and_grads(params, x, y, kind, keep)
 
         def f(vec):
-            loss, _ = loss_and_grads(vector_to_params(params, vec), x, y, kind, keep)
+            loss, _ = loss_and_grads(params.with_vector(vec), x, y, kind, keep)
             return loss
 
-        fd = finite_diff_grad(f, params_to_vector(params), h=1e-5)
-        worst = max(worst, _ratio(grads_to_vector(grads), fd, rtol, atol))
+        fd = finite_diff_grad(f, params.vector, h=1e-5)
+        worst = max(worst, _ratio(grads.vector, fd, rtol, atol))
     return SuiteResult("student", n_instances, worst, rtol, atol)
 
 
@@ -93,8 +85,8 @@ def _random_meta_instance(seed: int):
         dropout = 0.0 if seed % 2 == 0 else 0.3
         params = init_student(**TOY, dropout_rate=dropout, seed=3000 + 7 * seed + view)
         n_u, n_v = 8, 8
-        keep_u = draw_keep_matrix(rng, n_u, TOY["d_h"], dropout) if dropout else None
-        keep_a = draw_keep_matrix(rng, n_u, TOY["d_h"], dropout) if dropout else None
+        keep_u = draw_keeps(rng, (n_u, TOY["d_h"]), dropout) if dropout else None
+        keep_a = draw_keeps(rng, (n_u, TOY["d_h"]), dropout) if dropout else None
         x_u = rng.normal(size=(n_u, TOY["d_in"]))
         batches.append(
             MetaBatch(

@@ -14,7 +14,7 @@ gradients are analytic and certified against ``numerics.finite_diff_grad``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -26,59 +26,75 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class StudentParams:
-    """Weights of one student. Treated as an immutable value."""
+class _Flat:
+    """One float64 vector laid out ``w1 | b1 | w2 | b2``, each row-major.
 
-    w1: np.ndarray  # (d_in, d_h)
-    b1: np.ndarray  # (d_h,)
-    w2: np.ndarray  # (d_h, n_classes)
-    b2: np.ndarray  # (n_classes,)
-    dropout_rate: float = 0.1
+    This is a student's byte order in the ``.trcm`` payload. ``w1``, ``b1``,
+    ``w2`` and ``b2`` are views into ``vector``, built once here.
+    """
+
+    __slots__ = ("vector", "dims", "w1", "b1", "w2", "b2")
+
+    def __init__(self, vector: np.ndarray, dims: tuple[int, int, int]):
+        d_in, d_h, c = dims
+        a = d_in * d_h
+        b = a + d_h
+        e = b + d_h * c
+        v = np.ascontiguousarray(vector, dtype=np.float64)
+        if v.shape != (e + c,):
+            raise InvalidInputError(f"vector shape {v.shape} does not match dims {dims}")
+        self.vector = v
+        self.dims = (d_in, d_h, c)
+        self.w1 = v[:a].reshape(d_in, d_h)
+        self.b1 = v[a:b]
+        self.w2 = v[b:e].reshape(d_h, c)
+        self.b2 = v[e:]
+
+
+class StudentParams(_Flat):
+    """Weights of one student, ``dims = (d_in, d_h, n_classes)``.
+
+    Treated as an immutable value: updates build a new object from a new
+    vector, so caches keyed on the object stay valid.
+    """
+
+    __slots__ = ("dropout_rate",)
+
+    def __init__(self, vector: np.ndarray, dims: tuple[int, int, int], dropout_rate: float = 0.1):
+        super().__init__(vector, dims)
+        self.dropout_rate = float(dropout_rate)
 
     @property
     def d_in(self) -> int:
-        return self.w1.shape[0]
+        return self.dims[0]
 
     @property
     def d_h(self) -> int:
-        return self.w1.shape[1]
+        return self.dims[1]
 
     @property
     def n_classes(self) -> int:
-        return self.w2.shape[1]
+        return self.dims[2]
+
+    def with_vector(self, vector: np.ndarray) -> "StudentParams":
+        """The same architecture and dropout rate with other weights."""
+        return StudentParams(vector, self.dims, self.dropout_rate)
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Parameter-shaped gradient container with the arithmetic the loop needs."""
+class Gradients(_Flat):
+    """Parameter-shaped gradient with the arithmetic the loop needs."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    __slots__ = ()
 
     @staticmethod
     def zeros_like(params: StudentParams) -> "Gradients":
-        return Gradients(
-            np.zeros_like(params.w1),
-            np.zeros_like(params.b1),
-            np.zeros_like(params.w2),
-            np.zeros_like(params.b2),
-        )
-
-    def scaled(self, a: float) -> "Gradients":
-        return Gradients(a * self.w1, a * self.b1, a * self.w2, a * self.b2)
+        return Gradients(np.zeros_like(params.vector), params.dims)
 
     def plus(self, other: "Gradients", scale: float = 1.0) -> "Gradients":
-        return Gradients(
-            self.w1 + scale * other.w1,
-            self.b1 + scale * other.b1,
-            self.w2 + scale * other.w2,
-            self.b2 + scale * other.b2,
-        )
+        return Gradients(self.vector + scale * other.vector, self.dims)
 
     def dot(self, other: "Gradients") -> float:
+        # Summed per segment: one vdot over the whole vector rounds differently.
         return float(
             np.vdot(self.w1, other.w1)
             + np.vdot(self.b1, other.b1)
@@ -87,20 +103,7 @@ class Gradients:
         )
 
     def inf_norm(self) -> float:
-        return max(
-            float(np.abs(self.w1).max()),
-            float(np.abs(self.b1).max()),
-            float(np.abs(self.w2).max()),
-            float(np.abs(self.b2).max()),
-        )
-
-
-@dataclass(frozen=True)
-class DropoutMask:
-    """Bernoulli keep pattern over hidden units, reproducible from its seed."""
-
-    seed: int
-    keep: np.ndarray  # (d_h,) bool
+        return float(np.abs(self.vector).max())
 
 
 @dataclass
@@ -128,13 +131,8 @@ def init_student(
     rng = np.random.default_rng(seed)
     w1 = rng.standard_normal((d_in, d_h)) * math.sqrt(2.0 / d_in)
     w2 = rng.standard_normal((d_h, n_classes)) * math.sqrt(2.0 / d_h)
-    return StudentParams(
-        w1=w1,
-        b1=np.zeros(d_h),
-        w2=w2,
-        b2=np.zeros(n_classes),
-        dropout_rate=float(dropout_rate),
-    )
+    vector = np.concatenate((w1.ravel(), np.zeros(d_h), w2.ravel(), np.zeros(n_classes)))
+    return StudentParams(vector, (d_in, d_h, n_classes), dropout_rate)
 
 
 def gelu(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
@@ -152,30 +150,15 @@ def gelu_prime(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
     return 0.5 * (1.0 + erf_u) + u * phi
 
 
-def draw_mask(rng: np.random.Generator, d_h: int, dropout_rate: float) -> DropoutMask:
-    """Draw one hidden-unit keep pattern, recording the seed it derives from."""
-    seed = int(rng.integers(0, 2**63 - 1))
-    return mask_from_seed(seed, d_h, dropout_rate)
-
-
-def mask_from_seed(seed: int, d_h: int, dropout_rate: float) -> DropoutMask:
-    keep = np.random.default_rng(seed).random(d_h) >= dropout_rate
-    return DropoutMask(seed=seed, keep=keep)
-
-
-def draw_keep_matrix(
-    rng: np.random.Generator, n: int, d_h: int, dropout_rate: float
-) -> np.ndarray:
-    """(n, d_h) bool keep matrix, one independent mask per sample."""
-    return rng.random((n, d_h)) >= dropout_rate
+def draw_keeps(rng: np.random.Generator, shape: tuple[int, ...], dropout_rate: float) -> np.ndarray:
+    """Bool keep pattern over hidden units: True where a unit survives dropout."""
+    return rng.random(shape) >= dropout_rate
 
 
 def _keep_scale(params: StudentParams, keep: np.ndarray | None, n: int) -> np.ndarray | None:
     if keep is None:
         return None
     k = np.asarray(keep)
-    if k.ndim == 1:
-        k = np.broadcast_to(k, (n, k.size))
     if k.shape != (n, params.d_h):
         raise InvalidInputError(
             f"keep shape {k.shape} does not match batch ({n}, {params.d_h})"
@@ -236,29 +219,6 @@ def forward_batch(
     return _output_layer(params, _Hidden(params, x), keep)
 
 
-def forward(
-    params: StudentParams, x: np.ndarray, mask: DropoutMask | None = None
-) -> tuple[np.ndarray, _Cache]:
-    """Single-sample forward pass; returns the logit vector and the cache."""
-    keep = None if mask is None else mask.keep[None, :]
-    logits, cache = forward_batch(params, np.asarray(x, dtype=np.float64)[None, :], keep)
-    return logits[0], cache
-
-
-def mc_forward(
-    params: StudentParams, x: np.ndarray, n_passes: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """``n_passes`` stochastic softmax outputs, one fresh dropout mask each."""
-    if n_passes < 1:
-        raise InvalidInputError("n_passes must be >= 1")
-    out = []
-    for _ in range(n_passes):
-        mask = draw_mask(rng, params.d_h, params.dropout_rate)
-        logits, _ = forward(params, x, mask)
-        out.append(softmax_rows(logits[None, :])[0])
-    return out
-
-
 def mc_forward_batch(
     params: StudentParams,
     x: np.ndarray,
@@ -278,12 +238,12 @@ def mc_forward_batch(
     n = layer.x.shape[0]
     if sample_ids is None:
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        keeps = rng.random((n_passes, n, params.d_h)) >= params.dropout_rate
+        keeps = draw_keeps(rng, (n_passes, n, params.d_h), params.dropout_rate)
     else:
         keeps = np.empty((n_passes, n, params.d_h), dtype=bool)
         for j, sid in enumerate(np.asarray(sample_ids)):
             sub = np.random.default_rng(np.random.SeedSequence([seed, int(sid)]))
-            keeps[:, j, :] = sub.random((n_passes, params.d_h)) >= params.dropout_rate
+            keeps[:, j, :] = draw_keeps(sub, (n_passes, params.d_h), params.dropout_rate)
     probs = np.empty((n_passes, n, params.n_classes))
     for k in range(n_passes):
         logits, _ = _output_layer(params, layer, keeps[k])
@@ -299,7 +259,7 @@ def _backward(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> Grad
     dpre = dact * gelu_prime(cache.pre, cache.erf_pre)
     dw1 = cache.x.T @ dpre
     db1 = dpre.sum(axis=0)
-    return Gradients(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return Gradients(np.concatenate((dw1.ravel(), db1, dw2.ravel(), db2)), params.dims)
 
 
 def _backward_to_input(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> np.ndarray:
@@ -445,8 +405,11 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * t / max(total_steps, 1)))
 
 
-def param_l2_norm(params: StudentParams) -> float:
-    return math.sqrt(
+def project_weight_norm(params: StudentParams, bound: float) -> StudentParams:
+    """Radial projection onto the ball of L2 norm <= bound over all weights."""
+    # Squares are summed per segment, in layout order: one sum over the whole
+    # vector may round differently and move the run digest.
+    norm = math.sqrt(
         float(
             np.sum(params.w1**2)
             + np.sum(params.b1**2)
@@ -454,17 +417,9 @@ def param_l2_norm(params: StudentParams) -> float:
             + np.sum(params.b2**2)
         )
     )
-
-
-def project_weight_norm(params: StudentParams, bound: float) -> StudentParams:
-    """Radial projection onto the ball of L2 norm <= bound over all weights."""
-    norm = param_l2_norm(params)
     if norm <= bound:
         return params
-    a = bound / norm
-    return replace(
-        params, w1=a * params.w1, b1=a * params.b1, w2=a * params.w2, b2=a * params.b2
-    )
+    return params.with_vector((bound / norm) * params.vector)
 
 
 def sgd_step(
@@ -472,14 +427,8 @@ def sgd_step(
 ) -> tuple[StudentParams, OptimizerState]:
     """One momentum step at the cosine-scheduled rate; returns new values."""
     lr = cosine_lr(opt.base_lr, opt.step, opt.total_steps)
-    vel = opt.velocity.scaled(opt.momentum).plus(grads)
-    new = StudentParams(
-        w1=params.w1 - lr * vel.w1,
-        b1=params.b1 - lr * vel.b1,
-        w2=params.w2 - lr * vel.w2,
-        b2=params.b2 - lr * vel.b2,
-        dropout_rate=params.dropout_rate,
-    )
+    vel = Gradients(opt.momentum * opt.velocity.vector + grads.vector, grads.dims)
+    new = params.with_vector(params.vector - lr * vel.vector)
     if opt.weight_norm_bound is not None:
         new = project_weight_norm(new, opt.weight_norm_bound)
     return new, OptimizerState(
@@ -510,30 +459,4 @@ def fresh_optimizer(
         step=0,
         total_steps=total_steps,
         weight_norm_bound=weight_norm_bound,
-    )
-
-
-def params_to_vector(params: StudentParams) -> np.ndarray:
-    return np.concatenate(
-        [params.w1.ravel(), params.b1.ravel(), params.w2.ravel(), params.b2.ravel()]
-    )
-
-
-def vector_to_params(template: StudentParams, vec: np.ndarray) -> StudentParams:
-    sizes = [template.w1.size, template.b1.size, template.w2.size, template.b2.size]
-    if vec.size != sum(sizes):
-        raise InvalidInputError("vector length does not match parameter count")
-    parts = np.split(np.asarray(vec, dtype=np.float64), np.cumsum(sizes)[:-1])
-    return StudentParams(
-        w1=parts[0].reshape(template.w1.shape),
-        b1=parts[1].reshape(template.b1.shape),
-        w2=parts[2].reshape(template.w2.shape),
-        b2=parts[3].reshape(template.b2.shape),
-        dropout_rate=template.dropout_rate,
-    )
-
-
-def grads_to_vector(grads: Gradients) -> np.ndarray:
-    return np.concatenate(
-        [grads.w1.ravel(), grads.b1.ravel(), grads.w2.ravel(), grads.b2.ravel()]
     )

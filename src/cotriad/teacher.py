@@ -181,6 +181,28 @@ def soft_unsup_loss_and_grads(
     return loss_w, grads_w, grads_a
 
 
+def _unroll(
+    params: StudentParams,
+    batch: MetaBatch,
+    mapped: tuple[float, float, float],
+    temperature: float,
+    eta_student: float,
+) -> tuple[StudentParams, Gradients, Gradients, Gradients | None]:
+    """The virtual update and its ingredients.
+
+    Returns (params', A, dA/dtau, B) with params' = params - eta * (lu*A + la*B);
+    B is None when the batch has no adversarial term.
+    """
+    tau, lu, la = mapped
+    _, g_unsup, dA_dtau = soft_unsup_loss_and_grads(params, batch, tau, temperature)
+    step = lu * g_unsup.vector
+    g_adv = None
+    if batch.x_adv is not None:
+        g_adv = _adv_grad(params, batch)
+        step = step + la * g_adv.vector
+    return params.with_vector(params.vector - eta_student * step), g_unsup, dA_dtau, g_adv
+
+
 def virtual_update(
     params: StudentParams,
     batch: MetaBatch,
@@ -189,18 +211,7 @@ def virtual_update(
     eta_student: float,
 ) -> StudentParams:
     """The one-step unrolled student the teacher is judged on. Pure function."""
-    tau, lu, la = mapped
-    _, g_unsup, _ = soft_unsup_loss_and_grads(params, batch, tau, temperature)
-    g = g_unsup.scaled(lu)
-    if batch.x_adv is not None:
-        g = g.plus(_adv_grad(params, batch), la)
-    return StudentParams(
-        w1=params.w1 - eta_student * g.w1,
-        b1=params.b1 - eta_student * g.b1,
-        w2=params.w2 - eta_student * g.w2,
-        b2=params.b2 - eta_student * g.b2,
-        dropout_rate=params.dropout_rate,
-    )
+    return _unroll(params, batch, mapped, temperature, eta_student)[0]
 
 
 def unrolled_validation_loss(
@@ -243,27 +254,18 @@ def meta_grad(
     for batch in batches:
         if batch.x_val.shape[0] == 0:
             raise InvalidInputError("validation batch must be nonempty")
-    tau, lu, la = map_strategy(strategy.z)
-    temperature = strategy.gate_temperature
+    mapped = map_strategy(strategy.z)
+    lu = mapped[1]
     d_mapped = np.zeros(3)
     for params, batch in zip(students, batches):
-        _, g_unsup, dA_dtau = soft_unsup_loss_and_grads(params, batch, tau, temperature)
-        if batch.x_adv is not None:
-            g_adv = _adv_grad(params, batch)
-        else:
-            g_adv = Gradients.zeros_like(params)
-        inner = g_unsup.scaled(lu).plus(g_adv, la)
-        updated = StudentParams(
-            w1=params.w1 - eta_student * inner.w1,
-            b1=params.b1 - eta_student * inner.b1,
-            w2=params.w2 - eta_student * inner.w2,
-            b2=params.b2 - eta_student * inner.b2,
-            dropout_rate=params.dropout_rate,
+        updated, g_unsup, dA_dtau, g_adv = _unroll(
+            params, batch, mapped, strategy.gate_temperature, eta_student
         )
         _, g_val = loss_and_grads(updated, batch.x_val, batch.y_val, "ce")
         d_mapped[0] += -eta_student * lu * dA_dtau.dot(g_val)
         d_mapped[1] += -eta_student * g_unsup.dot(g_val)
-        d_mapped[2] += -eta_student * g_adv.dot(g_val)
+        if g_adv is not None:
+            d_mapped[2] += -eta_student * g_adv.dot(g_val)
     return map_strategy_jacobian(strategy.z).T @ d_mapped
 
 

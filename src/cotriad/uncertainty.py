@@ -15,59 +15,18 @@ import numpy as np
 from .errors import InvalidInputError
 from .numerics import entropy_rows
 
-MI_CLAMP_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class UncertaintyEstimate:
-    """Per-sample summary of a set of stochastic forward passes."""
-
-    mean: np.ndarray
-    predictive_entropy: float
-    expected_entropy: float
-    mi: float
-    pseudo_label: int
-
-
-def _stack_samples(samples) -> np.ndarray:
-    try:
-        arr = np.asarray(samples, dtype=np.float64)
-    except ValueError as exc:
-        raise InvalidInputError(f"inconsistent sample shapes: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise InvalidInputError("expected a nonempty list of equal-length distributions")
-    return arr
-
-
-def predictive_mean(samples) -> np.ndarray:
-    """Elementwise mean of the sampled distributions."""
-    return _stack_samples(samples).mean(axis=0)
-
-
-def mutual_information(samples) -> UncertaintyEstimate:
-    """Disagreement statistics for one sample's dropout passes.
-
-    The mi field is clamped to be nonnegative: Jensen's inequality guarantees
-    it analytically, the clamp only absorbs floating-point rounding. Argmax
-    ties in the pseudo-label break toward the lowest class index.
-    """
-    arr = _stack_samples(samples)
-    mean = arr.mean(axis=0)
-    pe = float(entropy_rows(mean[None, :])[0])
-    ee = float(entropy_rows(arr).mean())
-    mi = max(0.0, pe - ee)
-    return UncertaintyEstimate(
-        mean=mean,
-        predictive_entropy=pe,
-        expected_entropy=ee,
-        mi=mi,
-        pseudo_label=int(np.argmax(mean)),
-    )
-
 
 def batch_statistics(probs: np.ndarray) -> "BatchUncertainty":
-    """Vectorized statistics for an (n_passes, n, c) array of softmax outputs."""
-    arr = np.asarray(probs, dtype=np.float64)
+    """Per-sample statistics for an (n_passes, n, c) array of softmax outputs.
+
+    MI is clamped to be nonnegative: Jensen's inequality guarantees it
+    analytically, the clamp only absorbs floating-point rounding. Argmax ties
+    in the pseudo-label break toward the lowest class index.
+    """
+    try:
+        arr = np.asarray(probs, dtype=np.float64)
+    except ValueError as exc:
+        raise InvalidInputError(f"inconsistent sample shapes: {exc}") from exc
     if arr.ndim != 3 or arr.shape[0] < 1:
         raise InvalidInputError("expected an (n_passes, n, c) array")
     mean = arr.mean(axis=0)
@@ -85,7 +44,7 @@ def batch_statistics(probs: np.ndarray) -> "BatchUncertainty":
 
 @dataclass(frozen=True)
 class BatchUncertainty:
-    """Struct-of-arrays counterpart of UncertaintyEstimate for whole batches."""
+    """Per-sample MC-dropout statistics of a batch, one array per field."""
 
     mean: np.ndarray  # (n, c)
     predictive_entropy: np.ndarray  # (n,)
@@ -96,33 +55,9 @@ class BatchUncertainty:
     def __len__(self) -> int:
         return self.mi.shape[0]
 
-    def estimates(self) -> list[UncertaintyEstimate]:
-        return [
-            UncertaintyEstimate(
-                mean=self.mean[i],
-                predictive_entropy=float(self.predictive_entropy[i]),
-                expected_entropy=float(self.expected_entropy[i]),
-                mi=float(self.mi[i]),
-                pseudo_label=int(self.pseudo_label[i]),
-            )
-            for i in range(len(self))
-        ]
-
-
-def _mi_values(estimates) -> np.ndarray:
-    if isinstance(estimates, BatchUncertainty):
-        return estimates.mi
-    return np.array([e.mi for e in estimates], dtype=np.float64)
-
-
-def _confidences(estimates) -> np.ndarray:
-    if isinstance(estimates, BatchUncertainty):
-        return estimates.mean.max(axis=1)
-    return np.array([e.mean.max() for e in estimates], dtype=np.float64)
-
 
 def mi_filter(
-    estimates, threshold: float, direction: str = "above"
+    stats: BatchUncertainty, threshold: float, direction: str = "above"
 ) -> tuple[np.ndarray, float]:
     """Accepted index set under a strict MI threshold, plus the mask rate.
 
@@ -132,7 +67,7 @@ def mi_filter(
     either way. Returns (indices, mask_rate) with mask_rate = rejected
     fraction.
     """
-    mi = _mi_values(estimates)
+    mi = stats.mi
     if direction == "above":
         accepted = np.flatnonzero(mi > threshold)
     elif direction == "below":
@@ -144,11 +79,11 @@ def mi_filter(
     return accepted, float(mask_rate)
 
 
-def confidence_filter(estimates, threshold: float) -> np.ndarray:
+def confidence_filter(stats: BatchUncertainty, threshold: float) -> np.ndarray:
     """Baseline filter: indices whose mean-distribution confidence >= threshold."""
     if not 0.0 < threshold < 1.0 and threshold != 1.0:
         raise InvalidInputError("confidence threshold must lie in (0, 1]")
-    conf = _confidences(estimates)
+    conf = stats.mean.max(axis=1)
     return np.flatnonzero(conf >= threshold)
 
 

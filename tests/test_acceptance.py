@@ -47,12 +47,10 @@ from cotriad.student import (
     StudentParams,
     init_student,
     input_entropy_grad,
-    mc_forward,
     mc_forward_batch,
-    params_to_vector,
 )
 from cotriad.teacher import StrategyHistory, TeacherStrategy, should_stop, stability_score, teacher_step
-from cotriad.uncertainty import batch_statistics, impurity, mi_filter, mutual_information
+from cotriad.uncertainty import batch_statistics, impurity, mi_filter
 
 LN2 = 0.69314718055994530942
 
@@ -142,11 +140,10 @@ class TestCriterion2MutualInformation:
             # Zero dropout collapses the estimate to zero exactly.
             for seed in range(5):
                 params = init_student(6, 8, 4, dropout_rate=0.0, seed=seed)
-                samples = mc_forward(
-                    params, np.random.default_rng(seed).normal(size=6), 5,
-                    np.random.default_rng(seed),
+                probs = mc_forward_batch(
+                    params, np.random.default_rng(seed).normal(size=(1, 6)), 5, seed=seed
                 )
-                assert mutual_information(samples).mi <= 1e-12
+                assert batch_statistics(probs).mi[0] <= 1e-12
             # Bounds over ten thousand random sample sets.
             rng = np.random.default_rng(11)
             total = 0
@@ -158,8 +155,8 @@ class TestCriterion2MutualInformation:
                 total += 2000
             assert total == 10_000
             # Maximal two-sample disagreement gives ln 2 exactly.
-            est = mutual_information([[1.0, 0.0], [0.0, 1.0]])
-            assert abs(est.mi - LN2) <= 1e-12
+            stats = batch_statistics(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
+            assert abs(stats.mi[0] - LN2) <= 1e-12
 
 
 class TestCriterion3Perturbations:
@@ -187,9 +184,9 @@ class TestCriterion3Perturbations:
             np.testing.assert_array_equal(delta, 0.7 * np.sign(grad))
             # Fifty-step ascent reaches the fixed point on the toy model.
             toy_rng = np.random.default_rng(3)
+            w1, w2 = toy_rng.normal(size=(4, 6)), toy_rng.normal(size=(6, 3))
             toy = StudentParams(
-                w1=toy_rng.normal(size=(4, 6)), b1=np.zeros(6),
-                w2=toy_rng.normal(size=(6, 3)), b2=np.zeros(3), dropout_rate=0.0,
+                np.concatenate((w1.ravel(), np.zeros(6), w2.ravel(), np.zeros(3))), (4, 6, 3), 0.0
             )
             x = np.random.default_rng(8).normal(size=(64, 4))
             _, _, residuals, _ = pgd_perturb_batch(
@@ -419,7 +416,7 @@ class TestCriterion8DeterminismAndFormats:
             assert again.read_bytes() == (out1 / "model_seed1.trcm").read_bytes()
             s2, t2 = load_model(again)
             for a, b in zip(students, s2):
-                np.testing.assert_array_equal(params_to_vector(a), params_to_vector(b))
+                np.testing.assert_array_equal(a.vector, b.vector)
             np.testing.assert_array_equal(teacher.z, t2.z)
 
             # CSV and binary encodings load identically.

@@ -233,17 +233,41 @@ class TestCommands:
         assert (out / "equilibrium_report.json").read_bytes() == first
 
     @pytest.mark.parametrize(
-        "key, value, message",
+        "overrides, message",
         [
-            ("teacher.update_every", "0", "teacher.update_every must be >= 1"),
-            ("train.steps_per_epoch", "-2", "train.steps_per_epoch must be >= 0"),
+            pytest.param(
+                [("teacher.update_every", "0")],
+                "teacher.update_every must be >= 1",
+                id="teacher.update_every-0-teacher.update_every must be >= 1",
+            ),
+            pytest.param(
+                [("train.steps_per_epoch", "-2")],
+                "train.steps_per_epoch must be >= 0",
+                id="train.steps_per_epoch--2-train.steps_per_epoch must be >= 0",
+            ),
+            pytest.param(
+                [("filter.mode", "mi_conf"), ("train.mc_passes", "1")],
+                "train.mc_passes must be >= 2 with filter.mode = mi_conf",
+                id="mi_conf-one-pass",
+            ),
+            pytest.param(
+                [("filter.mode", "confidence"), ("train.mc_passes", "0")],
+                "train.mc_passes must be >= 1 with filter.mode = confidence",
+                id="confidence-zero-passes",
+            ),
+            pytest.param(
+                [("perturb.gamma", "0.5"), ("perturb.mi_passes", "1")],
+                "perturb.mi_passes must be >= 2 when perturb.gamma > 0",
+                id="gamma-one-mi-pass",
+            ),
         ],
     )
     def test_degenerate_schedule_rejected_at_parse_time(
-        self, tiny_cfg, tmp_path, capsys, key, value, message
+        self, tiny_cfg, tmp_path, capsys, overrides, message
     ):
+        # The last override is the key the error names, on the last line.
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(tiny_cfg.read_text() + f"{key} = {value}\n")
+        cfg.write_text(tiny_cfg.read_text() + "".join(f"{k} = {v}\n" for k, v in overrides))
         line = len(cfg.read_text().splitlines())
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

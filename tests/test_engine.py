@@ -3,9 +3,13 @@
 import dataclasses
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotriad.data import (
     TEST,
@@ -24,9 +28,10 @@ from cotriad.engine import (
     run_training,
     save_model,
 )
-from cotriad.errors import InvalidInputError
+from cotriad.errors import FormatError, InvalidInputError
 from cotriad.generator import PerturbConfig
-from cotriad.student import StudentParams, params_to_vector
+from cotriad.student import StudentParams, fresh_optimizer, init_student, loss_and_grads, sgd_step
+from cotriad.teacher import TeacherStrategy, init_strategy
 
 
 def small_task(seed=3, n=400, labeled=24, val=4, test=80, classes=3, noise=0.4):
@@ -94,7 +99,7 @@ class TestTrainStepSemantics:
         cfg = small_cfg(tie_view_rng=True, epochs=2)
         rep = run_training(cfg, ds)
         a, b = rep.students
-        np.testing.assert_array_equal(params_to_vector(a), params_to_vector(b))
+        np.testing.assert_array_equal(a.vector, b.vector)
 
     def test_replay_is_bit_identical(self):
         ds = small_task()
@@ -105,7 +110,7 @@ class TestTrainStepSemantics:
         for a, b in zip(r1.step_reports, r2.step_reports):
             assert_reports_equal(a, b)
         np.testing.assert_array_equal(
-            params_to_vector(r1.students[0]), params_to_vector(r2.students[0])
+            r1.students[0].vector, r2.students[0].vector
         )
         np.testing.assert_array_equal(r1.teacher.z, r2.teacher.z)
 
@@ -116,7 +121,7 @@ class TestTrainStepSemantics:
         slow = run_training(small_cfg(eta_teacher=0.0, epochs=1, steps_per_epoch=1), ds)
         fast = run_training(small_cfg(eta_teacher=5.0, epochs=1, steps_per_epoch=1), ds)
         np.testing.assert_array_equal(
-            params_to_vector(slow.students[0]), params_to_vector(fast.students[0])
+            slow.students[0].vector, fast.students[0].vector
         )
         assert not np.array_equal(slow.teacher.z, fast.teacher.z)
 
@@ -141,7 +146,7 @@ class TestTrainStepSemantics:
         ds_priv = dataclasses.replace(ds, labels=shuffled_labels)
         rep = run_training(cfg, ds_priv)
         np.testing.assert_array_equal(
-            params_to_vector(base.students[0]), params_to_vector(rep.students[0])
+            base.students[0].vector, rep.students[0].vector
         )
 
     def test_zero_accepted_flag(self):
@@ -162,11 +167,17 @@ class TestTrainStepSemantics:
 
 
     @pytest.mark.parametrize(
-        "field, value", [("teacher_update_every", 0), ("steps_per_epoch", -1)]
+        "fields",
+        [
+            pytest.param({"teacher_update_every": 0}, id="teacher_update_every-0"),
+            pytest.param({"steps_per_epoch": -1}, id="steps_per_epoch--1"),
+            pytest.param({"filter_mode": "mi_conf", "mc_passes": 1}, id="mi_conf-one-pass"),
+            pytest.param({"filter_mode": "confidence", "mc_passes": 0}, id="confidence-zero-passes"),
+        ],
     )
-    def test_config_rejects_degenerate_schedule(self, field, value):
+    def test_config_rejects_degenerate_schedule(self, fields):
         with pytest.raises(InvalidInputError):
-            small_cfg(**{field: value})
+            small_cfg(**fields)
 
 
 class TestGoldenDigest:
@@ -272,10 +283,7 @@ class TestEarlyStopping:
 class TestEvaluate:
     def test_untrained_zero_weight_students_hit_chance(self):
         ds = small_task(n=3000, labeled=30, val=6, test=2000)
-        zero = StudentParams(
-            w1=np.zeros((6, 4)), b1=np.zeros(4), w2=np.zeros((4, 3)), b2=np.zeros(3),
-            dropout_rate=0.0,
-        )
+        zero = StudentParams(np.zeros(6 * 4 + 4 + 4 * 3 + 3), (6, 4, 3), 0.0)
         out = evaluate((zero, zero), ds, TEST)
         # argmax ties resolve to class 0, so accuracy is the class-0 share;
         # binomial 3-sigma band around 1/3.
@@ -372,14 +380,74 @@ class TestModelContainer:
         save_model(p, rep.students, rep.teacher)
         students, teacher = load_model(p)
         for a, b in zip(students, rep.students):
-            np.testing.assert_array_equal(params_to_vector(a), params_to_vector(b))
+            np.testing.assert_array_equal(a.vector, b.vector)
             assert a.dropout_rate == b.dropout_rate
         np.testing.assert_array_equal(teacher.z, rep.teacher.z)
         assert teacher.lr_teacher == rep.teacher.lr_teacher
 
-    def test_magic_checked(self, tmp_path):
-        from cotriad.errors import FormatError
+        payload = p.read_bytes()
+        cut = tmp_path / "cut.trcm"
+        cut.write_bytes(payload[:-30])
+        with pytest.raises(FormatError, match="truncated"):
+            load_model(cut)
+        cut.write_bytes(payload[:100])  # inside the first student's weights
+        with pytest.raises(FormatError, match="@ byte 100: truncated"):
+            load_model(cut)
+        cut.write_bytes(payload + b"\0")
+        with pytest.raises(FormatError, match="trailing bytes"):
+            load_model(cut)
 
+    # sha256 of the file written below, recorded before the students moved
+    # to one flat parameter vector; it pins the .trcm byte layout.
+    GOLDEN_TRCM = "5c57b2accb3be68fd7ea2b7b04fb061e6b22678d4abdef002ffed80a57bf6b99"
+
+    def test_golden_bytes(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        students = []
+        for view, d_in in enumerate((5, 4)):
+            p = init_student(d_in, 6, 3, dropout_rate=0.25, seed=40 + view)
+            x = rng.normal(size=(8, d_in))
+            y = rng.integers(0, 3, size=8)
+            _, g = loss_and_grads(p, x, y, "ce")
+            p, _ = sgd_step(p, g, fresh_optimizer(p, 0.1, 0.9, 10))
+            students.append(p)
+        teacher = init_strategy(0.1, 0.3, 0.4, lr_teacher=0.02, gate_temperature=0.05)
+        path = tmp_path / "m.trcm"
+        save_model(path, tuple(students), teacher)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_TRCM
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d_in=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        d_h=st.integers(1, 9),
+        classes=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_is_bit_exact(self, d_in, d_h, classes, seed):
+        rng = np.random.default_rng(seed)
+        students = tuple(
+            StudentParams(rng.normal(size=d * d_h + d_h + d_h * classes + classes),
+                          (d, d_h, classes), rng.random() * 0.9)
+            for d in d_in
+        )
+        teacher = TeacherStrategy(z=rng.normal(size=3), lr_teacher=rng.random() + 0.1,
+                                  gate_temperature=rng.random() + 0.01)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.trcm"
+            save_model(path, students, teacher)
+            loaded, t2 = load_model(path)
+            for a, b in zip(loaded, students):
+                assert a.dims == b.dims and a.dropout_rate == b.dropout_rate
+                assert a.vector.tobytes() == b.vector.tobytes()
+                for u, v in zip((a.w1, a.b1, a.w2, a.b2), (b.w1, b.b1, b.w2, b.b2)):
+                    assert np.array_equal(u, v)
+            assert t2.z.tobytes() == teacher.z.tobytes()
+            assert (t2.lr_teacher, t2.gate_temperature) == (teacher.lr_teacher, teacher.gate_temperature)
+            again = Path(tmp) / "again.trcm"
+            save_model(again, loaded, t2)
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_magic_checked(self, tmp_path):
         p = tmp_path / "model.trcm"
         p.write_bytes(b"XXXX" + bytes(10))
         with pytest.raises(FormatError):

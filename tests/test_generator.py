@@ -9,34 +9,35 @@ from cotriad.errors import InvalidInputError
 from cotriad.generator import (
     PerturbConfig,
     fixed_point_residual,
-    perturb_objective,
-    pgd_perturb,
     pgd_perturb_batch,
     project_linf,
 )
-from cotriad.numerics import entropy, finite_diff_grad, softmax_rows
+from cotriad.numerics import entropy_rows, finite_diff_grad, softmax_rows
 from cotriad.student import (
     StudentParams,
-    forward,
+    forward_batch,
     init_student,
     input_entropy_grad,
+    input_mi_grad,
 )
+
+DIMS = (4, 6, 3)
 
 
 def toy_params(seed=0, dropout=0.0):
-    return init_student(4, 6, 3, dropout_rate=dropout, seed=seed)
+    return init_student(*DIMS, dropout_rate=dropout, seed=seed)
+
+
+def zero_params():
+    return StudentParams(np.zeros(4 * 6 + 6 + 6 * 3 + 3), DIMS, 0.0)
 
 
 def linear_softmax_params(seed=1):
     """No-hidden-nonlinearity surrogate: tiny weights keep entropy smooth."""
     rng = np.random.default_rng(seed)
-    return StudentParams(
-        w1=rng.normal(size=(4, 6)) * 0.5,
-        b1=np.zeros(6),
-        w2=rng.normal(size=(6, 3)) * 0.5,
-        b2=np.zeros(3),
-        dropout_rate=0.0,
-    )
+    w1 = rng.normal(size=(4, 6)) * 0.5
+    w2 = rng.normal(size=(6, 3)) * 0.5
+    return StudentParams(np.concatenate((w1.ravel(), np.zeros(6), w2.ravel(), np.zeros(3))), DIMS, 0.0)
 
 
 class TestProjection:
@@ -71,46 +72,44 @@ class TestProjection:
 
 
 class TestObjective:
+    # pgd_perturb_batch returns the objective at the final iterate; these
+    # tests read it there.
+
     def test_uniform_output_net_is_constant(self):
-        params = StudentParams(
-            w1=np.zeros((4, 6)), b1=np.zeros(6), w2=np.zeros((6, 3)), b2=np.zeros(3),
-            dropout_rate=0.0,
-        )
         cfg = PerturbConfig(epsilon=1.0, gamma=0.0)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            val = perturb_objective(params, rng.normal(size=4), rng.normal(size=4), cfg)
-            assert val == pytest.approx(math.log(3), abs=1e-12)
+        x = np.random.default_rng(0).normal(size=(10, 4))
+        _, values, _, _ = pgd_perturb_batch(zero_params(), x, cfg)
+        np.testing.assert_allclose(values, math.log(3), rtol=0, atol=1e-12)
 
     def test_gamma_zero_equals_entropy_of_eval_forward(self):
         params = toy_params()
-        x = np.array([0.2, -0.4, 1.0, 0.3])
-        delta = np.array([0.1, 0.0, -0.2, 0.05])
-        cfg = PerturbConfig(epsilon=1.0)
-        logits, _ = forward(params, x + delta)
-        expected = entropy(softmax_rows(logits[None, :])[0])
-        assert perturb_objective(params, x, delta, cfg) == pytest.approx(expected, abs=1e-12)
+        x = np.array([[0.2, -0.4, 1.0, 0.3], [1.0, 0.5, -0.3, 0.0]])
+        cfg = PerturbConfig(epsilon=0.3)
+        delta, values, _, _ = pgd_perturb_batch(params, x, cfg)
+        assert np.abs(delta).max() > 0.0
+        logits, _ = forward_batch(params, x + delta)
+        expected = entropy_rows(softmax_rows(logits))
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
 
     def test_gamma_positive_reproducible_and_compositional(self):
         params = toy_params(dropout=0.3)
-        x = np.array([0.2, -0.4, 1.0, 0.3])
-        delta = np.zeros(4)
+        x = np.array([[0.2, -0.4, 1.0, 0.3]])
         cfg = PerturbConfig(epsilon=1.0, gamma=0.5, mi_passes=5)
-        v1 = perturb_objective(params, x, delta, cfg, np.random.default_rng(7))
-        v2 = perturb_objective(params, x, delta, cfg, np.random.default_rng(7))
-        assert v1 == v2
-        # Recompute from parts with the same frozen masks.
-        from cotriad.student import input_entropy_grad, input_mi_grad
-
+        d1, v1, _, _ = pgd_perturb_batch(params, x, cfg, np.random.default_rng(7))
+        d2, v2, _, _ = pgd_perturb_batch(params, x, cfg, np.random.default_rng(7))
+        np.testing.assert_array_equal(d1, d2)
+        assert v1[0] == v2[0]
+        # Recompute from parts with the same frozen masks: a single step
+        # draws one set and scores the final iterate with it.
         keeps = np.random.default_rng(7).random((5, 1, params.d_h)) >= 0.3
-        h, _ = input_entropy_grad(params, (x + delta)[None, :])
-        mi, _ = input_mi_grad(params, (x + delta)[None, :], keeps)
-        assert v1 == pytest.approx(float(h[0] + 0.5 * mi[0]), abs=1e-12)
+        h, _ = input_entropy_grad(params, x + d1)
+        mi, _ = input_mi_grad(params, x + d1, keeps)
+        assert v1[0] == pytest.approx(float(h[0] + 0.5 * mi[0]), abs=1e-12)
 
     def test_gamma_requires_rng(self):
         with pytest.raises(InvalidInputError):
-            perturb_objective(
-                toy_params(dropout=0.2), np.zeros(4), np.zeros(4),
+            pgd_perturb_batch(
+                toy_params(dropout=0.2), np.zeros((1, 4)),
                 PerturbConfig(epsilon=1.0, gamma=0.5),
             )
 
@@ -136,14 +135,12 @@ class TestPgd:
         np.testing.assert_array_equal(delta, 0.7 * np.sign(grad))
 
     def test_sign_of_zero_spends_no_budget(self):
-        params = StudentParams(
-            w1=np.zeros((4, 6)), b1=np.zeros(6), w2=np.zeros((6, 3)), b2=np.zeros(3),
-            dropout_rate=0.0,
+        delta, _, residuals, zero_grad = pgd_perturb_batch(
+            zero_params(), np.ones((1, 4)), PerturbConfig(epsilon=1.0)
         )
-        pert = pgd_perturb(params, np.ones(4), PerturbConfig(epsilon=1.0))
-        np.testing.assert_array_equal(pert.delta, 0.0)
-        assert pert.zero_gradient
-        assert pert.fixed_point_residual == 0.0
+        np.testing.assert_array_equal(delta, 0.0)
+        assert zero_grad[0]
+        assert residuals[0] == 0.0
 
     def test_single_step_increases_entropy_on_smooth_model(self):
         # First-order ascent: a small epsilon FGSM step raises the entropy
@@ -227,10 +224,7 @@ class TestFixedPointResidual:
         assert found > 50
 
     def test_zero_gradient_model_interior_residual(self):
-        params = StudentParams(
-            w1=np.zeros((4, 6)), b1=np.zeros(6), w2=np.zeros((6, 3)), b2=np.zeros(3),
-            dropout_rate=0.0,
-        )
+        params = zero_params()
         cfg = PerturbConfig(epsilon=1.0, step_size=0.5)
         for delta in [np.zeros(4), np.array([0.3, -0.2, 0.0, 0.9])]:
             assert fixed_point_residual(params, np.ones(4), delta, cfg) == 0.0

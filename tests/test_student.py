@@ -4,38 +4,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotriad.errors import InvalidInputError
 from cotriad.numerics import finite_diff_grad, softmax_rows
 from cotriad.student import (
-    DropoutMask,
     Gradients,
+    OptimizerState,
     StudentParams,
     cosine_lr,
-    draw_keep_matrix,
-    draw_mask,
-    forward,
+    draw_keeps,
     forward_batch,
     fresh_optimizer,
     gelu,
     gelu_prime,
-    grads_to_vector,
     init_student,
     input_entropy_grad,
     input_mi_grad,
     loss_and_grads,
-    mask_from_seed,
-    mc_forward,
     mc_forward_batch,
-    param_l2_norm,
-    params_to_vector,
     project_weight_norm,
     sgd_step,
-    vector_to_params,
     weighted_ce_grads,
 )
 
 TOY = dict(d_in=3, d_h=4, n_classes=3)
+TOY_DIMS = (3, 4, 3)
+TOY_SIZE = 3 * 4 + 4 + 4 * 3 + 3
 
 
 def toy_params(seed=0, dropout=0.1):
@@ -43,47 +39,43 @@ def toy_params(seed=0, dropout=0.1):
 
 
 def zero_params(dropout=0.0):
-    return StudentParams(
-        w1=np.zeros((TOY["d_in"], TOY["d_h"])),
-        b1=np.zeros(TOY["d_h"]),
-        w2=np.zeros((TOY["d_h"], TOY["n_classes"])),
-        b2=np.zeros(TOY["n_classes"]),
-        dropout_rate=dropout,
-    )
+    return StudentParams(np.zeros(TOY_SIZE), TOY_DIMS, dropout)
 
 
 class TestForward:
     def test_zero_weights_give_uniform_softmax(self):
-        logits, _ = forward(zero_params(), np.array([1.0, -2.0, 0.5]))
+        logits, _ = forward_batch(zero_params(), np.array([[1.0, -2.0, 0.5]]))
         np.testing.assert_array_equal(logits, 0.0)
-        np.testing.assert_allclose(softmax_rows(logits[None, :])[0], 1 / 3)
+        np.testing.assert_allclose(softmax_rows(logits), 1 / 3)
 
     def test_zero_dropout_mask_equals_eval_mode(self):
         params = toy_params(dropout=0.0)
-        x = np.array([0.3, -1.0, 2.0])
-        mask = DropoutMask(seed=0, keep=np.ones(TOY["d_h"], dtype=bool))
-        with_mask, _ = forward(params, x, mask)
-        without, _ = forward(params, x, None)
+        x = np.array([[0.3, -1.0, 2.0]])
+        keep = np.ones((1, TOY["d_h"]), dtype=bool)
+        with_mask, _ = forward_batch(params, x, keep)
+        without, _ = forward_batch(params, x, None)
         np.testing.assert_array_equal(with_mask, without)
 
     def test_fixed_seed_is_reproducible(self):
         params = toy_params(dropout=0.4)
-        x = np.array([0.3, -1.0, 2.0])
-        mask = mask_from_seed(1234, TOY["d_h"], 0.4)
-        first, _ = forward(params, x, mask)
-        again, _ = forward(params, x, mask_from_seed(1234, TOY["d_h"], 0.4))
+        x = np.array([[0.3, -1.0, 2.0]])
+        keep = draw_keeps(np.random.default_rng(1234), (1, TOY["d_h"]), 0.4)
+        first, _ = forward_batch(params, x, keep)
+        again_keep = draw_keeps(np.random.default_rng(1234), (1, TOY["d_h"]), 0.4)
+        again, _ = forward_batch(params, x, again_keep)
+        np.testing.assert_array_equal(keep, again_keep)
         np.testing.assert_array_equal(first, again)
 
     def test_eval_mode_is_pure(self):
         params = toy_params()
-        x = np.array([0.1, 0.2, 0.3])
-        a, _ = forward(params, x)
-        b, _ = forward(params, x)
+        x = np.array([[0.1, 0.2, 0.3]])
+        a, _ = forward_batch(params, x)
+        b, _ = forward_batch(params, x)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(InvalidInputError):
-            forward(toy_params(), np.zeros(5))
+            forward_batch(toy_params(), np.zeros((1, 5)))
 
     def test_gelu_sanity(self):
         # Exact Gaussian-CDF form: gelu(0) = 0, gelu(x) -> x for large x.
@@ -103,21 +95,20 @@ class TestForward:
 class TestMcForward:
     def test_zero_dropout_collapses(self):
         params = toy_params(dropout=0.0)
-        probs = mc_forward(params, np.array([0.5, 0.5, -0.5]), 5, np.random.default_rng(0))
+        probs = mc_forward_batch(params, np.array([[0.5, 0.5, -0.5]]), 5, seed=0)
         for p in probs[1:]:
             np.testing.assert_array_equal(p, probs[0])
 
     def test_seeded_rng_reproducible(self):
         params = toy_params(dropout=0.3)
-        x = np.array([0.5, 0.5, -0.5])
-        a = mc_forward(params, x, 5, np.random.default_rng(99))
-        b = mc_forward(params, x, 5, np.random.default_rng(99))
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa, pb)
+        x = np.array([[0.5, 0.5, -0.5]])
+        a = mc_forward_batch(params, x, 5, seed=99)
+        b = mc_forward_batch(params, x, 5, seed=99)
+        np.testing.assert_array_equal(a, b)
 
     def test_rejects_zero_passes(self):
         with pytest.raises(InvalidInputError):
-            mc_forward(toy_params(), np.zeros(3), 0, np.random.default_rng(0))
+            mc_forward_batch(toy_params(), np.zeros((1, 3)), 0, seed=0)
 
     @pytest.mark.parametrize("with_ids", [False, True])
     def test_batch_equals_separate_forward_passes(self, with_ids):
@@ -166,7 +157,7 @@ class TestDropoutUnbiasedness:
         clean = cache.act[0]
         rng = np.random.default_rng(1)
         n = 10_000
-        keeps = draw_keep_matrix(rng, n, TOY["d_h"], 0.35)
+        keeps = draw_keeps(rng, (n, TOY["d_h"]), 0.35)
         sampled = clean[None, :] * keeps / (1 - 0.35)
         se = sampled.std(axis=0, ddof=1) / math.sqrt(n)
         diff = np.abs(sampled.mean(axis=0) - clean)
@@ -183,11 +174,11 @@ class TestGradients:
             _, grads = loss_and_grads(params, x, y, "ce")
 
             def f(vec):
-                loss, _ = loss_and_grads(vector_to_params(params, vec), x, y, "ce")
+                loss, _ = loss_and_grads(params.with_vector(vec), x, y, "ce")
                 return loss
 
-            fd = finite_diff_grad(f, params_to_vector(params), h=1e-5)
-            np.testing.assert_allclose(grads_to_vector(grads), fd, rtol=1e-5, atol=1e-8)
+            fd = finite_diff_grad(f, params.vector, h=1e-5)
+            np.testing.assert_allclose(grads.vector, fd, rtol=1e-5, atol=1e-8)
 
     def test_entropy_grads_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -197,26 +188,26 @@ class TestGradients:
             _, grads = loss_and_grads(params, x, None, "entropy")
 
             def f(vec):
-                loss, _ = loss_and_grads(vector_to_params(params, vec), x, None, "entropy")
+                loss, _ = loss_and_grads(params.with_vector(vec), x, None, "entropy")
                 return loss
 
-            fd = finite_diff_grad(f, params_to_vector(params), h=1e-5)
-            np.testing.assert_allclose(grads_to_vector(grads), fd, rtol=1e-5, atol=1e-8)
+            fd = finite_diff_grad(f, params.vector, h=1e-5)
+            np.testing.assert_allclose(grads.vector, fd, rtol=1e-5, atol=1e-8)
 
     def test_grads_with_dropout_masks_match_finite_differences(self):
         rng = np.random.default_rng(13)
         params = toy_params(seed=5, dropout=0.4)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
-        keep = draw_keep_matrix(rng, 6, TOY["d_h"], 0.4)
+        keep = draw_keeps(rng, (6, TOY["d_h"]), 0.4)
         _, grads = loss_and_grads(params, x, y, "ce", keep)
 
         def f(vec):
-            loss, _ = loss_and_grads(vector_to_params(params, vec), x, y, "ce", keep)
+            loss, _ = loss_and_grads(params.with_vector(vec), x, y, "ce", keep)
             return loss
 
-        fd = finite_diff_grad(f, params_to_vector(params), h=1e-5)
-        np.testing.assert_allclose(grads_to_vector(grads), fd, rtol=1e-5, atol=1e-8)
+        fd = finite_diff_grad(f, params.vector, h=1e-5)
+        np.testing.assert_allclose(grads.vector, fd, rtol=1e-5, atol=1e-8)
 
     def test_zero_net_uniform_output_ce_gradient_closed_form(self):
         # With uniform output, d loss / d b2[y] = 1/C - 1 per sample.
@@ -228,9 +219,8 @@ class TestGradients:
 
     def test_entropy_gradient_vanishes_at_saturation(self):
         params = toy_params(dropout=0.0)
-        big = StudentParams(
-            w1=params.w1, b1=params.b1, w2=params.w2 * 200.0, b2=params.b2,
-            dropout_rate=0.0,
+        big = params.with_vector(
+            np.concatenate((params.w1.ravel(), params.b1, (params.w2 * 200.0).ravel(), params.b2))
         )
         x = np.random.default_rng(1).normal(size=(4, 3))
         _, grads = loss_and_grads(big, x, None, "entropy")
@@ -246,13 +236,13 @@ class TestGradients:
         with pytest.raises(InvalidInputError):
             weighted_ce_grads(params, x, y, w)
         acc = 0.0
-        vec = np.zeros_like(params_to_vector(params))
+        vec = np.zeros_like(params.vector)
         for i in range(5):
             li, gi = loss_and_grads(params, x[i : i + 1], y[i : i + 1], "ce")
             acc += w[i] * li
-            vec += w[i] * grads_to_vector(gi)
+            vec += w[i] * gi.vector
         assert loss == pytest.approx(acc, rel=1e-12)
-        np.testing.assert_allclose(grads_to_vector(grads), vec, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(grads.vector, vec, rtol=1e-10, atol=1e-12)
 
     def test_input_entropy_grad_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -304,10 +294,7 @@ class TestOptimizer:
 
     def test_momentum_accumulates(self):
         params = zero_params()
-        g = Gradients(
-            np.ones_like(params.w1), np.ones_like(params.b1),
-            np.ones_like(params.w2), np.ones_like(params.b2),
-        )
+        g = Gradients(np.ones(TOY_SIZE), TOY_DIMS)
         opt = fresh_optimizer(toy_params(), base_lr=1.0, momentum=0.9, total_steps=10**9)
         p1, opt = sgd_step(params, g, opt)
         assert p1.w1[0, 0] == pytest.approx(-1.0)
@@ -318,7 +305,7 @@ class TestOptimizer:
     def test_weight_norm_projection(self):
         params = toy_params(seed=3)
         bounded = project_weight_norm(params, 0.5)
-        assert param_l2_norm(bounded) == pytest.approx(0.5, rel=1e-12)
+        assert np.linalg.norm(bounded.vector) == pytest.approx(0.5, rel=1e-12)
         loose = project_weight_norm(params, 1e6)
         np.testing.assert_array_equal(loose.w1, params.w1)
 
@@ -332,16 +319,81 @@ class TestOptimizer:
 class TestParamVectorRoundTrip:
     def test_round_trip(self):
         params = toy_params(seed=11)
-        vec = params_to_vector(params)
-        back = vector_to_params(params, vec)
+        back = params.with_vector(params.vector.copy())
         np.testing.assert_array_equal(back.w1, params.w1)
         np.testing.assert_array_equal(back.b1, params.b1)
         np.testing.assert_array_equal(back.w2, params.w2)
         np.testing.assert_array_equal(back.b2, params.b2)
+        assert back.dims == params.dims and back.dropout_rate == params.dropout_rate
 
-    def test_draw_mask_records_seed(self):
-        rng = np.random.default_rng(0)
-        mask = draw_mask(rng, 8, 0.5)
-        np.testing.assert_array_equal(
-            mask.keep, mask_from_seed(mask.seed, 8, 0.5).keep
-        )
+    def test_wrong_length_raises(self):
+        with pytest.raises(InvalidInputError):
+            StudentParams(np.zeros(TOY_SIZE + 1), TOY_DIMS)
+
+
+dims_strategy = st.tuples(
+    st.integers(1, 12), st.integers(1, 12), st.integers(2, 6)
+)
+
+
+def _random_flat(rng, dims, cls=Gradients):
+    d_in, d_h, c = dims
+    return cls(rng.normal(size=d_in * d_h + d_h + d_h * c + c), dims)
+
+
+def _segments(flat):
+    """Standalone copies of the four arrays, sharing no memory."""
+    return [a.copy() for a in (flat.w1, flat.b1, flat.w2, flat.b2)]
+
+
+class TestFlatLayoutProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims_strategy, seed=st.integers(0, 2**32 - 1))
+    def test_views_share_the_one_buffer(self, dims, seed):
+        d_in, d_h, c = dims
+        params = _random_flat(np.random.default_rng(seed), dims, StudentParams)
+        shapes = [(d_in, d_h), (d_h,), (d_h, c), (c,)]
+        views = [params.w1, params.b1, params.w2, params.b2]
+        for view, shape in zip(views, shapes):
+            assert view.shape == shape
+            assert view.flags.c_contiguous
+            assert np.shares_memory(view, params.vector)
+        flat = np.concatenate([v.ravel() for v in views])
+        np.testing.assert_array_equal(flat, params.vector)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=dims_strategy,
+        seed=st.integers(0, 2**32 - 1),
+        momentum=st.sampled_from([0.0, 0.5, 0.9]),
+        bound=st.sampled_from([None, 0.5, 3.0, 1e6]),
+        step=st.integers(0, 9),
+    )
+    def test_sgd_step_matches_per_array_oracle(self, dims, seed, momentum, bound, step):
+        rng = np.random.default_rng(seed)
+        params = _random_flat(rng, dims, StudentParams)
+        velocity = _random_flat(rng, dims)
+        grads = _random_flat(rng, dims)
+        opt = OptimizerState(velocity, momentum, 0.1, step, 10, bound)
+        new, new_opt = sgd_step(params, grads, opt)
+
+        lr = cosine_lr(0.1, step, 10)
+        vel = [momentum * v + g for v, g in zip(_segments(velocity), _segments(grads))]
+        expected = [p - lr * v for p, v in zip(_segments(params), vel)]
+        if bound is not None:
+            norm = math.sqrt(float(sum(np.sum(a**2) for a in expected)))
+            if norm > bound:
+                expected = [(bound / norm) * a for a in expected]
+        for got, want in zip(_segments(new), expected):
+            assert np.array_equal(got, want)
+        for got, want in zip(_segments(new_opt.velocity), vel):
+            assert np.array_equal(got, want)
+        assert new_opt.step == step + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims_strategy, seed=st.integers(0, 2**32 - 1))
+    def test_dot_is_the_sum_of_segment_dots(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _random_flat(rng, dims), _random_flat(rng, dims)
+        expected = sum(np.vdot(u, v) for u, v in zip(_segments(a), _segments(b)))
+        assert a.dot(b) == float(expected)

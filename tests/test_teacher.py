@@ -10,11 +10,9 @@ from cotriad.errors import InsufficientHistoryError, InvalidInputError
 from cotriad.numerics import finite_diff_grad
 from cotriad.student import (
     Gradients,
-    StudentParams,
-    draw_keep_matrix,
+    draw_keeps,
     init_student,
     loss_and_grads,
-    params_to_vector,
     weighted_ce_grads,
 )
 from cotriad.teacher import (
@@ -47,11 +45,11 @@ def random_meta_setup(seed, n_unsup=8, n_val=8, with_adv=True, dropout=0.0):
         params = init_student(3, 4, 3, dropout_rate=dropout, seed=seed * 7 + view)
         x_unsup = rng.normal(size=(n_unsup, 3))
         keep_unsup = (
-            draw_keep_matrix(rng, n_unsup, 4, dropout) if dropout > 0 else None
+            draw_keeps(rng, (n_unsup, 4), dropout) if dropout > 0 else None
         )
         x_adv = x_unsup + rng.normal(scale=0.2, size=x_unsup.shape) if with_adv else None
         keep_adv = (
-            draw_keep_matrix(rng, n_unsup, 4, dropout)
+            draw_keeps(rng, (n_unsup, 4), dropout)
             if (dropout > 0 and with_adv)
             else None
         )
@@ -245,7 +243,7 @@ class TestMetaGradient:
                 for owner, b in zip(owners, batches)
             )
 
-        copies = [StudentParams(p.w1, p.b1, p.w2, p.b2, p.dropout_rate) for p in students]
+        copies = [p.with_vector(p.vector.copy()) for p in students]
         ignored = meta_grad(strategy, students, with_zero_adv(copies), 0.05)
         assert np.array_equal(ignored, recomputed)
         used = meta_grad(strategy, students, with_zero_adv(students), 0.05)
@@ -253,11 +251,11 @@ class TestMetaGradient:
 
     def test_virtual_update_isolation(self):
         students, batches = random_meta_setup(5)
-        before = [params_to_vector(s).copy() for s in students]
+        before = [s.vector.copy() for s in students]
         strategy = init_strategy()
         meta_grad(strategy, students, batches, 0.05)
         for s, b in zip(students, before):
-            np.testing.assert_array_equal(params_to_vector(s), b)
+            np.testing.assert_array_equal(s.vector, b)
 
     def test_empty_validation_batch_raises(self):
         students, batches = random_meta_setup(6)

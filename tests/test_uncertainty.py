@@ -7,15 +7,8 @@ import numpy as np
 import pytest
 
 from cotriad.errors import InvalidInputError
-from cotriad.student import init_student, mc_forward
-from cotriad.uncertainty import (
-    batch_statistics,
-    confidence_filter,
-    impurity,
-    mi_filter,
-    mutual_information,
-    predictive_mean,
-)
+from cotriad.student import init_student, mc_forward_batch
+from cotriad.uncertainty import batch_statistics, confidence_filter, impurity, mi_filter
 
 LN2 = 0.69314718055994530942
 
@@ -33,14 +26,19 @@ def hp_mutual_information(samples):
     return float(h(mean) - sum(h(r) for r in rows) / k)
 
 
+def one_sample(samples):
+    """(K, 1, c) array: K passes over a single sample."""
+    return np.asarray(samples, dtype=np.float64)[:, None, :]
+
+
 class TestPredictiveMean:
     def test_identical_samples(self):
         p = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_allclose(predictive_mean([p, p, p]), p, rtol=1e-15)
+        np.testing.assert_allclose(batch_statistics(one_sample([p, p, p])).mean[0], p, rtol=1e-15)
 
     def test_symmetry(self):
         np.testing.assert_allclose(
-            predictive_mean([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5]
+            batch_statistics(one_sample([[1.0, 0.0], [0.0, 1.0]])).mean[0], [0.5, 0.5]
         )
 
     def test_matches_high_precision_mean(self):
@@ -51,31 +49,32 @@ class TestPredictiveMean:
             float(sum(mp.mpf(float(samples[k][j])) for k in range(5)) / 5)
             for j in range(4)
         ]
-        np.testing.assert_allclose(predictive_mean(samples), expected, rtol=1e-14)
+        mean = batch_statistics(one_sample(samples)).mean[0]
+        np.testing.assert_allclose(mean, expected, rtol=1e-14)
 
     def test_empty_list_raises(self):
         with pytest.raises(InvalidInputError):
-            predictive_mean([])
+            batch_statistics(np.empty((0, 1, 3)))
 
 
 class TestMutualInformation:
     def test_identical_distributions_give_zero(self):
         p = np.array([0.1, 0.6, 0.3])
-        est = mutual_information([p] * 7)
-        assert abs(est.mi) <= 1e-12
+        stats = batch_statistics(one_sample([p] * 7))
+        assert abs(stats.mi[0]) <= 1e-12
 
     def test_maximal_disagreement(self):
-        est = mutual_information([[1.0, 0.0], [0.0, 1.0]])
-        assert est.mi == pytest.approx(LN2, abs=1e-12)
-        assert est.expected_entropy == 0.0
-        assert est.predictive_entropy == pytest.approx(LN2, abs=1e-12)
+        stats = batch_statistics(one_sample([[1.0, 0.0], [0.0, 1.0]]))
+        assert stats.mi[0] == pytest.approx(LN2, abs=1e-12)
+        assert stats.expected_entropy[0] == 0.0
+        assert stats.predictive_entropy[0] == pytest.approx(LN2, abs=1e-12)
 
     def test_matches_high_precision_formula(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             samples = rng.dirichlet(np.ones(4), size=5)
-            est = mutual_information(samples)
-            assert est.mi == pytest.approx(hp_mutual_information(samples), abs=1e-12)
+            mi = batch_statistics(one_sample(samples)).mi[0]
+            assert mi == pytest.approx(hp_mutual_information(samples), abs=1e-12)
 
     def test_invariants_over_random_sets(self):
         rng = np.random.default_rng(9)
@@ -83,37 +82,38 @@ class TestMutualInformation:
             c = int(rng.integers(2, 6))
             k = int(rng.integers(1, 8))
             samples = rng.dirichlet(np.ones(c), size=k)
-            est = mutual_information(samples)
-            assert est.predictive_entropy >= est.expected_entropy - 1e-9
-            assert 0.0 <= est.mi <= math.log(c) + 1e-9
-            assert est.mi <= est.predictive_entropy + 1e-9
+            stats = batch_statistics(one_sample(samples))
+            pe, ee, mi = stats.predictive_entropy[0], stats.expected_entropy[0], stats.mi[0]
+            assert pe >= ee - 1e-9
+            assert 0.0 <= mi <= math.log(c) + 1e-9
+            assert mi <= pe + 1e-9
 
     def test_zero_dropout_mc_collapse(self):
         params = init_student(3, 4, 3, dropout_rate=0.0, seed=0)
-        samples = mc_forward(params, np.array([0.4, -0.2, 1.0]), 6, np.random.default_rng(1))
-        assert mutual_information(samples).mi <= 1e-12
+        probs = mc_forward_batch(params, np.array([[0.4, -0.2, 1.0]]), 6, seed=1)
+        assert batch_statistics(probs).mi[0] <= 1e-12
 
     def test_pseudo_label_tie_breaks_low(self):
-        est = mutual_information([[0.5, 0.5]])
-        assert est.pseudo_label == 0
+        assert batch_statistics(one_sample([[0.5, 0.5]])).pseudo_label[0] == 0
 
     def test_inconsistent_lengths_raise(self):
         with pytest.raises(InvalidInputError):
-            mutual_information([[0.5, 0.5], [0.3, 0.3, 0.4]])
+            batch_statistics([[[0.5, 0.5]], [[0.3, 0.3, 0.4]]])
 
 
 class TestBatchStatistics:
     def test_matches_per_sample_path(self):
+        # Rows are independent: each sample's statistics equal those of a
+        # batch holding that sample alone, and the MI the 50-digit oracle.
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(4), size=(5, 9))  # (passes, n, classes)
         stats = batch_statistics(probs)
+        assert len(stats) == 9
         for i in range(9):
-            est = mutual_information(probs[:, i, :])
-            assert stats.mi[i] == pytest.approx(est.mi, abs=1e-14)
-            assert stats.pseudo_label[i] == est.pseudo_label
-        ests = stats.estimates()
-        assert len(ests) == 9
-        assert ests[0].mi == pytest.approx(float(stats.mi[0]))
+            alone = batch_statistics(probs[:, i : i + 1, :])
+            assert stats.mi[i] == pytest.approx(alone.mi[0], abs=1e-14)
+            assert stats.mi[i] == pytest.approx(hp_mutual_information(probs[:, i, :]), abs=1e-12)
+            assert stats.pseudo_label[i] == alone.pseudo_label[0]
 
 
 class TestFilters:
@@ -167,12 +167,6 @@ class TestFilters:
         # Uniform over 4 classes is rejected at 0.5; one-hot is always accepted.
         assert 0 not in confidence_filter(stats, 0.5)
         np.testing.assert_array_equal(confidence_filter(stats, 0.99), [2])
-
-    def test_list_of_estimates_also_works(self):
-        ests = [mutual_information([[1.0, 0.0], [0.0, 1.0]]),
-                mutual_information([[0.9, 0.1]])]
-        accepted, _ = mi_filter(ests, 0.1, "above")
-        np.testing.assert_array_equal(accepted, [0])
 
     def test_unknown_direction_raises(self):
         with pytest.raises(InvalidInputError):

@@ -43,6 +43,7 @@ from .student import (
     draw_keeps,
     forward_batch,
     fresh_optimizer,
+    hidden_layer,
     init_student,
     loss_and_grads,
     mc_forward_batch,
@@ -319,6 +320,12 @@ def train_step(
     use_unsup = cfg.unsup_enabled and n_u > 0
     use_adv = cfg.adv_enabled and n_u > 0
 
+    # One dropout-free hidden layer per view on the unlabeled batch serves the
+    # MC passes, the attack's first objective and the teacher's soft gate.
+    layers_u = [None, None]
+    if use_unsup or use_adv:
+        layers_u = [hidden_layer(s[view], views_u[view]) for view in (0, 1)]
+
     # (1)-(3) MC dropout, per-sample MI, cross-view filtering.
     stats = [None, None]
     accepted = [np.array([], dtype=np.int64)] * 2
@@ -326,7 +333,7 @@ def train_step(
     if use_unsup:
         for view in (0, 1):
             probs = mc_forward_batch(
-                s[view], views_u[view], cfg.mc_passes, _seed(cfg, _RNG_MC, epoch, step, view)
+                s[view], layers_u[view], cfg.mc_passes, _seed(cfg, _RNG_MC, epoch, step, view)
             )
             stats[view] = batch_statistics(probs)
             counters.mi_passes_per_view = cfg.mc_passes * n_u
@@ -338,8 +345,8 @@ def train_step(
     x_adv = [None, None]
     if use_adv:
         for view in (0, 1):
-            delta, _, _, _ = pgd_perturb_batch(
-                s[view], views_u[view], cfg.perturb, _rng(cfg, _RNG_PERTURB, epoch, step, view)
+            delta = pgd_perturb_batch(
+                s[view], layers_u[view], cfg.perturb, _rng(cfg, _RNG_PERTURB, epoch, step, view)
             )
             x_adv[view] = views_u[view] + delta
             counters.perturb_passes_per_view = cfg.perturb.steps * n_u
@@ -405,7 +412,7 @@ def train_step(
             gate_values, gate_sign = _gate_inputs(cfg, stats[other], accepted[other])
             meta_batches.append(
                 MetaBatch(
-                    x_unsup=views_u[view],
+                    x_unsup=layers_u[view],
                     pseudo_from_other=stats[other].pseudo_label,
                     mi_from_other=gate_values,
                     keep_unsup=keep_unsup_full[view],
@@ -521,8 +528,10 @@ def evaluate(
         raise InvalidInputError(f"split {split} is empty")
     x1, x2 = ds.views(rows)
     y = ds.labels[rows]
-    p1 = softmax_rows(forward_batch(students[0], x1)[0])
-    p2 = softmax_rows(forward_batch(students[1], x2)[0])
+    # The clean pass and the attack's first objective share each hidden layer.
+    h1, h2 = hidden_layer(students[0], x1), hidden_layer(students[1], x2)
+    p1 = softmax_rows(forward_batch(students[0], h1)[0])
+    p2 = softmax_rows(forward_batch(students[1], h2)[0])
     ens = 0.5 * (p1 + p2)
     pred = np.argmax(ens, axis=1)
     known = y >= 0
@@ -534,8 +543,8 @@ def evaluate(
         "n": int(rows.size),
     }
     if attack is not None:
-        d1, _, _, _ = pgd_perturb_batch(students[0], x1, attack)
-        d2, _, _, _ = pgd_perturb_batch(students[1], x2, attack)
+        d1 = pgd_perturb_batch(students[0], h1, attack)
+        d2 = pgd_perturb_batch(students[1], h2, attack)
         p1a = softmax_rows(forward_batch(students[0], x1 + d1)[0])
         p2a = softmax_rows(forward_batch(students[1], x2 + d2)[0])
         pred_a = np.argmax(0.5 * (p1a + p2a), axis=1)

@@ -21,9 +21,15 @@ import numpy as np
 from .data import LABELED, UNLABELED, VALIDATION, TwoViewDataset
 from .engine import TrainConfig, evaluate, run_training
 from .errors import InvalidInputError
-from .generator import PerturbConfig, pgd_perturb_batch
+from .generator import PerturbConfig, fixed_point_residual, pgd_perturb_batch
 from .numerics import entropy_rows, softmax_rows
-from .student import StudentParams, forward_batch, loss_and_grads, mc_forward_batch
+from .student import (
+    StudentParams,
+    forward_batch,
+    hidden_layer,
+    loss_and_grads,
+    mc_forward_batch,
+)
 from .teacher import MetaBatch, TeacherStrategy, meta_grad
 from .uncertainty import batch_statistics, mi_filter
 
@@ -276,22 +282,22 @@ class TrainedTriadicGame:
     def payoff_teacher(self, t, s, g) -> float:
         return evaluate(s, self.ds, VALIDATION)["accuracy"]
 
-    def _probe_stats(self, students):
-        x1, x2 = self.ds.views(self.probe_rows)
-        stats = []
-        for view, (params, x) in enumerate(zip(students, (x1, x2))):
-            probs = mc_forward_batch(params, x, self.mc_passes, seed=self.probe_seed + view)
-            stats.append(batch_statistics(probs))
-        return (x1, x2), stats
-
     def payoff_students(self, t, s, g) -> float:
         """Weighted cost lambda_u * L_unsup + lambda_adv * L_adv on the probe."""
         tau, lam_u, lam_adv = t
-        (x1, x2), stats = self._probe_stats(s)
+        # One hidden layer per view serves the MC passes and the attack.
+        layers = [hidden_layer(p, x) for p, x in zip(s, self.ds.views(self.probe_rows))]
+        stats = [
+            batch_statistics(
+                mc_forward_batch(s[view], layers[view], self.mc_passes, seed=self.probe_seed + view)
+            )
+            for view in (0, 1)
+        ]
         n = self.probe_rows.size
         cost = 0.0
-        for view, x in ((0, x1), (1, x2)):
+        for view in (0, 1):
             other = 1 - view
+            x = layers[view].x
             accepted, _ = mi_filter(stats[other], tau, self.base_cfg.filter_direction)
             if accepted.size and lam_u > 0:
                 loss, _ = loss_and_grads(
@@ -300,18 +306,17 @@ class TrainedTriadicGame:
                 cost += lam_u * loss * (accepted.size / n)
             if lam_adv > 0:
                 rng = _attack_rng(self.probe_seed, view)
-                delta, _, _, _ = pgd_perturb_batch(s[view], x, g, rng)
+                delta = pgd_perturb_batch(s[view], layers[view], g, rng)
                 loss, _ = loss_and_grads(s[view], x + delta, None, "entropy")
                 cost += lam_adv * loss
         return cost
 
     def payoff_generator(self, t, s, g) -> float:
         """Mean perturbed predictive entropy over the probe, averaged on views."""
-        (x1, x2), _ = self._probe_stats(s)
         total = 0.0
-        for view, x in ((0, x1), (1, x2)):
+        for view, x in enumerate(self.ds.views(self.probe_rows)):
             rng = _attack_rng(self.probe_seed, view)
-            delta, _, _, _ = pgd_perturb_batch(s[view], x, g, rng)
+            delta = pgd_perturb_batch(s[view], x, g, rng)
             logits, _ = forward_batch(s[view], x + delta)
             total += float(entropy_rows(softmax_rows(logits)).mean())
         return total / 2.0
@@ -370,7 +375,9 @@ def stackelberg_residual(
     """The three stationarity gaps at the final state of a run.
 
     Teacher: infinity norm of the meta-gradient probed at the base learning
-    rate. Students: infinity norm of the total-loss gradient, with losses in
+    rate. It is 0.0 when the unsup term is off: ``train_step`` then applies
+    no meta-gradient, and MC, the filter and the unsup terms are skipped.
+    Students: infinity norm of the total-loss gradient, with losses in
     evaluation mode (the stationarity notion is about the expected loss, not
     one dropout draw). Generator: mean fixed-point residual of a long
     diagnostic ascent against the final students.
@@ -387,23 +394,27 @@ def stackelberg_residual(
     y_l = ds.labels[lab]
     x_v = ds.views(val)
     y_v = ds.labels[val]
+    # One hidden layer per view on the probe serves MC, both attacks and the
+    # teacher's soft gate.
+    layers = [hidden_layer(students[view], x_u[view]) for view in (0, 1)]
 
     tau, lam_u, lam_adv = teacher.mapped()
-    if not cfg.unsup_enabled:
-        lam_u = 0.0
     if not cfg.adv_enabled:
         lam_adv = 0.0
 
-    stats = []
-    for view in (0, 1):
-        probs = mc_forward_batch(students[view], x_u[view], cfg.mc_passes, seed=probe_seed + view)
-        stats.append(batch_statistics(probs))
+    stats = [None, None]
+    if cfg.unsup_enabled:
+        for view in (0, 1):
+            probs = mc_forward_batch(
+                students[view], layers[view], cfg.mc_passes, seed=probe_seed + view
+            )
+            stats[view] = batch_statistics(probs)
 
     x_adv = [None, None]
     if cfg.adv_enabled:
         for view in (0, 1):
-            delta, _, _, _ = pgd_perturb_batch(
-                students[view], x_u[view], cfg.perturb, _attack_rng(probe_seed, view)
+            delta = pgd_perturb_batch(
+                students[view], layers[view], cfg.perturb, _attack_rng(probe_seed, view)
             )
             x_adv[view] = x_u[view] + delta
 
@@ -415,36 +426,42 @@ def stackelberg_residual(
         other = 1 - view
         _, g_sup = loss_and_grads(students[view], x_l[view], y_l, "ce")
         g_total = g_sup
-        accepted, _ = mi_filter(stats[other], tau, cfg.filter_direction)
-        if accepted.size and lam_u > 0:
-            _, g_u = loss_and_grads(
-                students[view], x_u[view][accepted], stats[other].pseudo_label[accepted], "ce"
-            )
-            g_total = g_total.plus(g_u, lam_u * accepted.size / n)
+        if cfg.unsup_enabled:
+            accepted, _ = mi_filter(stats[other], tau, cfg.filter_direction)
+            if accepted.size and lam_u > 0:
+                _, g_u = loss_and_grads(
+                    students[view],
+                    x_u[view][accepted],
+                    stats[other].pseudo_label[accepted],
+                    "ce",
+                )
+                g_total = g_total.plus(g_u, lam_u * accepted.size / n)
         adv_grad = None
         if lam_adv > 0 and x_adv[view] is not None:
             _, g_a = loss_and_grads(students[view], x_adv[view], None, "entropy")
             g_total = g_total.plus(g_a, lam_adv)
             adv_grad = (students[view], g_a)
         student_res = max(student_res, g_total.inf_norm())
-        sign = 1.0 if cfg.filter_direction == "above" else -1.0
-        batches.append(
-            MetaBatch(
-                x_unsup=x_u[view],
-                pseudo_from_other=stats[other].pseudo_label,
-                mi_from_other=stats[other].mi,
-                keep_unsup=None,
-                x_adv=x_adv[view],
-                keep_adv=None,
-                x_val=x_v[view],
-                y_val=y_v,
-                gate_sign=sign,
-                adv_grad=adv_grad,
+        if cfg.unsup_enabled:
+            batches.append(
+                MetaBatch(
+                    x_unsup=layers[view],
+                    pseudo_from_other=stats[other].pseudo_label,
+                    mi_from_other=stats[other].mi,
+                    keep_unsup=None,
+                    x_adv=x_adv[view],
+                    keep_adv=None,
+                    x_val=x_v[view],
+                    y_val=y_v,
+                    gate_sign=1.0 if cfg.filter_direction == "above" else -1.0,
+                    adv_grad=adv_grad,
+                )
             )
-        )
 
     # Teacher stationarity: meta-gradient at the base learning rate.
-    teacher_res = float(np.abs(meta_grad(teacher, students, tuple(batches), cfg.lr)).max())
+    teacher_res = 0.0
+    if cfg.unsup_enabled:
+        teacher_res = float(np.abs(meta_grad(teacher, students, tuple(batches), cfg.lr)).max())
 
     # Generator stationarity: long diagnostic ascent, small relative step.
     attack = diag_attack or PerturbConfig(
@@ -455,10 +472,10 @@ def stackelberg_residual(
     )
     gen_res = 0.0
     for view in (0, 1):
-        _, _, residuals, _ = pgd_perturb_batch(
-            students[view], x_u[view], attack, _attack_rng(probe_seed, view)
+        delta = pgd_perturb_batch(
+            students[view], layers[view], attack, _attack_rng(probe_seed, view)
         )
-        gen_res += float(residuals.mean())
+        gen_res += float(fixed_point_residual(students[view], x_u[view], delta, attack).mean())
     return StackelbergResiduals(
         teacher=teacher_res, students=student_res, generator=gen_res / 2.0
     )

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .student import StudentParams, draw_keeps, input_entropy_grad, input_mi_grad
+from .student import (
+    HiddenLayer,
+    StudentParams,
+    draw_keeps,
+    hidden_layer,
+    input_entropy_grad,
+    input_mi_grad,
+)
 
 BUDGET_TOL = 1e-12
 
@@ -63,7 +70,7 @@ def project_linf(delta: np.ndarray, epsilon: float) -> np.ndarray:
 
 def _objective_and_grad(
     params: StudentParams,
-    x_pert: np.ndarray,
+    x_pert: np.ndarray | HiddenLayer,
     cfg: PerturbConfig,
     keeps: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -77,25 +84,23 @@ def _objective_and_grad(
 
 def pgd_perturb_batch(
     params: StudentParams,
-    x: np.ndarray,
+    x: np.ndarray | HiddenLayer,
     cfg: PerturbConfig,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Attack every row of a batch; rows are independent of each other.
+) -> np.ndarray:
+    """Attack every row of a batch and return the perturbation delta.
 
-    Returns (delta, objective_values, residuals, zero_grad_flags). A single
+    Rows are independent of each other. The first objective is evaluated at
+    ``x`` itself, so a hidden layer of ``params`` on ``x`` is reused. A single
     step is the classic sign move, delta = P_eps(step_size * sign(grad)) with
     sign(0) = 0. Multi-step ascent applies raw projected gradient steps with a
     per-sample monotone safeguard: a candidate that lowers the objective is
     rejected and that sample's step is halved, so each iteration still costs
-    exactly one objective-and-gradient evaluation. The residual is the
-    L-infinity distance between the final iterate and one more projected
-    ascent image of it at the nominal step size, i.e. 0 exactly at a fixed
-    point of the update map.
+    exactly one objective-and-gradient evaluation. ``fixed_point_residual``
+    measures how far the result is from a fixed point of the ascent map.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    layer = hidden_layer(params, x)
+    x = layer.x
     n = x.shape[0]
 
     def draw():
@@ -106,33 +111,26 @@ def pgd_perturb_batch(
         return draw_keeps(rng, (cfg.mi_passes, n, params.d_h), params.dropout_rate)
 
     keeps = draw()
-    delta = np.zeros_like(x)
-    values, grad = _objective_and_grad(params, x + delta, cfg, keeps)
+    values, grad = _objective_and_grad(params, layer, cfg, keeps)
     if cfg.steps == 1:
-        delta = project_linf(cfg.effective_step * np.sign(grad), cfg.epsilon)
-    else:
-        steps = np.full(n, cfg.effective_step)
-        armijo = 1e-4
-        for _ in range(cfg.steps):
-            keeps = draw()
-            cand = np.clip(delta + steps[:, None] * grad, -cfg.epsilon, cfg.epsilon)
-            cand_values, cand_grad = _objective_and_grad(params, x + cand, cfg, keeps)
-            # Sufficient-increase test; plain non-decrease admits accepted
-            # oscillation across ridges with vanishing gain.
-            gain = armijo * ((cand - delta) * grad).sum(axis=1)
-            ok = cand_values >= values + gain
-            delta = np.where(ok[:, None], cand, delta)
-            values = np.where(ok, cand_values, values)
-            grad = np.where(ok[:, None], cand_grad, grad)
-            # Halve on failure, recover toward the nominal step on success.
-            steps = np.where(
-                ok, np.minimum(2.0 * steps, cfg.effective_step), 0.5 * steps
-            )
-    values, grad = _objective_and_grad(params, x + delta, cfg, keeps)
-    image = np.clip(delta + cfg.effective_step * grad, -cfg.epsilon, cfg.epsilon)
-    residuals = np.abs(delta - image).max(axis=1)
-    zero_grad = np.all(grad == 0.0, axis=1)
-    return delta, values, residuals, zero_grad
+        return project_linf(cfg.effective_step * np.sign(grad), cfg.epsilon)
+    delta = np.zeros_like(x)
+    steps = np.full(n, cfg.effective_step)
+    armijo = 1e-4
+    for _ in range(cfg.steps):
+        keeps = draw()
+        cand = np.clip(delta + steps[:, None] * grad, -cfg.epsilon, cfg.epsilon)
+        cand_values, cand_grad = _objective_and_grad(params, x + cand, cfg, keeps)
+        # Sufficient-increase test; plain non-decrease admits accepted
+        # oscillation across ridges with vanishing gain.
+        gain = armijo * ((cand - delta) * grad).sum(axis=1)
+        ok = cand_values >= values + gain
+        delta = np.where(ok[:, None], cand, delta)
+        values = np.where(ok, cand_values, values)
+        grad = np.where(ok[:, None], cand_grad, grad)
+        # Halve on failure, recover toward the nominal step on success.
+        steps = np.where(ok, np.minimum(2.0 * steps, cfg.effective_step), 0.5 * steps)
+    return delta
 
 
 def fixed_point_residual(
@@ -140,17 +138,20 @@ def fixed_point_residual(
     x: np.ndarray,
     delta: np.ndarray,
     cfg: PerturbConfig,
-) -> float:
-    """Distance of delta from its own projected-ascent image.
+) -> np.ndarray:
+    """Per-row L-infinity distance of delta from its own projected-ascent image.
 
-    Measured with the pure entropy objective (the gamma=0 ascent map), so the
-    value is deterministic. Zero iff delta already satisfies the equilibrium
+    ``x`` and ``delta`` are (n, d) batches. The image is one ascent step at
+    the nominal step size, P_eps(delta + step_size * grad), measured with the
+    pure entropy objective (the gamma=0 ascent map), so the value is
+    deterministic. A row's residual is 0 iff its delta already satisfies the
     fixed-point condition of the constrained ascent.
     """
     d = np.asarray(delta, dtype=np.float64)
-    if np.abs(d).max() > cfg.epsilon + BUDGET_TOL:
+    if d.ndim != 2:
+        raise InvalidInputError(f"delta must be an (n, d) batch, got shape {d.shape}")
+    if np.abs(d).max(initial=0.0) > cfg.epsilon + BUDGET_TOL:
         raise InvalidInputError("delta violates the perturbation budget")
-    x_pert = (np.asarray(x, dtype=np.float64) + d)[None, :]
-    _, grad = input_entropy_grad(params, x_pert)
-    image = np.clip(d + cfg.effective_step * grad[0], -cfg.epsilon, cfg.epsilon)
-    return float(np.abs(d - image).max())
+    _, grad = input_entropy_grad(params, np.asarray(x, dtype=np.float64) + d)
+    image = np.clip(d + cfg.effective_step * grad, -cfg.epsilon, cfg.epsilon)
+    return np.abs(d - image).max(axis=1)

@@ -9,6 +9,10 @@ One instance serves each embedding view. The forward map is
 
 Evaluation mode (``keep=None``) is a pure function of the parameters. All
 gradients are analytic and certified against ``numerics.finite_diff_grad``.
+
+Every function that takes an input ``x`` also takes a ``HiddenLayer`` in its
+place, so a caller that probes one student on one input several times builds
+the first layer once.
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def gelu(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
 
 
 def gelu_prime(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
-    """GELU derivative; ``erf_u`` as for ``gelu``, e.g. from a forward cache."""
+    """GELU derivative; ``erf_u`` as for ``gelu``."""
     if erf_u is None:
         erf_u = erf(u * _INV_SQRT2)
     phi = np.exp(-0.5 * u * u) * _INV_SQRT2PI
@@ -166,14 +170,17 @@ def _keep_scale(params: StudentParams, keep: np.ndarray | None, n: int) -> np.nd
     return k.astype(np.float64) / (1.0 - params.dropout_rate)
 
 
-class _Hidden:
+class HiddenLayer:
     """The dropout-free hidden layer of one (params, input) pair.
 
     Dropout acts after the activation, so every pass over the same input and
-    parameters, whatever its keep pattern, shares these arrays.
+    parameters, whatever its keep pattern, shares this value: the MC passes,
+    the attack's first objective and the soft-gated loss. It holds the input,
+    the GELU activation and the GELU derivative, both taken from one erf; the
+    pre-activation and the erf are not kept. Build it with ``hidden_layer``.
     """
 
-    __slots__ = ("x", "pre", "erf_pre", "act")
+    __slots__ = ("params", "x", "act", "dact")
 
     def __init__(self, params: StudentParams, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
@@ -183,45 +190,56 @@ class _Hidden:
             raise InvalidInputError(
                 f"input dim {x.shape[1]} does not match d_in {params.d_in}"
             )
+        pre = x @ params.w1 + params.b1
+        erf_pre = erf(pre * _INV_SQRT2)
+        self.params = params
         self.x = x
-        self.pre = x @ params.w1 + params.b1
-        self.erf_pre = erf(self.pre * _INV_SQRT2)
-        self.act = gelu(self.pre, self.erf_pre)
+        self.act = gelu(pre, erf_pre)
+        self.dact = gelu_prime(pre, erf_pre)
+
+
+def hidden_layer(params: StudentParams, x: np.ndarray | HiddenLayer) -> HiddenLayer:
+    """The hidden layer of ``params`` on ``x``, an input array or a layer.
+
+    A layer is reused only for the ``StudentParams`` object it was built
+    from; for any other parameters it is rebuilt from its input.
+    """
+    if isinstance(x, HiddenLayer):
+        if x.params is params:
+            return x
+        x = x.x
+    return HiddenLayer(params, x)
 
 
 class _Cache:
-    __slots__ = ("x", "pre", "erf_pre", "act", "scale", "hidden", "logits")
+    __slots__ = ("layer", "scale", "hidden")
 
-    def __init__(self, layer: _Hidden, scale, hidden, logits):
-        self.x = layer.x
-        self.pre = layer.pre
-        self.erf_pre = layer.erf_pre
-        self.act = layer.act
+    def __init__(self, layer: HiddenLayer, scale, hidden):
+        self.layer = layer
         self.scale = scale
         self.hidden = hidden
-        self.logits = logits
 
 
 def _output_layer(
-    params: StudentParams, layer: _Hidden, keep: np.ndarray | None
+    params: StudentParams, layer: HiddenLayer, keep: np.ndarray | None
 ) -> tuple[np.ndarray, _Cache]:
     """Dropout and the second layer on top of a computed hidden layer."""
     scale = _keep_scale(params, keep, layer.x.shape[0])
     hidden = layer.act if scale is None else layer.act * scale
     logits = hidden @ params.w2 + params.b2
-    return logits, _Cache(layer, scale, hidden, logits)
+    return logits, _Cache(layer, scale, hidden)
 
 
 def forward_batch(
-    params: StudentParams, x: np.ndarray, keep: np.ndarray | None = None
+    params: StudentParams, x: np.ndarray | HiddenLayer, keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, _Cache]:
     """Batch forward pass. ``keep=None`` is evaluation mode (no dropout)."""
-    return _output_layer(params, _Hidden(params, x), keep)
+    return _output_layer(params, hidden_layer(params, x), keep)
 
 
 def mc_forward_batch(
     params: StudentParams,
-    x: np.ndarray,
+    x: np.ndarray | HiddenLayer,
     n_passes: int,
     seed: int,
     sample_ids: np.ndarray | None = None,
@@ -234,19 +252,21 @@ def mc_forward_batch(
     """
     if n_passes < 1:
         raise InvalidInputError("n_passes must be >= 1")
-    layer = _Hidden(params, x)
+    layer = hidden_layer(params, x)
     n = layer.x.shape[0]
     if sample_ids is None:
+        # One pass at a time: the same stream as one (n_passes, n, d_h) draw,
+        # with a float64 scratch of one pass instead of all of them.
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        keeps = draw_keeps(rng, (n_passes, n, params.d_h), params.dropout_rate)
+        keeps = (draw_keeps(rng, (n, params.d_h), params.dropout_rate) for _ in range(n_passes))
     else:
         keeps = np.empty((n_passes, n, params.d_h), dtype=bool)
         for j, sid in enumerate(np.asarray(sample_ids)):
             sub = np.random.default_rng(np.random.SeedSequence([seed, int(sid)]))
             keeps[:, j, :] = draw_keeps(sub, (n_passes, params.d_h), params.dropout_rate)
     probs = np.empty((n_passes, n, params.n_classes))
-    for k in range(n_passes):
-        logits, _ = _output_layer(params, layer, keeps[k])
+    for k, keep in enumerate(keeps):
+        logits, _ = _output_layer(params, layer, keep)
         probs[k] = softmax_rows(logits)
     return probs
 
@@ -256,8 +276,8 @@ def _backward(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> Grad
     db2 = dlogits.sum(axis=0)
     dhidden = dlogits @ params.w2.T
     dact = dhidden if cache.scale is None else dhidden * cache.scale
-    dpre = dact * gelu_prime(cache.pre, cache.erf_pre)
-    dw1 = cache.x.T @ dpre
+    dpre = dact * cache.layer.dact
+    dw1 = cache.layer.x.T @ dpre
     db1 = dpre.sum(axis=0)
     return Gradients(np.concatenate((dw1.ravel(), db1, dw2.ravel(), db2)), params.dims)
 
@@ -265,7 +285,7 @@ def _backward(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> Grad
 def _backward_to_input(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> np.ndarray:
     dhidden = dlogits @ params.w2.T
     dact = dhidden if cache.scale is None else dhidden * cache.scale
-    dpre = dact * gelu_prime(cache.pre, cache.erf_pre)
+    dpre = dact * cache.layer.dact
     return dpre @ params.w1.T
 
 
@@ -285,7 +305,7 @@ def _entropy_dlogits(probs: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(
     params: StudentParams,
-    x: np.ndarray,
+    x: np.ndarray | HiddenLayer,
     y: np.ndarray | None,
     kind: str = "ce",
     keep: np.ndarray | None = None,
@@ -295,13 +315,11 @@ def loss_and_grads(
     ``kind="ce"`` is cross-entropy against hard labels ``y``; ``kind="entropy"``
     ignores the targets and returns the mean predictive entropy.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    n = x.shape[0]
+    layer = hidden_layer(params, x)
+    n = layer.x.shape[0]
     if n == 0:
         raise InvalidInputError("empty batch")
-    logits, cache = forward_batch(params, x, keep)
+    logits, cache = forward_batch(params, layer, keep)
     probs = softmax_rows(logits)
     if kind == "ce":
         if y is None:
@@ -322,7 +340,7 @@ def loss_and_grads(
 
 def weighted_ce_grads(
     params: StudentParams,
-    x: np.ndarray,
+    x: np.ndarray | HiddenLayer,
     y: np.ndarray,
     weights: np.ndarray,
     keep: np.ndarray | None = None,
@@ -334,15 +352,15 @@ def weighted_ce_grads(
     pass; callers own the normalization. This is the building block for
     soft-gated losses and their threshold derivative.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    layer = hidden_layer(params, x)
+    n = layer.x.shape[0]
     if n == 0:
         raise InvalidInputError("empty batch")
     yv = np.asarray(y, dtype=np.int64)
     rows = np.asarray(weights, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise InvalidInputError(f"weights shape {rows.shape} is not (m, {n})")
-    logits, cache = forward_batch(params, x, keep)
+    logits, cache = forward_batch(params, layer, keep)
     probs = softmax_rows(logits)
     nll = -np.log(np.maximum(probs[np.arange(n), yv], PROB_FLOOR))
     dce = _ce_dlogits(probs, yv)
@@ -352,14 +370,13 @@ def weighted_ce_grads(
 
 
 def input_entropy_grad(
-    params: StudentParams, x: np.ndarray
+    params: StudentParams, x: np.ndarray | HiddenLayer
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample predictive entropy and its gradient w.r.t. the input.
 
     Evaluation-mode pass: every row's entropy is differentiated against that
     row only, which is what a per-sample perturbation ascent needs.
     """
-    x = np.asarray(x, dtype=np.float64)
     logits, cache = forward_batch(params, x)
     probs = softmax_rows(logits)
     h = entropy_rows(probs)
@@ -368,14 +385,14 @@ def input_entropy_grad(
 
 
 def input_mi_grad(
-    params: StudentParams, x: np.ndarray, keeps: np.ndarray
+    params: StudentParams, x: np.ndarray | HiddenLayer, keeps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample dropout mutual information and its input gradient.
 
     ``keeps`` is an (n_passes, n, d_h) bool array of frozen masks; freezing
     them is what makes the estimate differentiable in the input.
     """
-    layer = _Hidden(params, x)
+    layer = hidden_layer(params, x)
     n_passes = keeps.shape[0]
     probs = np.empty((n_passes, layer.x.shape[0], params.n_classes))
     caches = []

@@ -28,6 +28,7 @@ from scipy.special import expit
 from .errors import InsufficientHistoryError, InvalidInputError
 from .student import (
     Gradients,
+    HiddenLayer,
     StudentParams,
     loss_and_grads,
     weighted_ce_grads,
@@ -130,10 +131,11 @@ class MetaBatch:
     entropy gradient the caller already took at ``x_adv``/``keep_adv`` with
     those parameters. It is reused only when the meta-gradient is taken at
     that same ``StudentParams`` object, and recomputed otherwise (e.g. from
-    post-step students).
+    post-step students). ``x_unsup`` may be the caller's hidden layer on that
+    view, which follows the same rule.
     """
 
-    x_unsup: np.ndarray  # (n_u, d) view of this student
+    x_unsup: np.ndarray | HiddenLayer  # (n_u, d) view of this student
     pseudo_from_other: np.ndarray  # (n_u,) pseudo-labels from the other view
     mi_from_other: np.ndarray  # (n_u,) MI of the pseudo-label source
     keep_unsup: np.ndarray | None  # dropout keeps for the unsup pass
@@ -167,7 +169,7 @@ def soft_unsup_loss_and_grads(
     is simply the a-weighted CE gradient, so no per-sample storage is needed.
     Returns (loss, grads, d_grads_d_threshold).
     """
-    n = batch.x_unsup.shape[0]
+    n = batch.pseudo_from_other.shape[0]
     sign = batch.gate_sign
     w = soft_gate(sign * batch.mi_from_other, sign * mi_threshold, temperature)
     a = -sign * w * (1.0 - w) / temperature

@@ -42,7 +42,7 @@ from cotriad.game import (
     stackelberg_residual,
 )
 from cotriad.gradcheck import run_all
-from cotriad.generator import PerturbConfig, pgd_perturb_batch
+from cotriad.generator import PerturbConfig, fixed_point_residual, pgd_perturb_batch
 from cotriad.student import (
     StudentParams,
     init_student,
@@ -171,7 +171,7 @@ class TestCriterion3Perturbations:
             ]:
                 params = init_student(6, 8, 3, dropout_rate=0.3, seed=attacks)
                 x = rng.normal(size=(n, 6))
-                delta, _, _, _ = pgd_perturb_batch(params, x, cfg, np.random.default_rng(8))
+                delta = pgd_perturb_batch(params, x, cfg, np.random.default_rng(8))
                 assert np.abs(delta).max() <= cfg.epsilon + 1e-12
                 attacks += n
             assert attacks == 10_000
@@ -180,7 +180,7 @@ class TestCriterion3Perturbations:
             x = rng.normal(size=(200, 6))
             _, grad = input_entropy_grad(params, x)
             assert np.all(grad != 0.0)
-            delta, _, _, _ = pgd_perturb_batch(params, x, PerturbConfig(epsilon=0.7, steps=1))
+            delta = pgd_perturb_batch(params, x, PerturbConfig(epsilon=0.7, steps=1))
             np.testing.assert_array_equal(delta, 0.7 * np.sign(grad))
             # Fifty-step ascent reaches the fixed point on the toy model.
             toy_rng = np.random.default_rng(3)
@@ -189,10 +189,9 @@ class TestCriterion3Perturbations:
                 np.concatenate((w1.ravel(), np.zeros(6), w2.ravel(), np.zeros(3))), (4, 6, 3), 0.0
             )
             x = np.random.default_rng(8).normal(size=(64, 4))
-            _, _, residuals, _ = pgd_perturb_batch(
-                toy, x, PerturbConfig(epsilon=0.02, steps=50, step_size=0.002)
-            )
-            assert residuals.max() < 1e-3
+            attack = PerturbConfig(epsilon=0.02, steps=50, step_size=0.002)
+            delta = pgd_perturb_batch(toy, x, attack)
+            assert fixed_point_residual(toy, x, delta, attack).max() < 1e-3
             # Robust accuracy never exceeds clean accuracy on any evaluation.
             for seed in LEARNING_SEEDS:
                 for arm in ("full", "supervised"):

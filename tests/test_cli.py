@@ -232,6 +232,24 @@ class TestCommands:
         assert main(args) == 0
         assert (out / "equilibrium_report.json").read_bytes() == first
 
+    def test_equilibrium_on_run_trained_without_unsup_term(self, tiny_cfg, tmp_path, capsys):
+        # mc_passes = 0 is valid without the unsup term; the diagnostics run
+        # no MC pass and report a teacher residual of 0, since training
+        # applies no meta-gradient in this configuration.
+        out = tmp_path / "run"
+        off = ["--train.unsup_enabled", "false", "--train.mc_passes", "0"]
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + off) == 0
+        code = main([
+            "equilibrium", "--run", str(out),
+            "--game.probe_size", "32", "--game.budget_epochs", "1",
+            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
+            "--game.lambda_adv_grid", "0.25",
+        ])
+        assert code == 0
+        payload = json.loads((out / "equilibrium_report.json").read_text())
+        assert payload["stackelberg_residuals"]["teacher"] == 0.0
+        assert math.isfinite(payload["stackelberg_residuals"]["students"])
+
     @pytest.mark.parametrize(
         "overrides, message",
         [

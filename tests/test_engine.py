@@ -182,19 +182,28 @@ class TestTrainStepSemantics:
 
 class TestGoldenDigest:
     # sha256 over both students' w1/b1/w2/b2 and the teacher z after the
-    # run below, recorded before one-forward-per-step sharing was introduced.
+    # runs below. GOLDEN was recorded before one-forward-per-step sharing was
+    # introduced; VARIANTS before the shared hidden layer was introduced.
     GOLDEN = "6f23cf4d78fe556a6639f2569dea37fb170d6e95b5e7382a8e141308ce5994e3"
+    VARIANTS = {
+        # Post-step students rebuild every layer and adversarial gradient.
+        "meta_after_step": (
+            dict(meta_after_step=True),
+            "1c385726d87831cf9d7a78ba3fc795bb72548082ad3825a8dd32a27a5d4b2643",
+        ),
+        # gamma > 0: the attack's first objective goes through input_mi_grad.
+        "gamma_mi_attack": (
+            dict(
+                perturb=PerturbConfig(
+                    epsilon=0.25, gamma=0.5, steps=3, step_size=0.0625, mi_passes=3
+                )
+            ),
+            "cd64fe5496576f8ff0ac7d161f469a9ef11451323c6085afb9f4a3e25f876d81",
+        ),
+    }
 
-    def test_full_config_run_digest_is_unchanged(self):
-        """Two epochs (10 steps) of the acceptance full configuration.
-
-        Every speed-up must leave this digest alone; a change that moves
-        rounding on purpose says so and records the new value. Recorded on
-        x86-64 with NumPy 2.4.6 and SciPy 1.17.1 on scipy-openblas 0.3.31
-        (Haswell kernels), with 1 and 2 BLAS threads alike; another BLAS
-        build may round matmuls differently and fail this test without any
-        change to the code.
-        """
+    @staticmethod
+    def _digest(**changes) -> str:
         ds = gen_synthetic_two_view(2540, 4, 16, 16, view_noise=0.6, seed=101)
         ds = split_by_counts(ds, n_labeled=40, n_validation=4, n_test=500, seed=101)
         cfg = TrainConfig(
@@ -207,14 +216,32 @@ class TestGoldenDigest:
             tau_conf=0.9,
             perturb=PerturbConfig(epsilon=0.25, steps=1),
         )
-        rep = run_training(cfg, ds)
+        rep = run_training(dataclasses.replace(cfg, **changes), ds)
         assert rep.total_steps == 10
         h = hashlib.sha256()
         for p in rep.students:
             for a in (p.w1, p.b1, p.w2, p.b2):
                 h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
         h.update(np.ascontiguousarray(rep.teacher.z, dtype=np.float64).tobytes())
-        assert h.hexdigest() == self.GOLDEN
+        return h.hexdigest()
+
+    def test_full_config_run_digest_is_unchanged(self):
+        """Two epochs (10 steps) of the acceptance full configuration.
+
+        Every speed-up must leave this digest alone; a change that moves
+        rounding on purpose says so and records the new value. Recorded on
+        x86-64 with NumPy 2.4.6 and SciPy 1.17.1 on scipy-openblas 0.3.31
+        (Haswell kernels), with 1 and 2 BLAS threads alike; another BLAS
+        build may round matmuls differently and fail this test without any
+        change to the code.
+        """
+        assert self._digest() == self.GOLDEN
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_variant_run_digest_is_unchanged(self, name):
+        """The same run with one change; recorded as GOLDEN was."""
+        changes, digest = self.VARIANTS[name]
+        assert self._digest(**changes) == digest
 
 
 class TestEarlyStopping:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cotriad import game as game_module
 from cotriad.data import gen_synthetic_two_view, split_by_counts
 from cotriad.engine import TrainConfig, run_training
 from cotriad.errors import InvalidInputError
@@ -265,6 +266,32 @@ class TestTrainedGame:
         res = nash_residual(game, GameProfile(rep.teacher.mapped(), rep.students, grid[1]))
         assert res[2] == 0.0
 
+    @pytest.mark.parametrize(
+        "attack, expected",
+        [
+            (None, 0.933615133337578),
+            (
+                PerturbConfig(epsilon=0.2, gamma=0.5, steps=2, step_size=0.1, mi_passes=3),
+                0.8277367381293699,
+            ),
+        ],
+    )
+    def test_generator_payoff_runs_no_mc_pass(self, attack, expected, monkeypatch):
+        # The generator's payoff needs no MC statistics. Expected values were
+        # recorded before the unused MC pass was removed, on the platform
+        # TestGoldenDigest in test_engine.py names.
+        ds = small_task()
+        cfg = small_cfg()
+        rep = run_training(cfg, ds)
+        game = TrainedTriadicGame(ds, cfg, probe_size=64)
+
+        def no_mc(*args, **kwargs):
+            raise AssertionError("payoff_generator ran an MC pass")
+
+        monkeypatch.setattr(game_module, "mc_forward_batch", no_mc)
+        payoff = game.payoff_generator(rep.teacher.mapped(), rep.students, attack or cfg.perturb)
+        assert payoff == expected
+
     def test_default_teacher_grid_satisfies_simplex(self):
         for tau, lam_u, lam_adv in default_teacher_grid():
             assert 0.0 <= tau <= 1.0
@@ -300,6 +327,21 @@ class TestStackelbergResiduals:
         fresh = init_state(cfg, ds, total_steps=10)
         untrained = stackelberg_residual(fresh.students, fresh.teacher, ds, cfg, probe_size=96)
         assert untrained.students > trained.students
+
+    def test_unsup_off_skips_mc_and_reports_zero_teacher_residual(self, monkeypatch):
+        # Without the unsup term train_step applies no meta-gradient, so the
+        # teacher sits still by construction; mc_passes = 0 is then valid.
+        ds = small_task()
+        cfg = small_cfg(unsup_enabled=False, mc_passes=0, epochs=1)
+        rep = run_training(cfg, ds)
+
+        def no_mc(*args, **kwargs):
+            raise AssertionError("stackelberg_residual ran an MC pass")
+
+        monkeypatch.setattr(game_module, "mc_forward_batch", no_mc)
+        res = stackelberg_residual(rep.students, rep.teacher, ds, cfg, probe_size=64)
+        assert res.teacher == 0.0
+        assert res.students > 0.0 and res.generator >= 0.0
 
     def test_eta_zero_run_reports_meta_gradient_magnitude(self):
         ds = small_task()

@@ -72,21 +72,23 @@ class TestProjection:
 
 
 class TestObjective:
-    # pgd_perturb_batch returns the objective at the final iterate; these
-    # tests read it there.
+    # pgd_perturb_batch returns delta only; these tests score the perturbed
+    # point with input_entropy_grad, the objective of the gamma=0 ascent.
 
     def test_uniform_output_net_is_constant(self):
         cfg = PerturbConfig(epsilon=1.0, gamma=0.0)
         x = np.random.default_rng(0).normal(size=(10, 4))
-        _, values, _, _ = pgd_perturb_batch(zero_params(), x, cfg)
+        delta = pgd_perturb_batch(zero_params(), x, cfg)
+        values, _ = input_entropy_grad(zero_params(), x + delta)
         np.testing.assert_allclose(values, math.log(3), rtol=0, atol=1e-12)
 
     def test_gamma_zero_equals_entropy_of_eval_forward(self):
         params = toy_params()
         x = np.array([[0.2, -0.4, 1.0, 0.3], [1.0, 0.5, -0.3, 0.0]])
         cfg = PerturbConfig(epsilon=0.3)
-        delta, values, _, _ = pgd_perturb_batch(params, x, cfg)
+        delta = pgd_perturb_batch(params, x, cfg)
         assert np.abs(delta).max() > 0.0
+        values, _ = input_entropy_grad(params, x + delta)
         logits, _ = forward_batch(params, x + delta)
         expected = entropy_rows(softmax_rows(logits))
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
@@ -95,16 +97,15 @@ class TestObjective:
         params = toy_params(dropout=0.3)
         x = np.array([[0.2, -0.4, 1.0, 0.3]])
         cfg = PerturbConfig(epsilon=1.0, gamma=0.5, mi_passes=5)
-        d1, v1, _, _ = pgd_perturb_batch(params, x, cfg, np.random.default_rng(7))
-        d2, v2, _, _ = pgd_perturb_batch(params, x, cfg, np.random.default_rng(7))
+        d1 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(7))
+        d2 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(7))
         np.testing.assert_array_equal(d1, d2)
-        assert v1[0] == v2[0]
         # Recompute from parts with the same frozen masks: a single step
-        # draws one set and scores the final iterate with it.
+        # draws one set and takes the sign of the composed gradient at x.
         keeps = np.random.default_rng(7).random((5, 1, params.d_h)) >= 0.3
-        h, _ = input_entropy_grad(params, x + d1)
-        mi, _ = input_mi_grad(params, x + d1, keeps)
-        assert v1[0] == pytest.approx(float(h[0] + 0.5 * mi[0]), abs=1e-12)
+        _, g_h = input_entropy_grad(params, x)
+        _, g_mi = input_mi_grad(params, x, keeps)
+        np.testing.assert_array_equal(d1, project_linf(np.sign(g_h + 0.5 * g_mi), 1.0))
 
     def test_gamma_requires_rng(self):
         with pytest.raises(InvalidInputError):
@@ -121,7 +122,7 @@ class TestPgd:
             params = toy_params(seed=steps)
             x = rng.normal(size=(200, 4))
             cfg = PerturbConfig(epsilon=eps, steps=steps, step_size=eps / 4)
-            delta, _, _, _ = pgd_perturb_batch(params, x, cfg)
+            delta = pgd_perturb_batch(params, x, cfg)
             assert np.abs(delta).max() <= eps + 1e-12
 
     def test_fgsm_equals_sign_gradient_bit_exactly(self):
@@ -131,16 +132,17 @@ class TestPgd:
         _, grad = input_entropy_grad(params, x)
         assert np.all(grad != 0.0)
         cfg = PerturbConfig(epsilon=0.7, steps=1, step_size=0.7)
-        delta, _, _, _ = pgd_perturb_batch(params, x, cfg)
+        delta = pgd_perturb_batch(params, x, cfg)
         np.testing.assert_array_equal(delta, 0.7 * np.sign(grad))
 
     def test_sign_of_zero_spends_no_budget(self):
-        delta, _, residuals, zero_grad = pgd_perturb_batch(
-            zero_params(), np.ones((1, 4)), PerturbConfig(epsilon=1.0)
-        )
+        x = np.ones((1, 4))
+        cfg = PerturbConfig(epsilon=1.0)
+        delta = pgd_perturb_batch(zero_params(), x, cfg)
         np.testing.assert_array_equal(delta, 0.0)
-        assert zero_grad[0]
-        assert residuals[0] == 0.0
+        _, grad = input_entropy_grad(zero_params(), x + delta)
+        assert np.all(grad == 0.0)
+        assert fixed_point_residual(zero_params(), x, delta, cfg)[0] == 0.0
 
     def test_single_step_increases_entropy_on_smooth_model(self):
         # First-order ascent: a small epsilon FGSM step raises the entropy
@@ -150,7 +152,8 @@ class TestPgd:
         x = rng.normal(size=(40, 4)) * 2.0
         h0, grad = input_entropy_grad(params, x)
         cfg = PerturbConfig(epsilon=0.01, steps=1, step_size=0.01)
-        delta, h1, _, _ = pgd_perturb_batch(params, x, cfg)
+        delta = pgd_perturb_batch(params, x, cfg)
+        h1, _ = input_entropy_grad(params, x + delta)
         moved = np.abs(grad).max(axis=1) > 1e-8
         assert np.all(h1[moved] > h0[moved])
 
@@ -164,7 +167,8 @@ class TestPgd:
         # Track the best objective after each prefix of 10 raw-gradient steps.
         for steps in range(2, 11):
             cfg = PerturbConfig(steps=steps, **cfg_base)
-            _, values, _, _ = pgd_perturb_batch(params, x, cfg)
+            delta = pgd_perturb_batch(params, x, cfg)
+            values, _ = input_entropy_grad(params, x + delta)
             if prev is not None:
                 assert np.all(values >= prev - 1e-9)
             prev = values
@@ -177,7 +181,9 @@ class TestPgd:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(64, 4))
         cfg = PerturbConfig(epsilon=0.02, steps=50, step_size=0.002)
-        _, _, residuals, _ = pgd_perturb_batch(params, x, cfg)
+        delta = pgd_perturb_batch(params, x, cfg)
+        residuals = fixed_point_residual(params, x, delta, cfg)
+        assert residuals.shape == (64,)
         assert residuals.max() < 1e-3
 
     def test_entropy_gradient_vs_finite_differences(self):
@@ -198,10 +204,9 @@ class TestPgd:
         params = toy_params(seed=10, dropout=0.3)
         x = np.random.default_rng(11).normal(size=(6, 4))
         cfg = PerturbConfig(epsilon=0.5, gamma=0.3, steps=3, step_size=0.1, mi_passes=4)
-        d1, v1, _, _ = pgd_perturb_batch(params, x, cfg, np.random.default_rng(5))
-        d2, v2, _, _ = pgd_perturb_batch(params, x, cfg, np.random.default_rng(5))
+        d1 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(5))
+        d2 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(d1, d2)
-        np.testing.assert_array_equal(v1, v2)
         assert np.abs(d1).max() <= 0.5 + 1e-12
 
 
@@ -219,21 +224,42 @@ class TestFixedPointResidual:
             corner = cfg.epsilon * np.sign(g0[0])
             _, g1 = input_entropy_grad(params, (x + corner)[None, :])
             if np.all(g0[0] != 0) and np.all(np.sign(g1[0]) == np.sign(corner)):
-                assert fixed_point_residual(params, x, corner, cfg) == 0.0
+                assert fixed_point_residual(params, x[None, :], corner[None, :], cfg)[0] == 0.0
                 found += 1
         assert found > 50
 
     def test_zero_gradient_model_interior_residual(self):
         params = zero_params()
         cfg = PerturbConfig(epsilon=1.0, step_size=0.5)
-        for delta in [np.zeros(4), np.array([0.3, -0.2, 0.0, 0.9])]:
-            assert fixed_point_residual(params, np.ones(4), delta, cfg) == 0.0
+        for delta in [np.zeros((1, 4)), np.array([[0.3, -0.2, 0.0, 0.9]])]:
+            assert fixed_point_residual(params, np.ones((1, 4)), delta, cfg)[0] == 0.0
 
     def test_budget_violation_raises(self):
         with pytest.raises(InvalidInputError):
             fixed_point_residual(
-                toy_params(), np.zeros(4), np.full(4, 2.0), PerturbConfig(epsilon=1.0)
+                toy_params(), np.zeros((1, 4)), np.full((1, 4), 2.0), PerturbConfig(epsilon=1.0)
             )
+
+    def test_rejects_a_single_row_vector(self):
+        with pytest.raises(InvalidInputError):
+            fixed_point_residual(toy_params(), np.zeros(4), np.zeros(4), PerturbConfig(epsilon=1.0))
+
+    def test_batch_equals_one_row_calls_and_the_clip_formula(self):
+        # One value per row, each the L-infinity gap to one projected ascent
+        # step of the gamma=0 map at the nominal step size.
+        params = toy_params(seed=13)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(12, 4))
+        cfg = PerturbConfig(epsilon=0.4, steps=5, step_size=0.1)
+        delta = pgd_perturb_batch(params, x, cfg)
+        residuals = fixed_point_residual(params, x, delta, cfg)
+        _, grad = input_entropy_grad(params, x + delta)
+        image = np.clip(delta + 0.1 * grad, -0.4, 0.4)
+        np.testing.assert_array_equal(residuals, np.abs(delta - image).max(axis=1))
+        for i in range(12):
+            row = fixed_point_residual(params, x[i : i + 1], delta[i : i + 1], cfg)
+            assert row.shape == (1,)
+            assert row[0] == pytest.approx(residuals[i], rel=1e-12, abs=1e-15)
 
 
 class TestConfigValidation:

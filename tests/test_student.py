@@ -19,6 +19,7 @@ from cotriad.student import (
     fresh_optimizer,
     gelu,
     gelu_prime,
+    hidden_layer,
     init_student,
     input_entropy_grad,
     input_mi_grad,
@@ -83,13 +84,14 @@ class TestForward:
         assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_cached_erf_is_bit_identical(self):
-        # The forward pass keeps erf(pre / sqrt 2); reusing it must round
-        # exactly like recomputing it.
+        # The hidden layer takes the activation and its derivative from one
+        # erf(pre / sqrt 2); sharing it must round exactly like recomputing.
         params = init_student(16, 32, 4, dropout_rate=0.3, seed=4)
         x = np.random.default_rng(4).normal(size=(64, 16))
         _, cache = forward_batch(params, x)
-        assert np.array_equal(gelu(cache.pre), cache.act)
-        assert np.array_equal(gelu_prime(cache.pre, cache.erf_pre), gelu_prime(cache.pre))
+        pre = x @ params.w1 + params.b1
+        assert np.array_equal(gelu(pre), cache.layer.act)
+        assert np.array_equal(gelu_prime(pre), cache.layer.dact)
 
 
 class TestMcForward:
@@ -147,6 +149,94 @@ class TestMcForward:
         np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-12)
 
 
+def _layer_cases():
+    """call(params, x) for each function that takes an array or a layer."""
+    from cotriad.generator import PerturbConfig, pgd_perturb_batch
+
+    keep = draw_keeps(np.random.default_rng(21), (24, 32), 0.3)
+    keeps = draw_keeps(np.random.default_rng(22), (4, 24, 32), 0.3)
+    y = np.random.default_rng(23).integers(0, 4, size=24)
+    weights = np.random.default_rng(24).random((2, 24))
+    cases = {
+        "forward_batch": lambda p, x: forward_batch(p, x)[0],
+        "forward_batch_keep": lambda p, x: forward_batch(p, x, keep)[0],
+        "mc_forward_batch": lambda p, x: mc_forward_batch(p, x, 4, seed=3),
+        "mc_forward_batch_ids": lambda p, x: mc_forward_batch(p, x, 4, 3, np.arange(24) + 7),
+        "loss_and_grads_ce": lambda p, x: loss_and_grads(p, x, y, "ce", keep),
+        "loss_and_grads_entropy": lambda p, x: loss_and_grads(p, x, None, "entropy"),
+        "weighted_ce_grads": lambda p, x: weighted_ce_grads(p, x, y, weights, keep),
+        "input_entropy_grad": input_entropy_grad,
+        "input_mi_grad": lambda p, x: input_mi_grad(p, x, keeps),
+        "pgd_fgsm": lambda p, x: pgd_perturb_batch(p, x, PerturbConfig(epsilon=0.3)),
+        "pgd_multi": lambda p, x: pgd_perturb_batch(
+            p, x, PerturbConfig(epsilon=0.3, steps=4, step_size=0.1)
+        ),
+        "pgd_gamma": lambda p, x: pgd_perturb_batch(
+            p,
+            x,
+            PerturbConfig(epsilon=0.3, gamma=0.5, steps=2, step_size=0.1, mi_passes=3),
+            np.random.default_rng(25),
+        ),
+    }
+    return [pytest.param(call, id=name) for name, call in cases.items()]
+
+
+def _assert_same(a, b):
+    if isinstance(a, (tuple, list)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for u, v in zip(a, b):
+            _assert_same(u, v)
+    elif isinstance(a, Gradients):
+        assert np.array_equal(a.vector, b.vector)
+    else:
+        assert np.array_equal(a, b)
+
+
+class TestHiddenLayer:
+    PARAMS = dict(d_in=16, d_h=32, n_classes=4, dropout_rate=0.3)
+
+    def _inputs(self):
+        params = init_student(**self.PARAMS, seed=20)
+        x = np.random.default_rng(20).normal(size=(24, 16))
+        return params, x
+
+    @pytest.mark.parametrize("call", _layer_cases())
+    def test_layer_gives_the_array_result_bit_for_bit(self, call):
+        params, x = self._inputs()
+        _assert_same(call(params, hidden_layer(params, x)), call(params, x))
+
+    @pytest.mark.parametrize("call", _layer_cases())
+    def test_layer_of_other_params_is_rebuilt(self, call):
+        # Another params object, even one with equal weights, never reuses
+        # the layer; a stale layer would give the other student's result.
+        params, x = self._inputs()
+        other = init_student(**self.PARAMS, seed=21)
+        twin = params.with_vector(params.vector.copy())
+        _assert_same(call(params, hidden_layer(other, x)), call(params, x))
+        _assert_same(call(params, hidden_layer(twin, x)), call(params, x))
+
+    def test_reuse_is_by_params_identity(self):
+        params, x = self._inputs()
+        layer = hidden_layer(params, x)
+        assert hidden_layer(params, layer) is layer
+        rebuilt = hidden_layer(params.with_vector(params.vector.copy()), layer)
+        assert rebuilt is not layer and rebuilt.x is layer.x
+        assert np.array_equal(rebuilt.act, layer.act)
+
+    def test_layer_holds_input_activation_and_derivative_only(self):
+        params, x = self._inputs()
+        layer = hidden_layer(params, x)
+        pre = x @ params.w1 + params.b1
+        assert np.array_equal(layer.x, x)
+        assert np.array_equal(layer.act, gelu(pre))
+        assert np.array_equal(layer.dact, gelu_prime(pre))
+        assert not hasattr(layer, "pre") and not hasattr(layer, "erf_pre")
+
+    def test_rejects_wrong_input_dim(self):
+        with pytest.raises(InvalidInputError):
+            hidden_layer(init_student(**self.PARAMS), np.zeros((2, 5)))
+
+
 class TestDropoutUnbiasedness:
     def test_inverted_scaling_is_unbiased(self):
         # E_masks[act * keep / (1-p)] should match the no-dropout activations;
@@ -154,7 +244,7 @@ class TestDropoutUnbiasedness:
         params = toy_params(dropout=0.35)
         x = np.array([[0.7, -0.4, 1.2]])
         _, cache = forward_batch(params, x, None)
-        clean = cache.act[0]
+        clean = cache.layer.act[0]
         rng = np.random.default_rng(1)
         n = 10_000
         keeps = draw_keeps(rng, (n, TOY["d_h"]), 0.35)

@@ -11,6 +11,7 @@ from cotriad.numerics import finite_diff_grad
 from cotriad.student import (
     Gradients,
     draw_keeps,
+    hidden_layer,
     init_student,
     loss_and_grads,
     weighted_ce_grads,
@@ -248,6 +249,24 @@ class TestMetaGradient:
         assert np.array_equal(ignored, recomputed)
         used = meta_grad(strategy, students, with_zero_adv(students), 0.05)
         assert used[2] == 0.0 and recomputed[2] != 0.0
+
+    def test_hidden_layer_as_unsup_input_is_bit_exact(self):
+        # A layer built for the meta-gradient's own students is reused; one
+        # built for other params objects (post-step students under
+        # meta_after_step) is rebuilt. Both give the array result.
+        students, batches = random_meta_setup(14, dropout=0.3)
+        strategy = TeacherStrategy(z=np.array([logit(0.1), 0.2, -0.4]), gate_temperature=0.05)
+        expected = meta_grad(strategy, students, batches, 0.05)
+
+        def with_layers(owners):
+            return tuple(
+                dataclasses.replace(b, x_unsup=hidden_layer(owner, b.x_unsup))
+                for owner, b in zip(owners, batches)
+            )
+
+        others = [init_student(3, 4, 3, dropout_rate=0.3, seed=90 + v) for v in (0, 1)]
+        for owners in (students, others):
+            assert np.array_equal(meta_grad(strategy, students, with_layers(owners), 0.05), expected)
 
     def test_virtual_update_isolation(self):
         students, batches = random_meta_setup(5)

@@ -14,6 +14,7 @@ from .errors import (
     FormatError,
     InsufficientHistoryError,
     InvalidInputError,
+    NonFiniteError,
     OracleFailureError,
 )
 from .game import GameProfile, TrainedTriadicGame, nash_residual, stackelberg_residual
@@ -33,6 +34,7 @@ __all__ = [
     "GameProfile",
     "InsufficientHistoryError",
     "InvalidInputError",
+    "NonFiniteError",
     "OptimizerState",
     "OracleFailureError",
     "PerturbConfig",

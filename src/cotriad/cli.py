@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: train, eval, equilibrium, gradcheck, synth-data, cost. Exit
-codes: 0 success, 1 check failure, 2 configuration or usage error. Any
+codes: 0 success, 1 check failure or a diverged (non-finite) run, 2
+configuration or usage error. Any
 ``--section.key value`` pair after a subcommand overrides the config file.
 """
 
@@ -27,7 +28,7 @@ from .engine import (
     write_curves_csv,
     write_strategy_trace_csv,
 )
-from .errors import ConfigError, FormatError, InvalidInputError
+from .errors import ConfigError, FormatError, InvalidInputError, NonFiniteError
 from .game import (
     GameProfile,
     StudentBudget,
@@ -267,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, InvalidInputError) as exc:
+    except (FormatError, InvalidInputError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

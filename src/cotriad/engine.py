@@ -32,7 +32,7 @@ from .data import (
     TwoViewDataset,
     _read_exact,
 )
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, InvalidInputError, NonFiniteError
 from .generator import PerturbConfig, pgd_perturb_batch
 from .numerics import entropy_rows, softmax_rows
 from .student import (
@@ -427,6 +427,8 @@ def train_step(
 
     counters.student_train_passes = 2
     loss_total = loss_sup + lam_u * loss_unsup + lam_adv * loss_adv
+    if not math.isfinite(loss_total):
+        raise NonFiniteError("loss_total", epoch, step)
 
     # (7a) meta-gradient from the pre-step students (default ordering).
     lr_now = cosine_lr(cfg.lr, state.opts[0].step, state.opts[0].total_steps)
@@ -453,6 +455,8 @@ def train_step(
     if teacher_due:
         if cfg.meta_after_step:
             meta_g = meta_grad(state.teacher, tuple(new_students), tuple(meta_batches), lr_now)
+        if not np.isfinite(meta_g).all():
+            raise NonFiniteError("meta-gradient", epoch, step)
         new_teacher = teacher_step(state.teacher, meta_g)
         counters.validation_passes = 1
         for view in (0, 1):
@@ -673,6 +677,11 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
         if cfg.ea_stop and monitor.converged():
             stop_reason = "entropy_agreement"
             break
+
+    # The last update is checked by no later loss.
+    final = [p.vector for p in state.students] + [state.teacher.z]
+    if step_reports and not all(np.isfinite(v).all() for v in final):
+        raise NonFiniteError("parameters", step_reports[-1].epoch, step_reports[-1].step)
 
     eval_split = TEST if ds.indices(TEST).size else VALIDATION
     if ds.indices(eval_split).size:

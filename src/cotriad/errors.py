@@ -9,6 +9,16 @@ class OracleFailureError(RuntimeError):
     """A finite-difference probe produced a non-finite evaluation."""
 
 
+class NonFiniteError(RuntimeError):
+    """A training run produced a non-finite value. Carries where it first did."""
+
+    def __init__(self, quantity, epoch, step):
+        self.quantity = quantity
+        self.epoch = epoch
+        self.step = step
+        super().__init__(f"non-finite {quantity} at epoch {epoch}, step {step}")
+
+
 class InsufficientHistoryError(ValueError):
     """A windowed statistic was requested with too few recorded entries."""
 

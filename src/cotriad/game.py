@@ -242,6 +242,11 @@ class TrainedTriadicGame:
     the teacher frozen at the candidate triple and the candidate attack
     config; payoffs are measured on the validation split (teacher) and on a
     fixed probe batch of unlabeled rows (students, generator).
+
+    Each payoff combines ingredients that the game computes once and keeps
+    for its lifetime, keyed only on what they depend on: the validation
+    accuracy and the probe MC statistics on the students, the mean attacked
+    entropy per view on the students and the attack config.
     """
 
     def __init__(
@@ -276,50 +281,85 @@ class TrainedTriadicGame:
         order = np.random.default_rng(probe_seed).permutation(unl)
         self.probe_rows = np.sort(order[: min(probe_size, unl.size)])
         self.probe_seed = probe_seed
+        # Payoff ingredients by what they depend on: students by identity
+        # (StudentParams is an immutable value), attack configs by value.
+        self._ingredients: dict = {}
+
+    # -- payoff ingredients, each computed once per game and key
+
+    def _memo(self, key, compute):
+        """The ingredient under ``key``, computed on first use."""
+        if key not in self._ingredients:
+            self._ingredients[key] = compute()
+        return self._ingredients[key]
+
+    def _probe_stats(self, s) -> list:
+        """MC statistics of each student on its view of the probe."""
+        s = tuple(s)
+
+        def compute():
+            return [
+                batch_statistics(
+                    mc_forward_batch(s[view], x, self.mc_passes, seed=self.probe_seed + view)
+                )
+                for view, x in enumerate(self.ds.views(self.probe_rows))
+            ]
+
+        return self._memo(("mc", s), compute)
+
+    def _attacked_entropy(self, s, g: PerturbConfig) -> list[float]:
+        """Mean evaluation-mode entropy of each student on its attacked probe view."""
+        s = tuple(s)
+
+        def compute():
+            out = []
+            for view, x in enumerate(self.ds.views(self.probe_rows)):
+                delta = pgd_perturb_batch(s[view], x, g, _attack_rng(self.probe_seed, view))
+                logits, _ = forward_batch(s[view], x + delta)
+                out.append(float(entropy_rows(softmax_rows(logits)).mean()))
+            return out
+
+        return self._memo(("attack", s, g), compute)
 
     # -- payoffs
 
     def payoff_teacher(self, t, s, g) -> float:
-        return evaluate(s, self.ds, VALIDATION)["accuracy"]
+        """Ensemble accuracy of ``s`` on the validation split.
+
+        It ignores ``t`` and ``g``: the students are not retrained for a
+        candidate teacher point. So every point of the teacher grid scores
+        the same, and the teacher's Nash residual of a trained game is 0 by
+        construction.
+        """
+        s = tuple(s)
+        return self._memo(("accuracy", s), lambda: evaluate(s, self.ds, VALIDATION)["accuracy"])
 
     def payoff_students(self, t, s, g) -> float:
         """Weighted cost lambda_u * L_unsup + lambda_adv * L_adv on the probe."""
         tau, lam_u, lam_adv = t
-        # One hidden layer per view serves the MC passes and the attack.
-        layers = [hidden_layer(p, x) for p, x in zip(s, self.ds.views(self.probe_rows))]
-        stats = [
-            batch_statistics(
-                mc_forward_batch(s[view], layers[view], self.mc_passes, seed=self.probe_seed + view)
-            )
-            for view in (0, 1)
-        ]
+        stats = self._probe_stats(s) if lam_u > 0 else None
+        entropy = self._attacked_entropy(s, g) if lam_adv > 0 else None
+        x = self.ds.views(self.probe_rows)
         n = self.probe_rows.size
         cost = 0.0
         for view in (0, 1):
             other = 1 - view
-            x = layers[view].x
-            accepted, _ = mi_filter(stats[other], tau, self.base_cfg.filter_direction)
-            if accepted.size and lam_u > 0:
-                loss, _ = loss_and_grads(
-                    s[view], x[accepted], stats[other].pseudo_label[accepted], "ce"
-                )
-                cost += lam_u * loss * (accepted.size / n)
+            if lam_u > 0:
+                accepted, _ = mi_filter(stats[other], tau, self.base_cfg.filter_direction)
+                if accepted.size:
+                    # A row subset is not a row slice of the full-probe pass
+                    # (the rounding trap), so this loss is computed per call.
+                    loss, _ = loss_and_grads(
+                        s[view], x[view][accepted], stats[other].pseudo_label[accepted], "ce"
+                    )
+                    cost += lam_u * loss * (accepted.size / n)
             if lam_adv > 0:
-                rng = _attack_rng(self.probe_seed, view)
-                delta = pgd_perturb_batch(s[view], layers[view], g, rng)
-                loss, _ = loss_and_grads(s[view], x + delta, None, "entropy")
-                cost += lam_adv * loss
+                cost += lam_adv * entropy[view]
         return cost
 
     def payoff_generator(self, t, s, g) -> float:
         """Mean perturbed predictive entropy over the probe, averaged on views."""
-        total = 0.0
-        for view, x in enumerate(self.ds.views(self.probe_rows)):
-            rng = _attack_rng(self.probe_seed, view)
-            delta = pgd_perturb_batch(s[view], x, g, rng)
-            logits, _ = forward_batch(s[view], x + delta)
-            total += float(entropy_rows(softmax_rows(logits)).mean())
-        return total / 2.0
+        return sum(self._attacked_entropy(s, g)) / 2.0
 
     # -- student response operator
 

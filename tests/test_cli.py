@@ -293,6 +293,35 @@ class TestCommands:
         assert f"line {line}: {message}" in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param(
+                ["--teacher.enabled", "false"],
+                "non-finite loss_total at epoch 0, step 1",
+                id="teacher-off",
+            ),
+            pytest.param([], "non-finite meta-gradient at epoch 0, step 0", id="teacher-on"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_names_epoch_step_and_quantity(
+        self, tiny_cfg, tmp_path, capsys, overrides, message
+    ):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(
+            ["train", "--config", str(tiny_cfg), "--out", str(out), "--train.eta", "1e200"]
+            + overrides
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {message}"
+        ]
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     def test_cost_command(self, tiny_cfg, capsys):
         assert main(["cost", "--config", str(tiny_cfg)]) == 0
         summary = json.loads(capsys.readouterr().out)

@@ -28,7 +28,8 @@ from cotriad.engine import (
     run_training,
     save_model,
 )
-from cotriad.errors import FormatError, InvalidInputError
+from cotriad import engine as engine_module
+from cotriad.errors import FormatError, InvalidInputError, NonFiniteError
 from cotriad.generator import PerturbConfig
 from cotriad.student import StudentParams, fresh_optimizer, init_student, loss_and_grads, sgd_step
 from cotriad.teacher import TeacherStrategy, init_strategy
@@ -242,6 +243,42 @@ class TestGoldenDigest:
         """The same run with one change; recorded as GOLDEN was."""
         changes, digest = self.VARIANTS[name]
         assert self._digest(**changes) == digest
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_non_finite_loss_names_epoch_and_step(self):
+        ds = small_task()
+        cfg = small_cfg(lr=1e200, teacher_enabled=False)
+        with pytest.raises(NonFiniteError) as err:
+            run_training(cfg, ds)
+        # Step 0 runs at the initial weights; its update overflows step 1.
+        assert (err.value.quantity, err.value.epoch, err.value.step) == ("loss_total", 0, 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_meta_gradient_names_epoch_and_step(self):
+        ds = small_task()
+        with pytest.raises(NonFiniteError) as err:
+            run_training(small_cfg(lr=1e200), ds)
+        assert (err.value.quantity, err.value.epoch, err.value.step) == ("meta-gradient", 0, 0)
+
+    def test_non_finite_parameters_after_the_last_step(self, monkeypatch):
+        # No loss follows the last update, so the run checks its parameters.
+        ds = small_task()
+        cfg = small_cfg(epochs=2, steps_per_epoch=3, teacher_enabled=False)
+        calls = []
+
+        def last_update_breaks(params, grads, opt):
+            calls.append(None)
+            new, opt = sgd_step(params, grads, opt)
+            if len(calls) > 2 * 5:
+                new = new.with_vector(np.full_like(new.vector, np.nan))
+            return new, opt
+
+        monkeypatch.setattr(engine_module, "sgd_step", last_update_breaks)
+        with pytest.raises(NonFiniteError) as err:
+            run_training(cfg, ds)
+        assert (err.value.quantity, err.value.epoch, err.value.step) == ("parameters", 1, 2)
 
 
 class TestEarlyStopping:

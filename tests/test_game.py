@@ -1,6 +1,9 @@
 """Equilibrium machinery: tabular oracle games and trained-run diagnostics."""
 
+import collections
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -312,6 +315,138 @@ class TestTrainedGame:
         payload = equilibrium_report(game, profile, tolerance=10.0)
         assert payload["grid_nash"] is True
         assert set(payload["nash_residuals"]) == {"teacher", "students", "generator"}
+
+
+class TestPayoffCache:
+    """Each payoff ingredient is computed once per game and key."""
+
+    # sha256 of the sorted-key JSON of equilibrium_report (with Stackelberg
+    # residuals) for the game below, and payoff_students at STUDENT_POINTS x
+    # the generator grid. Both were recorded before the ingredients were
+    # cached, on the platform TestGoldenDigest in test_engine.py names.
+    REPORT_DIGEST = "e56f1ec54b76f8a7ffc52b98a04577330540cf927c676c51a9a53550f7dd5e3f"
+    STUDENT_POINTS = [
+        (0.05, 0.0, 0.0), (0.05, 0.5, 0.0), (0.05, 0.0, 0.5), (0.2, 0.25, 0.5), (0.01, 0.75, 0.25)
+    ]
+    STUDENT_PAYOFFS = [
+        0.0, 0.0,
+        0.43376935049409215, 0.43376935049409215,
+        0.933615133337578, 0.8277367381293699,
+        1.2756629791285374, 1.1697845839203294,
+        0.8041694805067241, 0.7512302829026201,
+    ]
+
+    @staticmethod
+    def _setup():
+        ds = small_task()
+        cfg = small_cfg()
+        rep = run_training(cfg, ds)
+        # One gamma = 0 and one gamma > 0 attack; the first is the run's own.
+        grid = [
+            cfg.perturb,
+            PerturbConfig(epsilon=0.2, gamma=0.5, steps=2, step_size=0.1, mi_passes=3),
+        ]
+        return ds, cfg, rep, grid
+
+    @staticmethod
+    def _game(ds, cfg, grid):
+        return TrainedTriadicGame(
+            ds, cfg,
+            generator_points=grid,
+            budgets=[StudentBudget(epochs=1, seed=3)],
+            probe_size=64,
+        )
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Counters of game.evaluate, mc_forward_batch and pgd_perturb_batch.
+
+        Keys: the students' identities; the params' identity; the params'
+        identity and the attack config.
+        """
+        calls = {name: collections.Counter() for name in ("evaluate", "mc", "pgd")}
+
+        def counted(name, fn, key):
+            def wrapper(*args, **kwargs):
+                calls[name][key(*args)] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(game_module, "evaluate", counted(
+            "evaluate", game_module.evaluate, lambda s, *rest: tuple(map(id, s))))
+        monkeypatch.setattr(game_module, "mc_forward_batch", counted(
+            "mc", game_module.mc_forward_batch, lambda p, *rest: id(p)))
+        monkeypatch.setattr(game_module, "pgd_perturb_batch", counted(
+            "pgd", game_module.pgd_perturb_batch, lambda p, x, g, *rest: (id(p), g)))
+        return calls
+
+    def test_report_and_student_payoffs_are_unchanged(self):
+        ds, cfg, rep, grid = self._setup()
+        game = self._game(ds, cfg, grid)
+        profile = GameProfile(rep.teacher.mapped(), rep.students, cfg.perturb)
+        res = stackelberg_residual(rep.students, rep.teacher, ds, cfg, probe_size=64)
+        payload = equilibrium_report(game, profile, 1e-2, res)
+        blob = json.dumps(payload, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.REPORT_DIGEST
+        payoffs = [
+            game.payoff_students(t, rep.students, g) for t in self.STUDENT_POINTS for g in grid
+        ]
+        assert payoffs == self.STUDENT_PAYOFFS
+
+    def test_one_computation_per_key_during_a_report(self, monkeypatch):
+        ds, cfg, rep, grid = self._setup()
+        game = self._game(ds, cfg, grid)
+        profile = GameProfile(rep.teacher.mapped(), rep.students, cfg.perturb)
+        calls = self._count(monkeypatch)
+        equilibrium_report(game, profile)
+        # The teacher's payoff is scored on the diagnosed students only.
+        assert calls["evaluate"] == {tuple(map(id, rep.students)): 1}
+        # MC on both views of the diagnosed students and of the one
+        # retrained deviation; attacks on both views for every generator
+        # point against the diagnosed students and for the profile's
+        # attack against the deviation.
+        assert set(calls["mc"].values()) == {1} and len(calls["mc"]) == 4
+        assert all(calls["mc"][id(p)] == 1 for p in rep.students)
+        assert set(calls["pgd"].values()) == {1} and len(calls["pgd"]) == 6
+        assert all(calls["pgd"][(id(p), g)] == 1 for p in rep.students for g in grid)
+
+    def test_keys_follow_identity_and_lifetime_is_the_game(self, monkeypatch):
+        ds, cfg, rep, grid = self._setup()
+        game = self._game(ds, cfg, grid)
+        t, s, g = rep.teacher.mapped(), rep.students, grid[1]
+        first = (game.payoff_teacher(t, s, g), game.payoff_students(t, s, g),
+                 game.payoff_generator(t, s, g))
+        calls = self._count(monkeypatch)
+        # A list of the same students is the same key: nothing is recomputed.
+        as_list = list(s)
+        assert (game.payoff_teacher(t, as_list, g), game.payoff_students(t, as_list, g),
+                game.payoff_generator(t, as_list, g)) == first
+        assert not any(calls.values())
+        # An equal-weights copy is a separate entry with an equal payoff.
+        copy = tuple(p.with_vector(p.vector.copy()) for p in s)
+        assert (game.payoff_teacher(t, copy, g), game.payoff_students(t, copy, g),
+                game.payoff_generator(t, copy, g)) == first
+        assert calls["evaluate"] == {tuple(map(id, copy)): 1}
+        assert set(calls["mc"]) == {id(p) for p in copy}
+        assert set(calls["pgd"]) == {(id(p), g) for p in copy}
+        # A second game starts empty and recomputes everything.
+        other = self._game(ds, cfg, grid)
+        assert (other.payoff_teacher(t, s, g), other.payoff_students(t, s, g),
+                other.payoff_generator(t, s, g)) == first
+        assert calls["evaluate"][tuple(map(id, s))] == 1
+        assert all(calls["mc"][id(p)] == 1 for p in s)
+        assert all(calls["pgd"][(id(p), g)] == 1 for p in s)
+
+    def test_students_payoff_without_unsup_weight_runs_no_mc_pass(self, monkeypatch):
+        ds, cfg, rep, grid = self._setup()
+        game = self._game(ds, cfg, grid)
+
+        def no_mc(*args, **kwargs):
+            raise AssertionError("payoff_students ran an MC pass at lambda_u = 0")
+
+        monkeypatch.setattr(game_module, "mc_forward_batch", no_mc)
+        t = self.STUDENT_POINTS[2]
+        assert game.payoff_students(t, rep.students, grid[0]) == self.STUDENT_PAYOFFS[4]
 
 
 class TestStackelbergResiduals:

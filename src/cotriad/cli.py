@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ from .game import (
     nash_residual,
     stackelberg_residual,
 )
-from .generator import PerturbConfig
 
 
 def _split_overrides(tokens: list[str]) -> list[tuple[str, str]]:
@@ -130,11 +130,9 @@ def cmd_equilibrium(args) -> int:
     students, teacher = load_model(run_dir / f"model_seed{seed}.trcm")
     train_cfg = cfg.train_config(seed)
     eps_grid = cfg["game.epsilon_grid"] or [cfg["perturb.epsilon"]]
-    generator_points = [
-        PerturbConfig(epsilon=e, gamma=cfg["perturb.gamma"], steps=cfg["perturb.steps"],
-                      step_size=None, mi_passes=cfg["perturb.mi_passes"])
-        for e in eps_grid
-    ]
+    # The run's own attack at each budget, and the run's MC estimate, so the
+    # incumbent is on its grid and both diagnostics filter alike.
+    generator_points = [replace(train_cfg.perturb, epsilon=e) for e in eps_grid]
     game = TrainedTriadicGame(
         ds,
         train_cfg,
@@ -142,6 +140,7 @@ def cmd_equilibrium(args) -> int:
         generator_points=generator_points,
         budgets=[StudentBudget(epochs=cfg["game.budget_epochs"], seed=cfg["game.budget_seed"])],
         probe_size=cfg["game.probe_size"],
+        mc_passes=train_cfg.mc_passes,
     )
     profile = GameProfile(teacher.mapped(), students, train_cfg.perturb)
     residuals = stackelberg_residual(
@@ -202,10 +201,7 @@ def cmd_cost(args) -> int:
     cfg = _load(args)
     ds = cfg.build_dataset()
     seed = cfg["train.seeds"][0]
-    probe_cfg = cfg.train_config(seed)
-    from dataclasses import replace
-
-    probe_cfg = replace(probe_cfg, epochs=1)
+    probe_cfg = replace(cfg.train_config(seed), epochs=1)
     report = run_training(probe_cfg, ds)
     summary = engine.cost_summary(report.step_reports, probe_cfg)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -264,7 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.overrides = list(extra)
     try:
-        return _HANDLERS[args.command](args)
+        # A diverging run overflows before the non-finite guard sees it; the
+        # guard's one error line reports it, so numpy's warnings stay silent.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _HANDLERS[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

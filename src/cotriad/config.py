@@ -137,6 +137,10 @@ class RunConfig:
             self._fail("filter.direction", f"unknown filter.direction {v['filter.direction']!r}")
         if v["perturb.epsilon"] <= 0:
             self._fail("perturb.epsilon", "perturb.epsilon must be positive")
+        if v["perturb.step_size"] < 0:
+            self._fail("perturb.step_size", "perturb.step_size must be >= 0 (0 = epsilon)")
+        if v["train.hidden"] < 1:
+            self._fail("train.hidden", "train.hidden must be >= 1")
         if v["perturb.gamma"] > 0 and v["perturb.mi_passes"] < 2:
             self._fail("perturb.mi_passes", "perturb.mi_passes must be >= 2 when perturb.gamma > 0")
         if v["train.unsup_enabled"]:

@@ -59,7 +59,13 @@ from .teacher import (
     stability_score,
     teacher_step,
 )
-from .uncertainty import batch_statistics, confidence_filter, impurity, mi_filter
+from .uncertainty import (
+    batch_statistics,
+    confidence_filter,
+    confidence_mask,
+    impurity,
+    mi_filter,
+)
 
 # Purpose tags for per-step RNG substreams.
 _RNG_INIT = 10
@@ -256,41 +262,35 @@ def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> Traine
     return TrainerState(students=tuple(students), opts=tuple(opts), teacher=teacher)
 
 
-def _apply_filter(cfg: TrainConfig, stats, tau: float) -> tuple[np.ndarray, float]:
-    n = len(stats)
-    if cfg.filter_mode == "mi":
-        return mi_filter(stats, tau, cfg.filter_direction)
-    if cfg.filter_mode == "confidence":
-        accepted = confidence_filter(stats, cfg.tau_conf)
-    elif cfg.filter_mode == "mi_conf":
-        # Composed filter: the MI gate and the confidence gate must both pass.
-        mi_acc, _ = mi_filter(stats, tau, cfg.filter_direction)
-        accepted = np.intersect1d(mi_acc, confidence_filter(stats, cfg.tau_conf))
-    else:
-        accepted = np.arange(n)
-    return accepted, (1.0 - accepted.size / n) if n else 0.0
+def _apply_filter(
+    cfg: TrainConfig, stats, tau: float
+) -> tuple[np.ndarray, float, tuple[np.ndarray, float]]:
+    """Accepted rows, mask rate, and the (values, sign) fed to the teacher's soft gate.
 
-
-def _gate_inputs(cfg: TrainConfig, stats, accepted: np.ndarray) -> tuple[np.ndarray, float]:
-    """(MI values, gate sign) fed to the teacher's soft gate.
-
-    In MI modes the real values flow, so the threshold gets a gradient with
-    the sign of the configured acceptance direction; confidence-rejected rows
-    of the composed mode and the non-MI modes are saturated to reproduce the
-    hard accepted set with an exactly vanishing threshold derivative.
+    In MI modes the real MI values flow to the gate, so the threshold gets a
+    gradient with the sign of the configured acceptance direction;
+    confidence-rejected rows of the composed mode and the non-MI modes are
+    saturated to reproduce the hard accepted set with an exactly vanishing
+    threshold derivative.
     """
+    n = len(stats)
     sign = 1.0 if cfg.filter_direction == "above" else -1.0
     if cfg.filter_mode == "mi":
-        return stats.mi, sign
+        accepted, mask_rate = mi_filter(stats, tau, cfg.filter_direction)
+        return accepted, mask_rate, (stats.mi, sign)
     if cfg.filter_mode == "mi_conf":
-        values = stats.mi.copy()
-        conf_ok = np.zeros(len(stats), dtype=bool)
-        conf_ok[confidence_filter(stats, cfg.tau_conf)] = True
-        values[~conf_ok] = -sign * 1e6
-        return values, sign
-    synth = np.full(len(stats), -1e6)
-    synth[accepted] = 1e6
-    return synth, 1.0
+        # Composed filter: the MI gate and the confidence gate must both pass.
+        conf_ok = confidence_mask(stats, cfg.tau_conf)
+        mi_acc, _ = mi_filter(stats, tau, cfg.filter_direction)
+        accepted = mi_acc[conf_ok[mi_acc]]
+        gate = (np.where(conf_ok, stats.mi, -sign * 1e6), sign)
+    else:
+        confident = cfg.filter_mode == "confidence"
+        accepted = confidence_filter(stats, cfg.tau_conf) if confident else np.arange(n)
+        synth = np.full(n, -1e6)
+        synth[accepted] = 1e6
+        gate = (synth, 1.0)
+    return accepted, (1.0 - accepted.size / n) if n else 0.0, gate
 
 
 def train_step(
@@ -330,6 +330,7 @@ def train_step(
     stats = [None, None]
     accepted = [np.array([], dtype=np.int64)] * 2
     mask_rates = [0.0, 0.0]
+    gates = [None, None]
     if use_unsup:
         for view in (0, 1):
             probs = mc_forward_batch(
@@ -339,7 +340,7 @@ def train_step(
             counters.mi_passes_per_view = cfg.mc_passes * n_u
             counters.flops += 2 * p_mac[view] * cfg.mc_passes * n_u
         for view in (0, 1):
-            accepted[view], mask_rates[view] = _apply_filter(cfg, stats[view], tau)
+            accepted[view], mask_rates[view], gates[view] = _apply_filter(cfg, stats[view], tau)
 
     # (4) embedding attacks and the adversarial inputs.
     x_adv = [None, None]
@@ -409,7 +410,7 @@ def train_step(
         counters.flops += 6 * p_mac[view] * train_rows
 
         if use_unsup:
-            gate_values, gate_sign = _gate_inputs(cfg, stats[other], accepted[other])
+            gate_values, gate_sign = gates[other]
             meta_batches.append(
                 MetaBatch(
                     x_unsup=layers_u[view],

@@ -335,8 +335,14 @@ class TrainedTriadicGame:
         return self._memo(("accuracy", s), lambda: evaluate(s, self.ds, VALIDATION)["accuracy"])
 
     def payoff_students(self, t, s, g) -> float:
-        """Weighted cost lambda_u * L_unsup + lambda_adv * L_adv on the probe."""
+        """Weighted cost lambda_u * L_unsup + lambda_adv * L_adv on the probe.
+
+        A run trained without the unsup term has no L_unsup, like its
+        retraining, so lambda_u then counts as 0 and no MC pass runs.
+        """
         tau, lam_u, lam_adv = t
+        if not self.base_cfg.unsup_enabled:
+            lam_u = 0.0
         stats = self._probe_stats(s) if lam_u > 0 else None
         entropy = self._attacked_entropy(s, g) if lam_adv > 0 else None
         x = self.ds.views(self.probe_rows)

@@ -143,15 +143,26 @@ def gelu(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
     """Exact GELU; ``erf_u`` is erf(u / sqrt 2) when the caller already has it."""
     if erf_u is None:
         erf_u = erf(u * _INV_SQRT2)
-    return u * 0.5 * (1.0 + erf_u)
+    act = np.multiply(u, 0.5)
+    act *= 1.0 + erf_u
+    return act
 
 
 def gelu_prime(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
     """GELU derivative; ``erf_u`` as for ``gelu``."""
     if erf_u is None:
         erf_u = erf(u * _INV_SQRT2)
-    phi = np.exp(-0.5 * u * u) * _INV_SQRT2PI
-    return 0.5 * (1.0 + erf_u) + u * phi
+    # 0.5 (1 + erf_u) + u phi(u), built in two buffers with the operations
+    # and operand order of the direct expression, so every bit is the same.
+    u_phi = np.multiply(u, -0.5)
+    u_phi *= u
+    np.exp(u_phi, out=u_phi)
+    u_phi *= _INV_SQRT2PI
+    u_phi *= u
+    out = np.add(erf_u, 1.0)
+    out *= 0.5
+    out += u_phi
+    return out
 
 
 def draw_keeps(rng: np.random.Generator, shape: tuple[int, ...], dropout_rate: float) -> np.ndarray:
@@ -190,8 +201,10 @@ class HiddenLayer:
             raise InvalidInputError(
                 f"input dim {x.shape[1]} does not match d_in {params.d_in}"
             )
-        pre = x @ params.w1 + params.b1
-        erf_pre = erf(pre * _INV_SQRT2)
+        pre = x @ params.w1
+        pre += params.b1
+        erf_pre = np.multiply(pre, _INV_SQRT2)
+        erf(erf_pre, out=erf_pre)
         self.params = params
         self.x = x
         self.act = gelu(pre, erf_pre)
@@ -297,10 +310,25 @@ def _ce_dlogits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def _entropy_dlogits(probs: np.ndarray) -> np.ndarray:
-    h = entropy_rows(probs)
-    logp = np.where(probs > 0.0, np.log(np.maximum(probs, PROB_FLOOR)), 0.0)
-    return np.where(probs > 0.0, -probs * (logp + h[:, None]), 0.0)
+def _entropy_dlogits(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row entropies of (n, c) softmax outputs and their gradient in the logits.
+
+    One log serves both; each is ``entropy_rows`` and its derivative bit for
+    bit. Entries that are not positive (an underflowed 0, or NaN) contribute
+    0.0 to the entropy and get a 0.0 gradient.
+    """
+    dead = ~(probs > 0.0)
+    logp = np.maximum(probs, PROB_FLOOR)
+    np.log(logp, out=logp)
+    terms = probs * logp
+    terms[dead] = 0.0
+    h = -terms.sum(axis=-1)
+    # The terms buffer is reused for the gradient -p (log p + H).
+    logp += h[:, None]
+    np.negative(probs, out=terms)
+    terms *= logp
+    terms[dead] = 0.0
+    return h, terms
 
 
 def loss_and_grads(
@@ -331,8 +359,9 @@ def loss_and_grads(
         loss = float(-np.log(py).mean())
         dlogits = _ce_dlogits(probs, yv) / n
     elif kind == "entropy":
-        loss = float(entropy_rows(probs).mean())
-        dlogits = _entropy_dlogits(probs) / n
+        h, dlogits = _entropy_dlogits(probs)
+        loss = float(h.mean())
+        dlogits /= n
     else:
         raise InvalidInputError(f"unknown loss kind {kind!r}")
     return loss, _backward(params, cache, dlogits)
@@ -378,10 +407,8 @@ def input_entropy_grad(
     row only, which is what a per-sample perturbation ascent needs.
     """
     logits, cache = forward_batch(params, x)
-    probs = softmax_rows(logits)
-    h = entropy_rows(probs)
-    dx = _backward_to_input(params, cache, _entropy_dlogits(probs))
-    return h, dx
+    h, dlogits = _entropy_dlogits(softmax_rows(logits))
+    return h, _backward_to_input(params, cache, dlogits)
 
 
 def input_mi_grad(
@@ -402,8 +429,9 @@ def input_mi_grad(
         caches.append(cache)
     mean = probs.mean(axis=0)
     h_mean = entropy_rows(mean)
-    h_each = entropy_rows(probs.reshape(-1, params.n_classes)).reshape(n_passes, -1)
-    mi = h_mean - h_each.mean(axis=0)
+    h_each, d_each = _entropy_dlogits(probs.reshape(-1, params.n_classes))
+    mi = h_mean - h_each.reshape(n_passes, -1).mean(axis=0)
+    d_each = d_each.reshape(probs.shape)
     log_mean = np.where(mean > 0.0, np.log(np.maximum(mean, PROB_FLOOR)), 0.0)
     dx = np.zeros_like(layer.x)
     for k in range(n_passes):
@@ -411,7 +439,7 @@ def input_mi_grad(
         # d H(mean) / d logits_k, plus -1/K of the per-pass entropy term.
         inner = (pk * log_mean).sum(axis=1, keepdims=True)
         d_hmean = pk * (inner - log_mean) / n_passes
-        d_hk = _entropy_dlogits(pk) / n_passes
+        d_hk = d_each[k] / n_passes
         dx += _backward_to_input(params, caches[k], d_hmean - d_hk)
     return mi, dx
 

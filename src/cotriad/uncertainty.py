@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import entropy_rows
+from .numerics import entropy_rows, row_max
 
 
 def batch_statistics(probs: np.ndarray) -> "BatchUncertainty":
@@ -79,12 +79,16 @@ def mi_filter(
     return accepted, float(mask_rate)
 
 
-def confidence_filter(stats: BatchUncertainty, threshold: float) -> np.ndarray:
-    """Baseline filter: indices whose mean-distribution confidence >= threshold."""
+def confidence_mask(stats: BatchUncertainty, threshold: float) -> np.ndarray:
+    """Bool mask of the rows whose mean-distribution confidence >= threshold."""
     if not 0.0 < threshold < 1.0 and threshold != 1.0:
         raise InvalidInputError("confidence threshold must lie in (0, 1]")
-    conf = stats.mean.max(axis=1)
-    return np.flatnonzero(conf >= threshold)
+    return row_max(stats.mean) >= threshold
+
+
+def confidence_filter(stats: BatchUncertainty, threshold: float) -> np.ndarray:
+    """Baseline filter: indices whose mean-distribution confidence >= threshold."""
+    return np.flatnonzero(confidence_mask(stats, threshold))
 
 
 def impurity(

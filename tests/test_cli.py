@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -250,9 +251,56 @@ class TestCommands:
         assert payload["stackelberg_residuals"]["teacher"] == 0.0
         assert math.isfinite(payload["stackelberg_residuals"]["students"])
 
+    def test_equilibrium_uses_the_runs_attack_and_mc_estimate(self, tiny_cfg, tmp_path, capsys):
+        # One report, one MC estimate and one attack config: the generator
+        # grid holds the incumbent's attack, and the students' payoff uses
+        # train.mc_passes (3 here), as stackelberg_residual does.
+        from cotriad.engine import load_model
+        from cotriad.game import StudentBudget, TrainedTriadicGame
+
+        out = tmp_path / "run"
+        attack = ["--perturb.step_size", "0.1", "--perturb.steps", "2"]
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + attack) == 0
+        grids = [
+            "--game.probe_size", "32", "--game.budget_epochs", "1",
+            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
+            "--game.lambda_adv_grid", "0.25",
+        ]
+        assert main(["equilibrium", "--run", str(out)] + grids) == 0
+        payload = json.loads((out / "equilibrium_report.json").read_text())
+        incumbent = payload["generator_config"]
+        assert (incumbent["epsilon"], incumbent["steps"], incumbent["step_size"]) == (0.2, 2, 0.1)
+        assert [(g["epsilon"], g["steps"], g["step_size"]) for g in payload["generator_grid"]] == [
+            (0.2, 2, 0.1)
+        ]
+
+        cfg = parse_config(tiny_cfg, [("perturb.step_size", "0.1"), ("perturb.steps", "2")])
+        train_cfg = cfg.train_config(1)
+        students, teacher = load_model(out / "model_seed1.trcm")
+
+        def students_payoff(mc_passes):
+            game = TrainedTriadicGame(
+                cfg.build_dataset(), train_cfg, teacher_points=[(0.05, 0.5, 0.25)],
+                budgets=[StudentBudget(epochs=1, seed=97)], probe_size=32, mc_passes=mc_passes,
+            )
+            return game.payoff_students(teacher.mapped(), students, train_cfg.perturb)
+
+        assert payload["payoffs"]["students"] == students_payoff(3)
+        assert payload["payoffs"]["students"] != students_payoff(5)
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
+            pytest.param(
+                [("train.hidden", "0")],
+                "train.hidden must be >= 1",
+                id="train.hidden-0",
+            ),
+            pytest.param(
+                [("perturb.step_size", "-1")],
+                "perturb.step_size must be >= 0 (0 = epsilon)",
+                id="perturb.step_size--1",
+            ),
             pytest.param(
                 [("teacher.update_every", "0")],
                 "teacher.update_every must be >= 1",
@@ -304,22 +352,21 @@ class TestCommands:
             pytest.param([], "non-finite meta-gradient at epoch 0, step 0", id="teacher-on"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_names_epoch_step_and_quantity(
         self, tiny_cfg, tmp_path, capsys, overrides, message
     ):
         out = tmp_path / "run"
         capsys.readouterr()
-        code = main(
-            ["train", "--config", str(tiny_cfg), "--out", str(out), "--train.eta", "1e200"]
-            + overrides
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["train", "--config", str(tiny_cfg), "--out", str(out), "--train.eta", "1e200"]
+                + overrides
+            )
         assert code == 1
-        err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            f"error: {message}"
-        ]
-        assert "Traceback" not in err
+        # numpy's overflow warnings would print above the error line.
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "report.json").exists()
 
     def test_cost_command(self, tiny_cfg, capsys):

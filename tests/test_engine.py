@@ -245,6 +245,66 @@ class TestGoldenDigest:
         assert self._digest(**changes) == digest
 
 
+def _filter_and_gate_oracle(cfg, stats, tau):
+    """The separate filter and soft-gate inputs that ``_apply_filter``
+    replaced; the composed mode ran the confidence filter in each."""
+    from cotriad.uncertainty import confidence_filter, mi_filter
+
+    n = len(stats)
+    if cfg.filter_mode == "mi":
+        accepted, rate = mi_filter(stats, tau, cfg.filter_direction)
+    else:
+        if cfg.filter_mode == "confidence":
+            accepted = confidence_filter(stats, cfg.tau_conf)
+        elif cfg.filter_mode == "mi_conf":
+            mi_acc, _ = mi_filter(stats, tau, cfg.filter_direction)
+            accepted = np.intersect1d(mi_acc, confidence_filter(stats, cfg.tau_conf))
+        else:
+            accepted = np.arange(n)
+        rate = (1.0 - accepted.size / n) if n else 0.0
+    sign = 1.0 if cfg.filter_direction == "above" else -1.0
+    if cfg.filter_mode == "mi":
+        return accepted, rate, (stats.mi, sign)
+    if cfg.filter_mode == "mi_conf":
+        values = stats.mi.copy()
+        conf_ok = np.zeros(n, dtype=bool)
+        conf_ok[confidence_filter(stats, cfg.tau_conf)] = True
+        values[~conf_ok] = -sign * 1e6
+        return accepted, rate, (values, sign)
+    synth = np.full(n, -1e6)
+    synth[accepted] = 1e6
+    return accepted, rate, (synth, 1.0)
+
+
+class TestFilterAgainstOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        c=st.integers(2, 12),
+        mode=st.sampled_from(["mi", "confidence", "mi_conf", "none"]),
+        direction=st.sampled_from(["above", "below"]),
+        tau_conf=st.sampled_from([0.3, 0.9, 1.0]),
+    )
+    def test_one_confidence_pass_gives_the_same_filter_and_gate(
+        self, seed, n, c, mode, direction, tau_conf
+    ):
+        from cotriad.uncertainty import batch_statistics
+
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=rng.choice([0.5, 5.0]), size=(3, n, c))
+        probs = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        probs[:, rng.random(n) < 0.2] = np.eye(c)[0]  # confidence exactly 1
+        stats = batch_statistics(probs)
+        tau = float(np.quantile(stats.mi, 0.5))
+        cfg = small_cfg(filter_mode=mode, filter_direction=direction, tau_conf=tau_conf)
+        got = engine_module._apply_filter(cfg, stats, tau)
+        want = _filter_and_gate_oracle(cfg, stats, tau)
+        assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+        assert got[1] == want[1]
+        assert np.array_equal(got[2][0], want[2][0]) and got[2][1] == want[2][1]
+
+
 class TestNonFiniteGuard:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_first_non_finite_loss_names_epoch_and_step(self):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotriad.errors import InvalidInputError, OracleFailureError
 from cotriad.numerics import (
     cross_entropy,
     entropy,
     finite_diff_grad,
+    row_max,
     softmax,
     softmax_rows,
 )
@@ -60,6 +63,73 @@ class TestSoftmax:
     def test_rejects_short_vector(self):
         with pytest.raises(InvalidInputError):
             softmax([1.0])
+
+
+def _softmax_rows_oracle(z):
+    """The reduction-max softmax that ``softmax_rows`` replaced."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def hard_logits(seed, n, c, nan_row):
+    """(n, c) logits: tied maxima, entries whose probability underflows to 0
+    (finite and -inf) and, with ``nan_row``, one row with one NaN entry and
+    one row that is all NaN."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=rng.choice([0.01, 1.0, 30.0]), size=(n, c))
+    kind = rng.integers(0, 5, size=n)
+    top = z.argmax(axis=1)
+    other = (top + 1) % c
+    z[kind == 1, other[kind == 1]] = z[kind == 1, top[kind == 1]]
+    z[kind == 2] = z[kind == 2, :1]
+    z[kind == 3, other[kind == 3]] = z[kind == 3, top[kind == 3]] - 800.0
+    z[kind == 4, other[kind == 4]] = -np.inf
+    if nan_row:
+        z[rng.integers(0, n), rng.integers(0, c)] = np.nan
+        z[rng.integers(0, n)] = np.nan
+    return z
+
+
+def same_bits(a, b) -> bool:
+    """``np.array_equal`` with NaN equal to NaN and the sign of every zero kept."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype or not np.array_equal(a, b, equal_nan=True):
+        return False
+    known = ~np.isnan(a)
+    return np.array_equal(np.signbit(a[known]), np.signbit(b[known]))
+
+
+logit_cases = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(1, 500), st.integers(2, 12), st.booleans()
+)
+
+
+class TestRowKernelsAgainstOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(case=logit_cases)
+    def test_softmax_rows_equals_reduction_max_softmax(self, case):
+        z = hard_logits(*case)
+        with np.errstate(invalid="ignore"):
+            got, want = softmax_rows(z), _softmax_rows_oracle(z)
+        assert same_bits(row_max(z), z.max(axis=-1))
+        assert same_bits(got, want)
+
+    def test_nan_row_reaches_the_probabilities(self):
+        # A maximum that skipped NaN would hand finite probabilities to the
+        # entropy and the loss, and the non-finite guard would see nothing.
+        z = hard_logits(3, 50, 4, nan_row=True)
+        bad = np.isnan(z).any(axis=1)
+        with np.errstate(invalid="ignore"):
+            p = softmax_rows(z)
+        assert bad.sum() == 2
+        assert np.isnan(row_max(z)[bad]).all()
+        assert np.isnan(p[bad]).all() and np.isfinite(p[~bad]).all()
+
+    def test_underflow_gives_exact_zero_and_ties_share_the_top(self):
+        z = np.array([[0.0, -800.0, 1.0, 1.0], [2.0, 2.0, 2.0, -np.inf]])
+        p = softmax_rows(z)
+        assert p[0, 1] == 0.0 and p[0, 2] == p[0, 3]
+        assert p[1, 3] == 0.0 and p[1, 0] == p[1, 1] == p[1, 2]
 
 
 class TestEntropy:

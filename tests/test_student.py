@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import erf
+
+from cotriad import student
 from cotriad.errors import InvalidInputError
-from cotriad.numerics import finite_diff_grad, softmax_rows
+from cotriad.numerics import PROB_FLOOR, entropy_rows, finite_diff_grad, softmax_rows
 from cotriad.student import (
     Gradients,
     OptimizerState,
@@ -367,6 +370,162 @@ class TestGradients:
     def test_empty_batch_raises(self):
         with pytest.raises(InvalidInputError):
             loss_and_grads(toy_params(), np.zeros((0, 3)), np.zeros(0, dtype=int), "ce")
+
+
+# The kernels the entropy ascent used before they were rewritten in place.
+# Each new kernel must equal its oracle bit for bit.
+
+
+def _gelu_oracle(u, erf_u=None):
+    if erf_u is None:
+        erf_u = erf(u * (1.0 / math.sqrt(2.0)))
+    return u * 0.5 * (1.0 + erf_u)
+
+
+def _gelu_prime_oracle(u, erf_u=None):
+    if erf_u is None:
+        erf_u = erf(u * (1.0 / math.sqrt(2.0)))
+    phi = np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
+    return 0.5 * (1.0 + erf_u) + u * phi
+
+
+def _hidden_layer_oracle_init(self, params, x):
+    pre = x @ params.w1 + params.b1
+    erf_pre = erf(pre * (1.0 / math.sqrt(2.0)))
+    self.params = params
+    self.x = x
+    self.act = _gelu_oracle(pre, erf_pre)
+    self.dact = _gelu_prime_oracle(pre, erf_pre)
+
+
+def _softmax_rows_oracle(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _entropy_dlogits_oracle(probs):
+    """``entropy_rows`` and a dlogits with its own log."""
+    h = entropy_rows(probs)
+    logp = np.where(probs > 0.0, np.log(np.maximum(probs, PROB_FLOOR)), 0.0)
+    return h, np.where(probs > 0.0, -probs * (logp + h[:, None]), 0.0)
+
+
+def _same_bits(a, b) -> bool:
+    """``np.array_equal`` with NaN equal to NaN and the sign of every zero kept."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same_bits(u, v) for u, v in zip(a, b))
+    if isinstance(a, Gradients):
+        a, b = a.vector, b.vector
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype or not np.array_equal(a, b, equal_nan=True):
+        return False
+    known = ~np.isnan(a)
+    return np.array_equal(np.signbit(a[known]), np.signbit(b[known]))
+
+
+def _hard_case(seed, n, d_in, d_h, c, nan_row):
+    """Params and an (n, d_in) input whose softmax has tied, underflowing
+    (exactly 0) and, with ``nan_row``, NaN rows."""
+    rng = np.random.default_rng(seed)
+    dims = (d_in, d_h, c)
+    params = StudentParams(rng.normal(size=d_in * d_h + d_h + d_h * c + c), dims, 0.3)
+    # A large second layer saturates the softmax, so probabilities underflow.
+    scale = rng.choice([0.1, 1.0, 100.0])
+    params = params.with_vector(
+        np.concatenate((params.w1.ravel(), params.b1, scale * params.w2.ravel(), params.b2))
+    )
+    x = rng.normal(size=(n, d_in))
+    x[rng.random(n) < 0.2] = 0.0  # equal rows
+    if c > 2:
+        # Equal output columns give tied logits.
+        w2 = params.w2.copy()
+        w2[:, 1] = w2[:, 0]
+        b2 = params.b2.copy()
+        b2[1] = b2[0]
+        params = params.with_vector(
+            np.concatenate((params.w1.ravel(), params.b1, w2.ravel(), b2))
+        )
+    if nan_row:
+        x[rng.integers(0, n)] = np.nan
+    keeps = draw_keeps(rng, (3, n, d_h), 0.3)
+    return params, x, keeps
+
+
+hard_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 500),
+    st.integers(1, 8),
+    st.integers(1, 16),
+    st.integers(2, 12),
+    st.booleans(),
+)
+
+
+class TestEntropyAscentKernelsAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 500))
+    def test_gelu_and_gelu_prime(self, seed, n):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(scale=rng.choice([1e-3, 1.0, 10.0, 40.0]), size=n)
+        u[rng.random(n) < 0.1] = 0.0
+        u[rng.random(n) < 0.05] = 5e-324  # subnormal
+        u[rng.random(n) < 0.05] = np.nan
+        e = erf(u * (1.0 / math.sqrt(2.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_bits(gelu(u), _gelu_oracle(u))
+            assert _same_bits(gelu(u, e), _gelu_oracle(u, e))
+            assert _same_bits(gelu_prime(u), _gelu_prime_oracle(u))
+            assert _same_bits(gelu_prime(u, e), _gelu_prime_oracle(u, e))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=hard_cases)
+    def test_hidden_layer_and_entropy_dlogits(self, case):
+        params, x, _ = _hard_case(*case)
+        oracle = object.__new__(student.HiddenLayer)
+        with np.errstate(over="ignore", invalid="ignore"):
+            layer = hidden_layer(params, x)
+            _hidden_layer_oracle_init(oracle, params, x)
+            assert _same_bits(layer.act, oracle.act)
+            assert _same_bits(layer.dact, oracle.dact)
+            probs = softmax_rows(forward_batch(params, layer)[0])
+            assert _same_bits(probs, _softmax_rows_oracle(forward_batch(params, x)[0]))
+            assert _same_bits(student._entropy_dlogits(probs), _entropy_dlogits_oracle(probs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hard_cases)
+    def test_entropy_ascent_equals_the_oracle_kernels(self, case):
+        params, x, keeps = _hard_case(*case)
+        calls = [
+            lambda: input_entropy_grad(params, x),
+            lambda: loss_and_grads(params, x, None, "entropy", keeps[0]),
+            lambda: input_mi_grad(params, x, keeps),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [call() for call in calls]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(student.HiddenLayer, "__init__", _hidden_layer_oracle_init)
+                mp.setattr(student, "softmax_rows", _softmax_rows_oracle)
+                mp.setattr(student, "_entropy_dlogits", _entropy_dlogits_oracle)
+                want = [call() for call in calls]
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+
+    def test_nan_row_reaches_the_entropy_input_and_the_loss(self):
+        # The non-finite guard reads the loss: a NaN input row must make the
+        # CE loss NaN and the entropy gradient NaN. Its entropy is -0.0, as
+        # for any row without a positive probability.
+        params, x, _ = _hard_case(5, 40, 4, 8, 4, nan_row=True)
+        bad = np.isnan(x).any(axis=1)
+        with np.errstate(invalid="ignore"):
+            probs = softmax_rows(forward_batch(params, x)[0])
+            h, dx = input_entropy_grad(params, x)
+            ce, _ = loss_and_grads(params, x, np.zeros(40, dtype=int), "ce")
+            _, g_ent = loss_and_grads(params, x, None, "entropy")
+        assert np.isnan(probs[bad]).all() and np.isfinite(probs[~bad]).all()
+        assert math.isnan(ce)
+        assert np.isnan(dx[bad]).all() and np.isfinite(dx[~bad]).all()
+        assert h[bad][0] == 0.0 and np.signbit(h[bad][0])
+        assert np.isnan(g_ent.vector).any()
 
 
 class TestOptimizer:

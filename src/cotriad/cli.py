@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, gradcheck
-from .config import parse_config
+from .config import echo_overrides, parse_config
 from .data import write_embeddings, write_labels, write_labels_csv, write_matrix_csv
 from .engine import (
     dump_json,
@@ -122,9 +122,7 @@ def cmd_equilibrium(args) -> int:
     if not report_path.exists():
         raise ConfigError(f"{report_path} not found; point --run at a train output directory")
     stored = json.loads(report_path.read_text(encoding="utf-8"))
-    overrides = [(k, str(v) if not isinstance(v, list) else ",".join(map(str, v)))
-                 for k, v in stored["config"].items()]
-    cfg = parse_config(None, overrides + _split_overrides(args.overrides))
+    cfg = parse_config(None, echo_overrides(stored["config"]) + _split_overrides(args.overrides))
     ds = cfg.build_dataset()
     seed = cfg["train.seeds"][0]
     students, teacher = load_model(run_dir / f"model_seed{seed}.trcm")
@@ -171,17 +169,7 @@ def cmd_synth_data(args) -> int:
     cfg = _load(args)
     if cfg["data.source"] != "synthetic":
         raise ConfigError("synth-data requires data.source = synthetic")
-    from .data import gen_synthetic_two_view
-
-    ds = gen_synthetic_two_view(
-        n=cfg["data.n"],
-        classes=cfg["data.classes"],
-        d1=cfg["data.d1"],
-        d2=cfg["data.d2"],
-        view_noise=cfg["data.view_noise"],
-        label_noise=cfg["data.label_noise"],
-        seed=cfg["data.seed"],
-    )
+    ds = cfg.synthetic_dataset()
     out = _out_dir(args.out)
     if args.format == "binary":
         write_embeddings(out / "view1.trco", ds.view1)

@@ -32,9 +32,10 @@ from .data import (
     TwoViewDataset,
     _read_exact,
 )
-from .errors import FormatError, InvalidInputError, NonFiniteError
+from .errors import BoundError, FormatError, InvalidInputError, NonFiniteError
 from .generator import PerturbConfig, pgd_perturb_batch
 from .numerics import entropy_rows, softmax_rows
+from .settings import check_fields, setting
 from .student import (
     Gradients,
     OptimizerState,
@@ -78,61 +79,66 @@ _RNG_KEEP_ADV = 7
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 30
-    steps_per_epoch: int = 0  # 0 = one full pass over the unlabeled rows
-    labeled_batch: int = 64
-    unlabeled_ratio: int = 7
-    lr: float = 0.03
-    momentum: float = 0.9
-    mc_passes: int = 5
-    hidden: int = 32
-    dropout: float = 0.1
-    weight_norm_bound: float = 0.0  # 0 disables the projection
-    unsup_enabled: bool = True
-    adv_enabled: bool = True
+    epochs: int = setting("train.epochs", 30, "training epochs", ">= 0")
+    steps_per_epoch: int = setting(
+        "train.steps_per_epoch", 0, "0 = one full unlabeled pass", ">= 0 (0 = one full unlabeled pass)")
+    labeled_batch: int = setting("train.labeled_batch", 64, "labeled batch size", ">= 1")
+    unlabeled_ratio: int = setting("train.mu", 7, "unlabeled-to-labeled batch ratio", ">= 1")
+    lr: float = setting("train.eta", 0.03, "student base learning rate", "> 0")
+    momentum: float = setting("train.momentum", 0.9, "SGD momentum", "[0, 1)")
+    mc_passes: int = setting(
+        "train.mc_passes", 5, "MC dropout passes per uncertainty estimate", ">= 0")
+    hidden: int = setting("train.hidden", 32, "student hidden width", ">= 1")
+    dropout: float = setting("train.dropout", 0.1, "student hidden dropout rate", "[0, 1)")
+    weight_norm_bound: float = setting(
+        "train.weight_norm", 0.0, "L2 ball radius for weights, 0 = off", ">= 0 (0 = off)")
+    unsup_enabled: bool = setting("train.unsup_enabled", True, "cross-view pseudo-label term")
+    adv_enabled: bool = setting("train.adv_enabled", True, "adversarial entropy term")
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
-    filter_mode: str = "mi"  # mi | confidence | mi_conf | none
-    filter_direction: str = "above"
-    tau_conf: float = 0.95
-    teacher_enabled: bool = True
-    tau_init: float = 0.05
-    lambda_u_init: float = 0.5
-    lambda_adv_init: float = 0.5
-    eta_teacher: float = 0.01
-    gate_temperature: float = 0.01
-    teacher_update_every: int = 1
-    meta_after_step: bool = False
-    stability_stop: bool = False
-    stop_epsilon: float = 1e-4
-    stop_patience: int = 5
-    stability_window: int = 10
-    ea_stop: bool = False
-    delta_entropy: float = 1e-3
-    delta_agreement: float = 1e-3
-    ea_window: int = 5
-    eval_attack_steps: int = 10
-    eval_attack_step_frac: float = 0.25
+    filter_mode: str = setting(
+        "filter.mode", "mi", "mi | confidence | mi_conf | none", "mi | confidence | mi_conf | none")
+    filter_direction: str = setting(
+        "filter.direction", "above", "accept above or below the MI threshold", "above | below")
+    tau_conf: float = setting(
+        "filter.tau_conf", 0.95, "confidence threshold for the baseline filter", "(0, 1]")
+    teacher_enabled: bool = setting("teacher.enabled", True, "meta-learned teacher updates")
+    tau_init: float = setting("teacher.tau_init", 0.05, "initial MI threshold", "(0, 1)")
+    lambda_u_init: float = setting(
+        "teacher.lambda_u_init", 0.5, "initial unsupervised weight", "(0, 1)")
+    lambda_adv_init: float = setting(
+        "teacher.lambda_adv_init", 0.5, "initial adversarial weight", "(0, 1)")
+    eta_teacher: float = setting("teacher.eta_t", 0.01, "teacher meta learning rate", ">= 0")
+    gate_temperature: float = setting(
+        "teacher.temperature", 0.01, "soft acceptance gate temperature", "> 0")
+    teacher_update_every: int = setting(
+        "teacher.update_every", 1, "meta-update period in steps", ">= 1")
+    meta_after_step: bool = setting(
+        "teacher.meta_after_step", False, "meta-gradient from post-step students")
+    stability_stop: bool = setting("stop.stability_enabled", False, "teacher-stability early stop")
+    stop_epsilon: float = setting("stop.epsilon", 1e-4, "stability score threshold", ">= 0")
+    stop_patience: int = setting("stop.patience", 5, "consecutive epochs below threshold", ">= 1")
+    stability_window: int = setting("stop.window", 10, "stability variance window", ">= 2")
+    ea_stop: bool = setting("stop.ea_enabled", False, "entropy/agreement early stop")
+    delta_entropy: float = setting("stop.delta_h", 1e-3, "entropy delta threshold", ">= 0")
+    delta_agreement: float = setting("stop.delta_a", 1e-3, "agreement delta threshold", ">= 0")
+    ea_window: int = setting("stop.ea_window", 5, "entropy/agreement window", ">= 1")
+    eval_attack_steps: int = setting(
+        "eval.attack_steps", 10, "robustness evaluation attack steps", ">= 1")
+    eval_attack_step_frac: float = setting(
+        "eval.attack_step_frac", 0.25, "attack step size as a fraction of epsilon", "> 0")
     seed: int = 1
-    tie_view_rng: bool = False  # determinism harness: share rng across views
-    balanced_labeled: bool = False  # per-class labeled batch draws
+    tie_view_rng: bool = setting("train.tie_view_rng", False, "share per-view rng substreams")
+    balanced_labeled: bool = setting(
+        "train.balanced_labeled", False, "per-class labeled batch sampling")
 
     def __post_init__(self):
-        if self.epochs < 0 or self.labeled_batch < 1 or self.unlabeled_ratio < 1:
-            raise InvalidInputError("invalid epoch or batch settings")
-        if self.steps_per_epoch < 0:
-            raise InvalidInputError("steps_per_epoch must be >= 0 (0 = one full pass)")
-        if self.teacher_update_every < 1:
-            raise InvalidInputError("teacher_update_every must be >= 1")
-        if self.unsup_enabled:
-            need = 2 if self.filter_mode in ("mi", "mi_conf") else 1
-            if self.mc_passes < need:
-                raise InvalidInputError(
-                    f"filter_mode {self.filter_mode!r} needs at least {need} MC passes"
-                )
-        if self.filter_mode not in ("mi", "confidence", "mi_conf", "none"):
-            raise InvalidInputError(f"unknown filter_mode {self.filter_mode!r}")
-        if self.filter_direction not in ("above", "below"):
-            raise InvalidInputError(f"unknown filter_direction {self.filter_direction!r}")
+        check_fields(self)
+        need = 2 if self.filter_mode in ("mi", "mi_conf") else 1
+        if self.unsup_enabled and self.mc_passes < need:
+            rule = f"{{0}} must be >= {need} with {{1}} = {self.filter_mode}"
+            raise BoundError(rule, "mc_passes", "filter_mode")
+        if self.lambda_u_init + self.lambda_adv_init > 1.0:
+            raise BoundError("{1} + {0} must not exceed 1", "lambda_adv_init", "lambda_u_init")
 
 
 @dataclass
@@ -188,8 +194,6 @@ class ConvergenceMonitor:
     """
 
     def __init__(self, delta_entropy: float, delta_agreement: float, window: int):
-        if window < 1:
-            raise InvalidInputError("window must be >= 1")
         self.delta_entropy = delta_entropy
         self.delta_agreement = delta_agreement
         self.window = window

@@ -5,6 +5,16 @@ class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
 
 
+class BoundError(InvalidInputError):
+    """A setting breaks its bound or a rule between settings. ``template`` cites
+    ``names`` as ``{0}``, ``{1}``, ...; ``names[0]`` is the one at fault."""
+
+    def __init__(self, template, *names):
+        self.template = template
+        self.names = names
+        super().__init__(template.format(*names))
+
+
 class OracleFailureError(RuntimeError):
     """A finite-difference probe produced a non-finite evaluation."""
 

@@ -36,15 +36,11 @@ from .uncertainty import batch_statistics, mi_filter
 
 @dataclass(frozen=True)
 class GameProfile:
-    """One joint strategy: teacher triple, student weights, attack config.
-
-    ``payoffs`` caches (R_teacher, R_students, R_generator) once computed.
-    """
+    """One joint strategy: teacher triple, student weights, attack config."""
 
     teacher_point: tuple[float, float, float]
     students: Any
     generator_cfg: Any
-    payoffs: tuple[float, float, float] | None = None
 
 
 class TriadicGame(Protocol):
@@ -62,56 +58,13 @@ class TriadicGame(Protocol):
     def student_deviations(self, t, g) -> list: ...
 
 
-class TabularTriadicGame:
-    """Finite game given by explicit payoff tables; the test oracle's form.
-
-    Tables are dicts keyed by (teacher_point, student_point, generator_point).
-    """
-
-    def __init__(self, teacher_points, student_points, generator_points,
-                 table_teacher, table_students, table_generator):
-        self.teacher_points = list(teacher_points)
-        self.student_points = list(student_points)
-        self.generator_points = list(generator_points)
-        self._rt = table_teacher
-        self._rs = table_students
-        self._rg = table_generator
-
-    def payoff_teacher(self, t, s, g) -> float:
-        return float(self._rt[(t, s, g)])
-
-    def payoff_students(self, t, s, g) -> float:
-        return float(self._rs[(t, s, g)])
-
-    def payoff_generator(self, t, s, g) -> float:
-        return float(self._rg[(t, s, g)])
-
-    def respond_students(self, t, g):
-        best, best_cost = None, None
-        for s in self.student_points:
-            cost = self.payoff_students(t, s, g)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = s, cost
-        return best
-
-    def student_deviations(self, t, g) -> list:
-        return list(self.student_points)
-
-
 def compute_payoffs(game: TriadicGame, profile: GameProfile) -> tuple[float, float, float]:
-    if profile.payoffs is not None:
-        return profile.payoffs
     t, s, g = profile.teacher_point, profile.students, profile.generator_cfg
     return (
         game.payoff_teacher(t, s, g),
         game.payoff_students(t, s, g),
         game.payoff_generator(t, s, g),
     )
-
-
-def with_payoffs(game: TriadicGame, profile: GameProfile) -> GameProfile:
-    """The same profile with its payoff triple filled in."""
-    return replace(profile, payoffs=compute_payoffs(game, profile))
 
 
 def best_response(game: TriadicGame, player: str, profile: GameProfile):
@@ -174,14 +127,14 @@ def alternating_best_response(
     Returns the final profile, the number of completed rounds, and its Nash
     residuals. Stops as soon as every residual is within tolerance.
     """
-    current = replace(profile, payoffs=None)
+    current = profile
     for round_index in range(1, max_rounds + 1):
         t, _ = best_response(game, "teacher", current)
-        current = replace(current, teacher_point=t, payoffs=None)
+        current = replace(current, teacher_point=t)
         s = game.respond_students(current.teacher_point, current.generator_cfg)
-        current = replace(current, students=s, payoffs=None)
+        current = replace(current, students=s)
         g, _ = best_response(game, "generator", current)
-        current = replace(current, generator_cfg=g, payoffs=None)
+        current = replace(current, generator_cfg=g)
         residuals = nash_residual(game, current)
         if all(r <= tol for r in residuals):
             return current, round_index, residuals
@@ -225,14 +178,13 @@ class StrategyGrid:
                 raise InvalidInputError("teacher grid point violates the weight simplex")
 
 
+def teacher_grid(taus, lambda_us, lambda_advs) -> list[tuple[float, float, float]]:
+    """The (tau, lambda_u, lambda_adv) points of a grid that lie on the weight simplex."""
+    return [(t, lu, la) for t in taus for lu in lambda_us for la in lambda_advs if lu + la <= 1.0]
+
+
 def default_teacher_grid() -> list[tuple[float, float, float]]:
-    grid = []
-    for tau in (0.01, 0.05, 0.1, 0.2):
-        for lam_u in (0.0, 0.25, 0.5, 0.75):
-            for lam_adv in (0.0, 0.25, 0.5):
-                if lam_u + lam_adv <= 1.0:
-                    grid.append((tau, lam_u, lam_adv))
-    return grid
+    return teacher_grid((0.01, 0.05, 0.1, 0.2), (0.0, 0.25, 0.5, 0.75), (0.0, 0.25, 0.5))
 
 
 class TrainedTriadicGame:
@@ -337,12 +289,15 @@ class TrainedTriadicGame:
     def payoff_students(self, t, s, g) -> float:
         """Weighted cost lambda_u * L_unsup + lambda_adv * L_adv on the probe.
 
-        A run trained without the unsup term has no L_unsup, like its
-        retraining, so lambda_u then counts as 0 and no MC pass runs.
+        A run trained without the unsup or the adversarial term has no
+        L_unsup or L_adv, like its retraining, so that term's weight counts
+        as 0 here.
         """
         tau, lam_u, lam_adv = t
         if not self.base_cfg.unsup_enabled:
             lam_u = 0.0
+        if not self.base_cfg.adv_enabled:
+            lam_adv = 0.0
         stats = self._probe_stats(s) if lam_u > 0 else None
         entropy = self._attacked_entropy(s, g) if lam_adv > 0 else None
         x = self.ds.views(self.probe_rows)

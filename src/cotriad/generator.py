@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import BoundError, InvalidInputError
+from .settings import check_fields, setting
 from .student import (
     HiddenLayer,
     StudentParams,
@@ -34,23 +35,21 @@ BUDGET_TOL = 1e-12
 class PerturbConfig:
     """Attack settings. steps=1 with step_size=epsilon is single-step FGSM."""
 
-    epsilon: float = 1.0
-    gamma: float = 0.0
-    steps: int = 1
-    step_size: float | None = None
-    mi_passes: int = 5
+    epsilon: float = setting("perturb.epsilon", 1.0, "L-infinity attack budget", "> 0")
+    gamma: float = setting(
+        "perturb.gamma", 0.0, "disagreement weight in the attack objective", ">= 0")
+    steps: int = setting("perturb.steps", 1, "attack steps; 1 = single-step sign attack", ">= 1")
+    step_size: float | None = setting(
+        "perturb.step_size", None, "attack step size, 0 = epsilon", ">= 0 (0 = epsilon)")
+    mi_passes: int = setting(
+        "perturb.mi_passes", 5, "MC passes inside the attack when gamma > 0", ">= 1")
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidInputError("epsilon must be positive")
-        if self.gamma < 0:
-            raise InvalidInputError("gamma must be nonnegative")
-        if self.steps < 1:
-            raise InvalidInputError("steps must be >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise InvalidInputError("step_size must be positive")
+        check_fields(self)
         if self.gamma > 0 and self.mi_passes < 2:
-            raise InvalidInputError("mi_passes must be >= 2 when gamma > 0")
+            raise BoundError("{0} must be >= 2 when {1} > 0", "mi_passes", "gamma")
+        if self.step_size == 0:
+            object.__setattr__(self, "step_size", None)
 
     @property
     def effective_step(self) -> float:

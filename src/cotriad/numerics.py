@@ -80,7 +80,8 @@ def entropy(p: np.ndarray) -> float:
 def entropy_rows(p: np.ndarray) -> np.ndarray:
     """Row-wise entropy of an (n, c) array of distributions. No validation."""
     q = np.asarray(p, dtype=np.float64)
-    terms = np.where(q > 0.0, q * np.log(np.maximum(q, PROB_FLOOR)), 0.0)
+    # Only p <= 0 is dead: a NaN probability keeps the row's entropy NaN.
+    terms = np.where(q <= 0.0, 0.0, q * np.log(np.maximum(q, PROB_FLOOR)))
     return -terms.sum(axis=-1)
 
 

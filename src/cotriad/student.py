@@ -255,28 +255,17 @@ def mc_forward_batch(
     x: np.ndarray | HiddenLayer,
     n_passes: int,
     seed: int,
-    sample_ids: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(n_passes, n, c) stochastic softmax outputs for a batch.
-
-    With ``sample_ids`` the mask stream of each row is derived from
-    ``(seed, sample_id)`` alone, so results are invariant to how the batch is
-    assembled or scheduled; without it masks come from one seeded stream.
-    """
+    """(n_passes, n, c) stochastic softmax outputs for a batch; masks come
+    from one stream seeded by ``seed``."""
     if n_passes < 1:
         raise InvalidInputError("n_passes must be >= 1")
     layer = hidden_layer(params, x)
     n = layer.x.shape[0]
-    if sample_ids is None:
-        # One pass at a time: the same stream as one (n_passes, n, d_h) draw,
-        # with a float64 scratch of one pass instead of all of them.
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        keeps = (draw_keeps(rng, (n, params.d_h), params.dropout_rate) for _ in range(n_passes))
-    else:
-        keeps = np.empty((n_passes, n, params.d_h), dtype=bool)
-        for j, sid in enumerate(np.asarray(sample_ids)):
-            sub = np.random.default_rng(np.random.SeedSequence([seed, int(sid)]))
-            keeps[:, j, :] = draw_keeps(sub, (n_passes, params.d_h), params.dropout_rate)
+    # One pass at a time: the same stream as one (n_passes, n, d_h) draw,
+    # with a float64 scratch of one pass instead of all of them.
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    keeps = (draw_keeps(rng, (n, params.d_h), params.dropout_rate) for _ in range(n_passes))
     probs = np.empty((n_passes, n, params.n_classes))
     for k, keep in enumerate(keeps):
         logits, _ = _output_layer(params, layer, keep)
@@ -314,10 +303,10 @@ def _entropy_dlogits(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row entropies of (n, c) softmax outputs and their gradient in the logits.
 
     One log serves both; each is ``entropy_rows`` and its derivative bit for
-    bit. Entries that are not positive (an underflowed 0, or NaN) contribute
-    0.0 to the entropy and get a 0.0 gradient.
+    bit. An underflowed 0 contributes 0.0 to the entropy and gets a 0.0
+    gradient; a NaN entry makes its row's entropy and gradient NaN.
     """
-    dead = ~(probs > 0.0)
+    dead = probs <= 0.0
     logp = np.maximum(probs, PROB_FLOOR)
     np.log(logp, out=logp)
     terms = probs * logp

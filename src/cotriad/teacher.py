@@ -283,8 +283,6 @@ class StrategyHistory:
     """Ring buffer of mapped strategy triples, one entry per epoch."""
 
     def __init__(self, window: int = 10):
-        if window < 2:
-            raise InvalidInputError("window must be >= 2")
         self.window = window
         self._buf: deque[tuple[float, float, float]] = deque(maxlen=window)
 

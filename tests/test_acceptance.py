@@ -36,13 +36,13 @@ from cotriad.engine import (
 )
 from cotriad.game import (
     GameProfile,
-    TabularTriadicGame,
     alternating_best_response,
     nash_residual,
     stackelberg_residual,
 )
 from cotriad.gradcheck import run_all
 from cotriad.generator import PerturbConfig, fixed_point_residual, pgd_perturb_batch
+from toy_game import toy_game
 from cotriad.student import (
     StudentParams,
     init_student,
@@ -296,18 +296,6 @@ class TestCriterion6AblationDirections:
         print(
             f"  robustness: full {np.mean(robust_full):.3f} vs no generator {np.mean(robust_nogen):.3f}"
         )
-
-
-def toy_game():
-    teachers = ["T1", "T2"]
-    students = ["S1", "S2"]
-    generators = ["G1"]
-    rt = {("T1", "S1", "G1"): 0.60, ("T2", "S1", "G1"): 0.80,
-          ("T1", "S2", "G1"): 0.70, ("T2", "S2", "G1"): 0.50}
-    rs = {("T1", "S1", "G1"): 0.20, ("T1", "S2", "G1"): 0.90,
-          ("T2", "S1", "G1"): 0.10, ("T2", "S2", "G1"): 0.70}
-    rg = {key: 1.0 for key in rt}
-    return TabularTriadicGame(teachers, students, generators, rt, rs, rg)
 
 
 class TestCriterion7Equilibrium:

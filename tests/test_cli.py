@@ -1,14 +1,68 @@
 """Config grammar, override precedence, subcommands, exit codes."""
 
+import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cotriad.cli import main
-from cotriad.config import SCHEMA, parse_config
+from cotriad.config import SCHEMA, echo_overrides, parse_config
+from cotriad.engine import TrainConfig
 from cotriad.errors import ConfigError
+from cotriad.generator import PerturbConfig
+
+
+def _entry_type(decl):
+    if isinstance(decl.default, list):
+        return type(decl.default[0]) if decl.default else float
+    return type(decl.default)
+
+
+def _outside(decl) -> list:
+    """Values just outside a key's declared bound, one per open side."""
+    spec, kind = decl.bound, _entry_type(decl)
+
+    def below(x):
+        return int(x) - 1 if kind is int else math.nextafter(x, -math.inf)
+
+    def above(x):
+        return int(x) + 1 if kind is int else math.nextafter(x, math.inf)
+
+    if "|" in spec:
+        return ["bogus"]
+    if spec[0] in "([":
+        lo, hi = (float(v) for v in spec[1:-1].split(","))
+        return [below(lo) if spec[0] == "[" else lo, above(hi) if spec[-1] == "]" else hi]
+    op, num = spec.split()[:2]
+    return [float(num) if op == ">" else below(float(num))]
+
+
+def _inside(decl):
+    """A strategy for values that keep a key's declared bound."""
+    spec, kind = decl.bound, _entry_type(decl)
+    if spec is None:
+        entry = st.booleans() if kind is bool else st.text("abc_/.", max_size=6)
+    elif "|" in spec:
+        entry = st.sampled_from(spec.split(" | "))
+    elif spec[0] in "([":
+        lo, hi = (float(v) for v in spec[1:-1].split(","))
+        entry = st.floats(lo, hi, exclude_min=spec[0] == "(", exclude_max=spec[-1] == ")")
+    else:
+        op, num = spec.split()[:2]
+        if kind is int:
+            entry = st.integers(int(num) + (op == ">"), int(num) + 600)
+        else:
+            entry = st.floats(float(num), 1e6, exclude_min=op == ">")
+    return st.lists(entry, max_size=3) if isinstance(decl.default, list) else entry
+
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 class TestParseConfig:
@@ -26,9 +80,51 @@ class TestParseConfig:
         assert cfg["teacher.lambda_adv_init"] == 0.5
 
     def test_every_key_has_default_and_doc(self):
-        for key, (parser, default, doc) in SCHEMA.items():
-            assert doc, key
-            assert default is not None or key.startswith("data."), key
+        for key, decl in SCHEMA.items():
+            assert decl.key == key and decl.help, key
+            assert decl.default is not None, key
+
+    def test_one_declaration_per_key(self):
+        # The defaults of the keys are the defaults of the fields they set.
+        for seed in (1, 7):
+            assert parse_config(None).train_config(seed) == TrainConfig(seed=seed)
+        for cls in (TrainConfig, PerturbConfig):
+            for f in dataclasses.fields(cls):
+                keys = [k for k, d in SCHEMA.items() if f.metadata.get("setting") is d]
+                assert len(keys) == (f.name not in ("seed", "perturb")), f.name
+
+    @pytest.mark.parametrize("key", sorted(k for k, d in SCHEMA.items() if d.bound))
+    def test_value_just_outside_its_bound_is_rejected(self, key):
+        for value in _outside(SCHEMA[key]):
+            with pytest.raises(ConfigError) as err:
+                parse_config(None, [(key, str(value))])
+            assert str(err.value).startswith(f"{key} must"), (value, str(err.value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rebuilt_from_echo_equals_the_original(self, data):
+        keys = data.draw(st.lists(st.sampled_from(sorted(SCHEMA)), max_size=4, unique=True))
+        overrides = [(k, _text(data.draw(_inside(SCHEMA[k]), label=k))) for k in keys]
+        try:
+            cfg = parse_config(None, overrides)
+        except ConfigError:
+            assume(False)  # a rule between keys
+        # cmd_equilibrium's path: the echo goes through report.json.
+        echo = json.loads(json.dumps(cfg.echo()))
+        rebuilt = parse_config(None, echo_overrides(echo))
+        assert rebuilt.values == cfg.values
+        assert rebuilt.train_config(3) == cfg.train_config(3)
+
+    def test_readme_ini_block_shows_the_declared_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "readme.cfg"
+        p.write_text(block)
+        cfg = parse_config(p)
+        keys = [ln.split("=")[0].strip() for ln in block.splitlines() if "=" in ln.split("#")[0]]
+        assert len(keys) > 10
+        for key in keys:
+            assert cfg[key] == SCHEMA[key].default, key
 
     def test_file_values_and_comments(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -102,6 +198,46 @@ train.mc_passes = 3
 train.seeds = 1
 perturb.epsilon = 0.2
 """
+
+
+# One bad value per case, each failing its key's bound or a rule between keys.
+BAD_VALUES = [
+    ("perturb.steps", "0", "perturb.steps must be >= 1"),
+    ("perturb.gamma", "-1", "perturb.gamma must be >= 0"),
+    ("train.labeled_batch", "0", "train.labeled_batch must be >= 1"),
+    ("train.dropout", "1.0", "train.dropout must lie in [0, 1)"),
+    ("train.dropout", "-0.1", "train.dropout must lie in [0, 1)"),
+    ("train.momentum", "2", "train.momentum must lie in [0, 1)"),
+    ("train.eta", "0", "train.eta must be > 0"),
+    ("train.epochs", "-1", "train.epochs must be >= 0"),
+    ("train.mu", "0", "train.mu must be >= 1"),
+    ("teacher.temperature", "0", "teacher.temperature must be > 0"),
+    ("stop.window", "1", "stop.window must be >= 2"),
+    ("stop.ea_window", "0", "stop.ea_window must be >= 1"),
+    ("eval.attack_steps", "0", "eval.attack_steps must be >= 1"),
+    ("eval.attack_step_frac", "0", "eval.attack_step_frac must be > 0"),
+    ("data.classes", "1", "data.classes must be >= 2"),
+    ("data.n", "2", "data.n must be > data.n_labeled + data.n_test"),
+    ("data.view_noise", "-1", "data.view_noise must be >= 0"),
+    ("data.label_noise", "-0.5", "data.label_noise must lie in [0, 1]"),
+    ("data.n_validation", "0", "data.n_validation must be >= 1"),
+    ("data.n_labeled", "1", "data.n_labeled must be >= 2"),
+    ("data.n_labeled", "6", "data.n_labeled must be > data.n_validation"),
+    ("data.n_validation", "2", "data.n_validation must be >= data.classes"),
+    ("teacher.eta_t", "-1", "teacher.eta_t must be >= 0"),
+    ("train.weight_norm", "-1", "train.weight_norm must be >= 0 (0 = off)"),
+    ("data.n_test", "-1", "data.n_test must be >= 0"),
+    ("filter.tau_conf", "0", "filter.tau_conf must lie in (0, 1]"),
+    ("filter.tau_conf", "1.5", "filter.tau_conf must lie in (0, 1]"),
+    ("stop.patience", "0", "stop.patience must be >= 1"),
+    ("train.seeds", "1,1", "train.seeds must list at least one seed, each once"),
+    ("game.probe_size", "0", "game.probe_size must be >= 1"),
+    ("game.budget_epochs", "-1", "game.budget_epochs must be >= 0"),
+    ("game.tolerance", "-1", "game.tolerance must be >= 0"),
+    ("game.epsilon_grid", "-1", "game.epsilon_grid must be > 0"),
+    ("game.tau_grid", "2", "game.tau_grid must lie in [0, 1]"),
+    ("game.lambda_u_grid", "-1", "game.lambda_u_grid must lie in [0, 1]"),
+]
 
 
 @pytest.fixture
@@ -326,6 +462,10 @@ class TestCommands:
                 "perturb.mi_passes must be >= 2 when perturb.gamma > 0",
                 id="gamma-one-mi-pass",
             ),
+        ]
+        + [
+            pytest.param([(key, value)], message, id=f"{key}-{value}")
+            for key, value, message in BAD_VALUES
         ],
     )
     def test_degenerate_schedule_rejected_at_parse_time(
@@ -340,6 +480,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"line {line}: {message}" in err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["--teacher.eta_t", "0"],
+            ["--perturb.step_size", "0"],
+            ["--train.weight_norm", "0"],
+            ["--train.steps_per_epoch", "0"],
+            ["--train.epochs", "0"],
+            ["--data.n_test", "0"],
+            ["--train.unsup_enabled", "false", "--train.mc_passes", "0"],
+        ],
+        ids=lambda o: " ".join(o[::2]).replace("--", ""),
+    )
+    def test_zero_that_means_off_or_default_still_runs(self, tiny_cfg, tmp_path, overrides):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + overrides) == 0
+        assert (out / "report.json").exists()
 
     @pytest.mark.parametrize(
         "overrides, message",

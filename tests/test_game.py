@@ -1,6 +1,7 @@
 """Equilibrium machinery: tabular oracle games and trained-run diagnostics."""
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,7 +17,6 @@ from cotriad.game import (
     GameProfile,
     StrategyGrid,
     StudentBudget,
-    TabularTriadicGame,
     TrainedTriadicGame,
     alternating_best_response,
     best_response,
@@ -25,32 +25,9 @@ from cotriad.game import (
     equilibrium_report,
     nash_residual,
     stackelberg_residual,
-    with_payoffs,
 )
 from cotriad.generator import PerturbConfig
-
-
-def toy_game():
-    """2 x 2 x 1 game with a unique pure Nash point at (T2, S1, G1).
-
-    Teacher prefers T2 against S1; S1 is the students' best (cost-minimizing)
-    reply everywhere; the single generator point is trivially optimal.
-    """
-    teachers = ["T1", "T2"]
-    students = ["S1", "S2"]
-    generators = ["G1"]
-    rt, rs, rg = {}, {}, {}
-    rt[("T1", "S1", "G1")] = 0.60
-    rt[("T2", "S1", "G1")] = 0.80
-    rt[("T1", "S2", "G1")] = 0.70
-    rt[("T2", "S2", "G1")] = 0.50
-    rs[("T1", "S1", "G1")] = 0.20
-    rs[("T1", "S2", "G1")] = 0.90
-    rs[("T2", "S1", "G1")] = 0.10
-    rs[("T2", "S2", "G1")] = 0.70
-    for key in rt:
-        rg[key] = 1.0
-    return TabularTriadicGame(teachers, students, generators, rt, rs, rg)
+from toy_game import TabularTriadicGame, toy_game
 
 
 def enumerate_nash(game):
@@ -165,12 +142,6 @@ class TestTabularGame:
     def test_unknown_player_rejected(self):
         with pytest.raises(InvalidInputError):
             best_response(toy_game(), "referee", GameProfile("T1", "S1", "G1"))
-
-    def test_with_payoffs_caches(self):
-        game = toy_game()
-        profile = with_payoffs(game, GameProfile("T1", "S1", "G1"))
-        assert profile.payoffs == (0.60, 0.20, 1.0)
-        assert compute_payoffs(game, profile) == profile.payoffs
 
 
 class TestStrategyGrid:
@@ -447,6 +418,17 @@ class TestPayoffCache:
         monkeypatch.setattr(game_module, "mc_forward_batch", no_mc)
         t = self.STUDENT_POINTS[2]
         assert game.payoff_students(t, rep.students, grid[0]) == self.STUDENT_PAYOFFS[4]
+
+    def test_students_payoff_of_an_adv_off_run_has_no_adv_term(self):
+        # Like its retraining, a run trained without the adversarial term
+        # scores lambda_adv as 0.
+        ds, cfg, rep, grid = self._setup()
+        game = self._game(ds, dataclasses.replace(cfg, adv_enabled=False), grid)
+        for tau, lam_u, lam_adv in self.STUDENT_POINTS:
+            for g in grid:
+                off = game.payoff_students((tau, lam_u, 0.0), rep.students, g)
+                assert game.payoff_students((tau, lam_u, lam_adv), rep.students, g) == off
+        assert game.payoff_students((0.05, 0.0, 0.5), rep.students, grid[0]) == 0.0
 
 
 class TestStackelbergResiduals:

@@ -5,7 +5,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cotriad.engine import TrainConfig, _apply_filter
 from cotriad.errors import InvalidInputError
 from cotriad.student import init_student, mc_forward_batch
 from cotriad.uncertainty import batch_statistics, confidence_filter, impurity, mi_filter
@@ -158,6 +161,30 @@ class TestFilters:
             if prev is not None:
                 assert set(acc).issubset(prev)
             prev = set(acc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        taus=st.lists(st.floats(0.0, 1.2), min_size=2, max_size=2),
+        tie=st.booleans(),
+        direction=st.sampled_from(["above", "below"]),
+        tau_conf=st.floats(0.34, 1.0),
+    )
+    def test_accepted_set_is_monotone_in_tau(self, seed, taus, tie, direction, tau_conf):
+        # "below" accepts more rows as tau grows and "above" fewer; the
+        # composed mi_conf set (MI gate and confidence gate) follows suit.
+        probs = np.random.default_rng(seed).dirichlet(np.full(3, 0.7), size=(4, 40))
+        stats = batch_statistics(probs)
+        lo, hi = sorted(taus)
+        if tie:  # a threshold exactly at one row's MI
+            lo = min(float(stats.mi[seed % 40]), hi)
+        cfg = TrainConfig(filter_mode="mi_conf", filter_direction=direction, tau_conf=tau_conf)
+        for accept in (
+            lambda tau: mi_filter(stats, tau, direction)[0],
+            lambda tau: _apply_filter(cfg, stats, tau)[0],
+        ):
+            at_lo, at_hi = set(accept(lo)), set(accept(hi))
+            assert at_lo <= at_hi if direction == "below" else at_hi <= at_lo
 
     def test_confidence_filter(self):
         probs = np.array([[[0.25, 0.25, 0.25, 0.25], [0.96, 0.02, 0.01, 0.01],

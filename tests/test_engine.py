@@ -30,6 +30,7 @@ from cotriad.engine import (
 )
 from cotriad import engine as engine_module
 from cotriad.errors import FormatError, InvalidInputError, NonFiniteError
+from cotriad.game import stackelberg_residual
 from cotriad.generator import PerturbConfig
 from cotriad.student import StudentParams, fresh_optimizer, init_student, loss_and_grads, sgd_step
 from cotriad.teacher import TeacherStrategy, init_strategy
@@ -184,7 +185,9 @@ class TestTrainStepSemantics:
 class TestGoldenDigest:
     # sha256 over both students' w1/b1/w2/b2 and the teacher z after the
     # runs below. GOLDEN was recorded before one-forward-per-step sharing was
-    # introduced; VARIANTS before the shared hidden layer was introduced.
+    # introduced; VARIANTS before the shared hidden layer was introduced,
+    # except pgd10_frozen, recorded before the entropy-ascent loop took its
+    # all-accepted fast path.
     GOLDEN = "6f23cf4d78fe556a6639f2569dea37fb170d6e95b5e7382a8e141308ce5994e3"
     VARIANTS = {
         # Post-step students rebuild every layer and adversarial gradient.
@@ -201,10 +204,29 @@ class TestGoldenDigest:
             ),
             "cd64fe5496576f8ff0ac7d161f469a9ef11451323c6085afb9f4a3e25f876d81",
         ),
+        # gamma = 0 with 10 steps of epsilon / 4 and the teacher off: the
+        # training attack is the multi-step loop of the pgd10-frozen
+        # benchmark workload.
+        "pgd10_frozen": (
+            dict(
+                perturb=PerturbConfig(epsilon=0.25, steps=10, step_size=0.0625),
+                teacher_enabled=False,
+            ),
+            "a4c678012ef997abc61a71810264f0ad188ee9950b9dee37da072af556e6a1ae",
+        ),
+    }
+    # The base run's final robust evaluation (the gamma = 0, 10-step attack
+    # of eval_attack_config) and its Stackelberg residuals, whose generator
+    # term runs two 50-step ascents; recorded with pgd10_frozen.
+    ROBUST_ACCURACY = 0.47
+    STACKELBERG = {
+        "teacher": 0.0031849040414763086,
+        "students": 0.10558377587607312,
+        "generator": 0.002345807385885084,
     }
 
     @staticmethod
-    def _digest(**changes) -> str:
+    def _run(**changes):
         ds = gen_synthetic_two_view(2540, 4, 16, 16, view_noise=0.6, seed=101)
         ds = split_by_counts(ds, n_labeled=40, n_validation=4, n_test=500, seed=101)
         cfg = TrainConfig(
@@ -217,8 +239,13 @@ class TestGoldenDigest:
             tau_conf=0.9,
             perturb=PerturbConfig(epsilon=0.25, steps=1),
         )
-        rep = run_training(dataclasses.replace(cfg, **changes), ds)
+        cfg = dataclasses.replace(cfg, **changes)
+        rep = run_training(cfg, ds)
         assert rep.total_steps == 10
+        return ds, cfg, rep
+
+    @staticmethod
+    def _digest(rep) -> str:
         h = hashlib.sha256()
         for p in rep.students:
             for a in (p.w1, p.b1, p.w2, p.b2):
@@ -226,7 +253,11 @@ class TestGoldenDigest:
         h.update(np.ascontiguousarray(rep.teacher.z, dtype=np.float64).tobytes())
         return h.hexdigest()
 
-    def test_full_config_run_digest_is_unchanged(self):
+    @pytest.fixture(scope="class")
+    def base_run(self):
+        return self._run()
+
+    def test_full_config_run_digest_is_unchanged(self, base_run):
         """Two epochs (10 steps) of the acceptance full configuration.
 
         Every speed-up must leave this digest alone; a change that moves
@@ -236,13 +267,21 @@ class TestGoldenDigest:
         build may round matmuls differently and fail this test without any
         change to the code.
         """
-        assert self._digest() == self.GOLDEN
+        assert self._digest(base_run[2]) == self.GOLDEN
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_variant_run_digest_is_unchanged(self, name):
         """The same run with one change; recorded as GOLDEN was."""
         changes, digest = self.VARIANTS[name]
-        assert self._digest(**changes) == digest
+        assert self._digest(self._run(**changes)[2]) == digest
+
+    def test_base_run_robust_accuracy_is_unchanged(self, base_run):
+        assert base_run[2].final_eval["pgd_robust_accuracy"] == self.ROBUST_ACCURACY
+
+    def test_base_run_stackelberg_residuals_are_unchanged(self, base_run):
+        ds, cfg, rep = base_run
+        res = stackelberg_residual(rep.students, rep.teacher, ds, cfg)
+        assert res.as_dict() == self.STACKELBERG
 
 
 def _filter_and_gate_oracle(cfg, stats, tau):

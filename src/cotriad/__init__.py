@@ -19,7 +19,7 @@ from .errors import (
 )
 from .game import GameProfile, TrainedTriadicGame, nash_residual, stackelberg_residual
 from .generator import PerturbConfig, pgd_perturb_batch, project_linf
-from .numerics import cross_entropy, entropy, finite_diff_grad, softmax
+from .numerics import finite_diff_grad
 from .student import OptimizerState, StudentParams, init_student
 from .teacher import TeacherStrategy, init_strategy, map_strategy, soft_gate
 from .uncertainty import batch_statistics, confidence_filter, mi_filter
@@ -47,8 +47,6 @@ __all__ = [
     "TwoViewDataset",
     "batch_statistics",
     "confidence_filter",
-    "cross_entropy",
-    "entropy",
     "evaluate",
     "finite_diff_grad",
     "gen_synthetic_two_view",
@@ -62,6 +60,5 @@ __all__ = [
     "project_linf",
     "run_training",
     "soft_gate",
-    "softmax",
     "stackelberg_residual",
 ]

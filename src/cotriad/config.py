@@ -65,7 +65,10 @@ class RunConfig:
             self._check()
         except BoundError as exc:
             keys = [_FIELDS[n].key if n in _FIELDS else n for n in exc.names]
-            raise ConfigError(exc.template.format(*keys), self.origin[keys[0]]) from None
+            raise self._error(exc, keys) from None
+
+    def _error(self, exc: BoundError, keys: list[str]) -> ConfigError:
+        return ConfigError(exc.template.format(*keys), self.origin[keys[0]])
 
     def _check(self):
         v = self.values
@@ -108,12 +111,18 @@ class RunConfig:
         return gen_synthetic_two_view(**self._data_args(*names))
 
     def build_dataset(self) -> TwoViewDataset:
+        """The split dataset. Files-mode budgets are checked against the
+        loaded labels here, since parsing cannot see them."""
         v = self.values
         if v["data.source"] == "synthetic":
             ds = self.synthetic_dataset()
         else:
             ds = load_embedding_file(v["data.view1"], v["data.view2"], v["data.labels"])
-        return split_by_counts(ds, **self._data_args("n_labeled", "n_validation", "n_test", "seed"))
+        budgets = self._data_args("n_labeled", "n_validation", "n_test", "seed")
+        try:
+            return split_by_counts(ds, **budgets)
+        except BoundError as exc:
+            raise self._error(exc, [f"data.{n}" for n in exc.names]) from None
 
     def teacher_grid(self) -> list[tuple[float, float, float]]:
         v = self.values

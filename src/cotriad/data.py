@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError
+from .errors import BoundError, FormatError, InvalidInputError
 
 EMBEDDING_MAGIC = b"TRCO"
 LABEL_MAGIC = b"TRCL"
@@ -176,13 +176,15 @@ def split_by_counts(
     else with a known label becomes unlabeled but keeps its label privately.
     """
     labeled_pool = np.flatnonzero(ds.labels >= 0)
-    if labeled_pool.size == 0:
-        raise InvalidInputError("no labeled rows to split")
     classes = np.unique(ds.labels[labeled_pool])
+    # The budgets the data must hold, named by argument so that a caller can
+    # report its own keys. A dataset with no labeled rows fails one of them.
     if n_validation < classes.size:
-        raise InvalidInputError("need at least one validation sample per class")
+        rule = f"{{0}} must be >= {classes.size}, the classes among the labeled rows"
+        raise BoundError(rule, "n_validation")
     if n_labeled + n_test > labeled_pool.size:
-        raise InvalidInputError("labeled + test budget exceeds labeled rows")
+        rule = f"{{1}} + {{0}} must be <= {labeled_pool.size}, the labeled rows"
+        raise BoundError(rule, "n_test", "n_labeled")
     if n_validation >= n_labeled:
         raise InvalidInputError("validation budget must be smaller than the labeled budget")
     rng = np.random.default_rng(seed)

@@ -113,22 +113,35 @@ def pgd_perturb_batch(
     values, grad = _objective_and_grad(params, layer, cfg, keeps)
     if cfg.steps == 1:
         return project_linf(cfg.effective_step * np.sign(grad), cfg.epsilon)
+    eps, nominal = cfg.epsilon, cfg.effective_step
     delta = np.zeros_like(x)
-    steps = np.full(n, cfg.effective_step)
+    steps = np.full(n, nominal)
     armijo = 1e-4
     for _ in range(cfg.steps):
         keeps = draw()
-        cand = np.clip(delta + steps[:, None] * grad, -cfg.epsilon, cfg.epsilon)
+        # P_eps(delta + steps * grad), in one fresh buffer per iteration: an
+        # accepted candidate becomes delta, which the caller may keep.
+        cand = np.multiply(steps[:, None], grad)
+        np.add(delta, cand, out=cand)
+        np.clip(cand, -eps, eps, out=cand)
         cand_values, cand_grad = _objective_and_grad(params, x + cand, cfg, keeps)
         # Sufficient-increase test; plain non-decrease admits accepted
         # oscillation across ridges with vanishing gain.
-        gain = armijo * ((cand - delta) * grad).sum(axis=1)
+        moved = np.subtract(cand, delta)
+        moved *= grad
+        gain = armijo * moved.sum(axis=1)
         ok = cand_values >= values + gain
-        delta = np.where(ok[:, None], cand, delta)
-        values = np.where(ok, cand_values, values)
-        grad = np.where(ok[:, None], cand_grad, grad)
-        # Halve on failure, recover toward the nominal step on success.
-        steps = np.where(ok, np.minimum(2.0 * steps, cfg.effective_step), 0.5 * steps)
+        # Double the step on success, up to the nominal one; halve it on
+        # failure. When every row succeeds, the np.where path below selects
+        # every candidate entry, so adopting the candidate arrays is the same.
+        if ok.all():
+            delta, values, grad = cand, cand_values, cand_grad
+            steps = np.minimum(2.0 * steps, nominal)
+        else:
+            delta = np.where(ok[:, None], cand, delta)
+            values = np.where(ok, cand_values, values)
+            grad = np.where(ok[:, None], cand_grad, grad)
+            steps = np.where(ok, np.minimum(2.0 * steps, nominal), 0.5 * steps)
     return delta
 
 

@@ -1,10 +1,8 @@
-"""Probability primitives and the finite-difference gradient oracle.
+"""Row-wise probability kernels and the finite-difference gradient oracle.
 
 All quantities are float64 and all logarithms are natural, so entropies are
-reported in nats. Probabilities passed to ``entropy``/``cross_entropy`` are
-validated against the distribution invariants; internal row-wise helpers
-(``row_max``, ``softmax_rows``, ``entropy_rows``) skip validation for use in
-hot loops.
+reported in nats. The row kernels (``row_max``, ``softmax_rows``,
+``entropy_rows``) validate nothing, for use in hot loops.
 """
 
 from __future__ import annotations
@@ -18,19 +16,6 @@ from .errors import InvalidInputError, OracleFailureError
 # Floor applied inside logs of probabilities. Keeps -log(p) finite on
 # saturated softmax outputs without perturbing well-conditioned values.
 PROB_FLOOR = 1e-12
-
-PROB_SUM_TOL = 1e-9
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stabilized softmax of a single logit vector."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size < 2:
-        raise InvalidInputError("softmax expects a vector of length >= 2")
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("softmax input must be finite")
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 def row_max(z: np.ndarray) -> np.ndarray:
@@ -46,35 +31,18 @@ def row_max(z: np.ndarray) -> np.ndarray:
     return m
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax for an (n, c) array. No input validation."""
+def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax for an (n, c) array. No input validation.
+
+    ``out``, which may be ``logits`` itself, receives the result.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    e = z - row_max(z)[..., None]
+    e = np.subtract(z, row_max(z)[..., None], out=out)
     np.exp(e, out=e)
     # Sums, unlike maxima, depend on their order: numpy adds 8 or more
     # classes pairwise, so the row sum stays one reduction.
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def check_prob_vector(p: np.ndarray) -> np.ndarray:
-    """Validate the distribution invariants and return p as float64."""
-    q = np.asarray(p, dtype=np.float64)
-    if q.ndim != 1 or q.size < 2:
-        raise InvalidInputError("probability vector must have length >= 2")
-    if not np.all(np.isfinite(q)):
-        raise InvalidInputError("probability vector must be finite")
-    if q.min() < 0.0 or q.max() > 1.0:
-        raise InvalidInputError("probability entries must lie in [0, 1]")
-    if abs(q.sum() - 1.0) > PROB_SUM_TOL:
-        raise InvalidInputError("probability entries must sum to 1")
-    return q
-
-
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
-    q = check_prob_vector(p)
-    return float(entropy_rows(q[None, :])[0])
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -83,14 +51,6 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
     # Only p <= 0 is dead: a NaN probability keeps the row's entropy NaN.
     terms = np.where(q <= 0.0, 0.0, q * np.log(np.maximum(q, PROB_FLOOR)))
     return -terms.sum(axis=-1)
-
-
-def cross_entropy(p: np.ndarray, y: int) -> float:
-    """Negative log-likelihood -log p[y] with the probability floor."""
-    q = check_prob_vector(p)
-    if not 0 <= int(y) < q.size:
-        raise InvalidInputError(f"class index {y} out of range [0, {q.size})")
-    return float(-np.log(max(q[int(y)], PROB_FLOOR)))
 
 
 def finite_diff_grad(

@@ -139,28 +139,35 @@ def init_student(
     return StudentParams(vector, (d_in, d_h, n_classes), dropout_rate)
 
 
-def gelu(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
-    """Exact GELU; ``erf_u`` is erf(u / sqrt 2) when the caller already has it."""
-    if erf_u is None:
-        erf_u = erf(u * _INV_SQRT2)
+def _one_plus_erf(u: np.ndarray) -> np.ndarray:
+    t = np.multiply(u, _INV_SQRT2)
+    erf(t, out=t)
+    t += 1.0
+    return t
+
+
+def gelu(u: np.ndarray, one_plus_erf: np.ndarray | None = None) -> np.ndarray:
+    """Exact GELU; ``one_plus_erf`` is 1 + erf(u / sqrt 2) when the caller
+    already has it."""
+    if one_plus_erf is None:
+        one_plus_erf = _one_plus_erf(u)
     act = np.multiply(u, 0.5)
-    act *= 1.0 + erf_u
+    act *= one_plus_erf
     return act
 
 
-def gelu_prime(u: np.ndarray, erf_u: np.ndarray | None = None) -> np.ndarray:
-    """GELU derivative; ``erf_u`` as for ``gelu``."""
-    if erf_u is None:
-        erf_u = erf(u * _INV_SQRT2)
-    # 0.5 (1 + erf_u) + u phi(u), built in two buffers with the operations
+def gelu_prime(u: np.ndarray, one_plus_erf: np.ndarray | None = None) -> np.ndarray:
+    """GELU derivative; ``one_plus_erf`` as for ``gelu``."""
+    if one_plus_erf is None:
+        one_plus_erf = _one_plus_erf(u)
+    # 0.5 (1 + erf) + u phi(u), built in two buffers with the operations
     # and operand order of the direct expression, so every bit is the same.
     u_phi = np.multiply(u, -0.5)
     u_phi *= u
     np.exp(u_phi, out=u_phi)
     u_phi *= _INV_SQRT2PI
     u_phi *= u
-    out = np.add(erf_u, 1.0)
-    out *= 0.5
+    out = np.multiply(one_plus_erf, 0.5)
     out += u_phi
     return out
 
@@ -187,8 +194,9 @@ class HiddenLayer:
     Dropout acts after the activation, so every pass over the same input and
     parameters, whatever its keep pattern, shares this value: the MC passes,
     the attack's first objective and the soft-gated loss. It holds the input,
-    the GELU activation and the GELU derivative, both taken from one erf; the
-    pre-activation and the erf are not kept. Build it with ``hidden_layer``.
+    the GELU activation and the GELU derivative, both taken from one
+    1 + erf(pre / sqrt 2); the pre-activation and the erf are not kept. Build
+    it with ``hidden_layer``.
     """
 
     __slots__ = ("params", "x", "act", "dact")
@@ -203,12 +211,11 @@ class HiddenLayer:
             )
         pre = x @ params.w1
         pre += params.b1
-        erf_pre = np.multiply(pre, _INV_SQRT2)
-        erf(erf_pre, out=erf_pre)
+        one_plus_erf = _one_plus_erf(pre)
         self.params = params
         self.x = x
-        self.act = gelu(pre, erf_pre)
-        self.dact = gelu_prime(pre, erf_pre)
+        self.act = gelu(pre, one_plus_erf)
+        self.dact = gelu_prime(pre, one_plus_erf)
 
 
 def hidden_layer(params: StudentParams, x: np.ndarray | HiddenLayer) -> HiddenLayer:
@@ -239,7 +246,8 @@ def _output_layer(
     """Dropout and the second layer on top of a computed hidden layer."""
     scale = _keep_scale(params, keep, layer.x.shape[0])
     hidden = layer.act if scale is None else layer.act * scale
-    logits = hidden @ params.w2 + params.b2
+    logits = hidden @ params.w2
+    logits += params.b2
     return logits, _Cache(layer, scale, hidden)
 
 
@@ -276,19 +284,24 @@ def mc_forward_batch(
 def _backward(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> Gradients:
     dw2 = cache.hidden.T @ dlogits
     db2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ params.w2.T
-    dact = dhidden if cache.scale is None else dhidden * cache.scale
-    dpre = dact * cache.layer.dact
+    dpre = _backward_to_pre(params, cache, dlogits)
     dw1 = cache.layer.x.T @ dpre
     db1 = dpre.sum(axis=0)
     return Gradients(np.concatenate((dw1.ravel(), db1, dw2.ravel(), db2)), params.dims)
 
 
+def _backward_to_pre(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> np.ndarray:
+    # Scaled in the buffer of dlogits @ w2.T, in the order of the direct
+    # expression dhidden * scale * dact.
+    dpre = dlogits @ params.w2.T
+    if cache.scale is not None:
+        dpre *= cache.scale
+    dpre *= cache.layer.dact
+    return dpre
+
+
 def _backward_to_input(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> np.ndarray:
-    dhidden = dlogits @ params.w2.T
-    dact = dhidden if cache.scale is None else dhidden * cache.scale
-    dpre = dact * cache.layer.dact
-    return dpre @ params.w1.T
+    return _backward_to_pre(params, cache, dlogits) @ params.w1.T
 
 
 def _ce_dlogits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -307,16 +320,19 @@ def _entropy_dlogits(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gradient; a NaN entry makes its row's entropy and gradient NaN.
     """
     dead = probs <= 0.0
+    any_dead = dead.any()
     logp = np.maximum(probs, PROB_FLOOR)
     np.log(logp, out=logp)
     terms = probs * logp
-    terms[dead] = 0.0
+    if any_dead:
+        terms[dead] = 0.0
     h = -terms.sum(axis=-1)
     # The terms buffer is reused for the gradient -p (log p + H).
     logp += h[:, None]
     np.negative(probs, out=terms)
     terms *= logp
-    terms[dead] = 0.0
+    if any_dead:
+        terms[dead] = 0.0
     return h, terms
 
 
@@ -396,7 +412,7 @@ def input_entropy_grad(
     row only, which is what a per-sample perturbation ascent needs.
     """
     logits, cache = forward_batch(params, x)
-    h, dlogits = _entropy_dlogits(softmax_rows(logits))
+    h, dlogits = _entropy_dlogits(softmax_rows(logits, out=logits))
     return h, _backward_to_input(params, cache, dlogits)
 
 

@@ -8,7 +8,10 @@ bit-reproducible.
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -102,16 +105,79 @@ def supervised_config(seed):
     )
 
 
+def no_generator_config(seed):
+    """The full configuration without the adversarial term (criterion 6)."""
+    return TrainConfig(
+        epochs=160, lr=0.1, dropout=0.3, seed=seed,
+        filter_mode="mi_conf", filter_direction="below", tau_conf=0.9,
+        perturb=PerturbConfig(epsilon=0.25, steps=1), adv_enabled=False,
+    )
+
+
+def converged_task():
+    ds = gen_synthetic_two_view(1200, 4, 16, 16, view_noise=0.25, seed=21)
+    return split_by_counts(ds, 200, 20, 200, seed=21)
+
+
+def converged_config():
+    """A long run on an easy task (criterion 7)."""
+    return TrainConfig(
+        epochs=600, lr=0.2, dropout=0.2, seed=3,
+        filter_mode="mi_conf", filter_direction="below", tau_conf=0.9,
+        perturb=PerturbConfig(epsilon=0.05, steps=1),
+    )
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def one_blas_thread_in_new_processes():
+    # BLAS reads its thread count when numpy is imported, so the setting
+    # reaches the workers spawned inside this block and not this process.
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 @pytest.fixture(scope="module")
-def learning_runs():
+def long_runs():
+    """Every long training run of this module, submitted at once to two
+    spawned worker processes; each value is the future of its report.
+    Results are bit-identical to in-process runs (see TestGoldenDigest in
+    test_engine.py on BLAS threads)."""
+    jobs = {"converged": (converged_config(), converged_task())}  # the longest first
+    for seed in LEARNING_SEEDS:
+        ds = learning_task(seed)
+        jobs[seed, "full"] = (full_config(seed), ds)
+        jobs[seed, "supervised"] = (supervised_config(seed), ds)
+    for seed in (1, 2, 3):
+        jobs[seed, "no_generator"] = (no_generator_config(seed), learning_task(seed))
+    pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        with one_blas_thread_in_new_processes():
+            futures = {key: pool.submit(run_training, *job) for key, job in jobs.items()}
+        yield futures
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def learning_runs(long_runs):
     started = time.time()
     runs = {}
     for seed in LEARNING_SEEDS:
-        ds = learning_task(seed)
         runs[seed] = {
-            "ds": ds,
-            "full": run_training(full_config(seed), ds),
-            "supervised": run_training(supervised_config(seed), ds),
+            "ds": learning_task(seed),
+            "full": long_runs[seed, "full"].result(),
+            "supervised": long_runs[seed, "supervised"].result(),
         }
     runs["elapsed"] = time.time() - started
     return runs
@@ -276,21 +342,13 @@ class TestCriterion6AblationDirections:
                 f"  impurity: MI {np.mean(mi_means):.3f} vs no filter {np.mean(none_means):.3f}"
             )
 
-    def test_removing_generator_reduces_robustness(self, learning_runs):
+    def test_removing_generator_reduces_robustness(self, learning_runs, long_runs):
         robust_full, robust_nogen = [], []
         for seed in (1, 2, 3):
-            ds = learning_runs[seed]["ds"]
             robust_full.append(
                 learning_runs[seed]["full"].final_eval["pgd_robust_accuracy"]
             )
-            nogen = run_training(
-                TrainConfig(
-                    epochs=160, lr=0.1, dropout=0.3, seed=seed,
-                    filter_mode="mi_conf", filter_direction="below", tau_conf=0.9,
-                    perturb=PerturbConfig(epsilon=0.25, steps=1), adv_enabled=False,
-                ),
-                ds,
-            )
+            nogen = long_runs[seed, "no_generator"].result()
             robust_nogen.append(nogen.final_eval["pgd_robust_accuracy"])
         assert np.mean(robust_nogen) < np.mean(robust_full)
         print(
@@ -299,7 +357,7 @@ class TestCriterion6AblationDirections:
 
 
 class TestCriterion7Equilibrium:
-    def test_toy_game_and_converged_run(self):
+    def test_toy_game_and_converged_run(self, long_runs):
         with criterion(7, "toy-game residuals exact, BR converges, run residuals < 1e-2"):
             game = toy_game()
             # Exhaustive enumeration oracle over all profiles.
@@ -333,14 +391,9 @@ class TestCriterion7Equilibrium:
             assert rounds <= 10
             assert max(residuals) == 0.0
             # Converged training run: all three first-order residuals small.
-            ds = gen_synthetic_two_view(1200, 4, 16, 16, view_noise=0.25, seed=21)
-            ds = split_by_counts(ds, 200, 20, 200, seed=21)
-            cfg = TrainConfig(
-                epochs=600, lr=0.2, dropout=0.2, seed=3,
-                filter_mode="mi_conf", filter_direction="below", tau_conf=0.9,
-                perturb=PerturbConfig(epsilon=0.05, steps=1),
-            )
-            rep = run_training(cfg, ds)
+            ds = converged_task()
+            cfg = converged_config()
+            rep = long_runs["converged"].result()
             assert rep.final_eval["accuracy"] >= 0.99
             res = stackelberg_residual(rep.students, rep.teacher, ds, cfg, probe_size=256)
             print(

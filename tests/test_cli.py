@@ -311,6 +311,38 @@ class TestCommands:
             file_out / "model_seed1.trcm"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("data.n_validation", "2",
+             "data.n_validation must be >= 3, the classes among the labeled rows"),
+            ("data.n_test", "500", "data.n_labeled + data.n_test must be <= 420, the labeled rows"),
+        ],
+    )
+    def test_files_mode_split_rules_name_the_key_and_line(
+        self, tiny_cfg, tmp_path, capsys, key, value, message
+    ):
+        # Parsing cannot see a file's classes or labeled rows; building the
+        # dataset checks them and names the key at fault, on the last line.
+        files = tmp_path / "files"
+        assert main(["synth-data", "--config", str(tiny_cfg), "--out", str(files)]) == 0
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(
+            tiny_cfg.read_text()
+            + "data.source = files\n"
+            + "".join(
+                f"data.{name} = {files / file}\n"
+                for name, file in (("view1", "view1.trco"), ("view2", "view2.trco"),
+                                   ("labels", "labels.trcl"))
+            )
+            + f"{key} = {value}\n"
+        )
+        line = len(cfg.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"line {line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_synth_data_csv_matches_binary(self, tiny_cfg, tmp_path):
         b = tmp_path / "bin"
         c = tmp_path / "csv"

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotriad.errors import InvalidInputError
 from cotriad.generator import (
     PerturbConfig,
+    _objective_and_grad,
     fixed_point_residual,
     pgd_perturb_batch,
     project_linf,
@@ -15,7 +18,9 @@ from cotriad.generator import (
 from cotriad.numerics import entropy_rows, finite_diff_grad, softmax_rows
 from cotriad.student import (
     StudentParams,
+    draw_keeps,
     forward_batch,
+    hidden_layer,
     init_student,
     input_entropy_grad,
     input_mi_grad,
@@ -208,6 +213,114 @@ class TestPgd:
         d2 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(d1, d2)
         assert np.abs(d1).max() <= 0.5 + 1e-12
+
+
+def _pgd_oracle(params, x, cfg, rng=None):
+    """The ascent before its in-place clip and all-accepted fast path: every
+    iteration selects with np.where. Returns delta and the number of
+    iterations in which some row was rejected."""
+    layer = hidden_layer(params, x)
+    x = layer.x
+    n = x.shape[0]
+
+    def draw():
+        if cfg.gamma <= 0.0:
+            return None
+        return draw_keeps(rng, (cfg.mi_passes, n, params.d_h), params.dropout_rate)
+
+    keeps = draw()
+    values, grad = _objective_and_grad(params, layer, cfg, keeps)
+    if cfg.steps == 1:
+        return project_linf(cfg.effective_step * np.sign(grad), cfg.epsilon), 0
+    delta = np.zeros_like(x)
+    steps = np.full(n, cfg.effective_step)
+    armijo = 1e-4
+    rejecting = 0
+    for _ in range(cfg.steps):
+        keeps = draw()
+        cand = np.clip(delta + steps[:, None] * grad, -cfg.epsilon, cfg.epsilon)
+        cand_values, cand_grad = _objective_and_grad(params, x + cand, cfg, keeps)
+        gain = armijo * ((cand - delta) * grad).sum(axis=1)
+        ok = cand_values >= values + gain
+        rejecting += not ok.all()
+        delta = np.where(ok[:, None], cand, delta)
+        values = np.where(ok, cand_values, values)
+        grad = np.where(ok[:, None], cand_grad, grad)
+        steps = np.where(ok, np.minimum(2.0 * steps, cfg.effective_step), 0.5 * steps)
+    return delta, rejecting
+
+
+def _same_bits(a, b) -> bool:
+    """``np.array_equal`` with NaN equal to NaN and the sign of every zero kept."""
+    if a.shape != b.shape or not np.array_equal(a, b, equal_nan=True):
+        return False
+    known = ~np.isnan(a)
+    return np.array_equal(np.signbit(a[known]), np.signbit(b[known]))
+
+
+def _ascent_case(seed, n, d_in, sharpness, nan_row, dropout):
+    rng = np.random.default_rng(seed)
+    dims = (d_in, 6, 3)
+    w1 = rng.normal(size=(d_in, 6)) * sharpness
+    w2 = rng.normal(size=(6, 3)) * sharpness
+    vector = np.concatenate((w1.ravel(), rng.normal(size=6), w2.ravel(), rng.normal(size=3)))
+    x = rng.normal(size=(n, d_in))
+    x[rng.random(n) < 0.2] = 0.0  # equal rows, and the zero gradients of a symmetric model
+    if nan_row:
+        x[rng.integers(0, n)] = np.nan
+    return StudentParams(vector, dims, dropout), x
+
+
+class TestPgdAgainstOracle:
+    """The loop equals the np.where loop bit for bit, on rejections too."""
+
+    @staticmethod
+    def _check(params, x, cfg, seed):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pgd_perturb_batch(params, x, cfg, np.random.default_rng(seed))
+            want, rejecting = _pgd_oracle(params, x, cfg, np.random.default_rng(seed))
+        assert _same_bits(got, want)
+        return rejecting
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 64),
+        d_in=st.integers(1, 6),
+        steps=st.integers(1, 12),
+        epsilon=st.sampled_from([1e-3, 0.05, 0.25, 1.0]),
+        step_ratio=st.sampled_from([0.01, 0.25, 1.0, 50.0]),
+        gamma=st.sampled_from([0.0, 0.5]),
+        sharpness=st.sampled_from([0.1, 1.0, 3.0, 30.0]),
+        nan_row=st.booleans(),
+    )
+    def test_equals_the_where_loop(
+        self, seed, n, d_in, steps, epsilon, step_ratio, gamma, sharpness, nan_row
+    ):
+        params, x = _ascent_case(seed, n, d_in, sharpness, nan_row, 0.3)
+        cfg = PerturbConfig(
+            epsilon=epsilon, gamma=gamma, steps=steps,
+            step_size=step_ratio * epsilon, mi_passes=3,
+        )
+        self._check(params, x, cfg, seed)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("nan_row", [False, True])
+    def test_forced_rejections_take_the_where_path(self, gamma, nan_row):
+        # A step 50 times the budget on a sharp model jumps between box
+        # corners, and a NaN row never passes the test, so some iterations
+        # reject rows; both must still equal the oracle. (Much sharper
+        # weights saturate the softmax and flatten the objective instead.)
+        params, x = _ascent_case(3, 48, 4, 3.0, nan_row, 0.3)
+        cfg = PerturbConfig(epsilon=0.25, gamma=gamma, steps=12, step_size=12.5, mi_passes=3)
+        assert self._check(params, x, cfg, 4) > 0
+
+    def test_all_accepted_case_takes_the_fast_path(self):
+        # A small step on a smooth model passes the test on every row at
+        # every iteration, the regime of the training attacks.
+        params, x = _ascent_case(5, 64, 4, 0.1, False, 0.0)
+        cfg = PerturbConfig(epsilon=0.25, steps=10, step_size=0.0625)
+        assert self._check(params, x, cfg, 6) == 0
 
 
 class TestFixedPointResidual:

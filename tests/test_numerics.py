@@ -1,4 +1,4 @@
-"""Probability primitives against frozen high-precision values."""
+"""Probability kernels against frozen high-precision values and oracles."""
 
 import math
 
@@ -8,14 +8,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotriad.errors import InvalidInputError, OracleFailureError
-from cotriad.numerics import (
-    cross_entropy,
-    entropy,
-    finite_diff_grad,
-    row_max,
-    softmax,
-    softmax_rows,
-)
+from cotriad.numerics import PROB_FLOOR, entropy_rows, finite_diff_grad, row_max, softmax_rows
+from cotriad.student import forward_batch, init_student, loss_and_grads
+
+# The single-row, validated forms of the row kernels: the oracles they are
+# checked against. The tests below certify each oracle first.
+
+PROB_SUM_TOL = 1e-9
+
+
+def softmax(logits):
+    """Numerically stabilized softmax of a single logit vector."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 1 or z.size < 2:
+        raise InvalidInputError("softmax expects a vector of length >= 2")
+    if not np.all(np.isfinite(z)):
+        raise InvalidInputError("softmax input must be finite")
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def check_prob_vector(p):
+    """Validate the distribution invariants and return p as float64."""
+    q = np.asarray(p, dtype=np.float64)
+    if q.ndim != 1 or q.size < 2:
+        raise InvalidInputError("probability vector must have length >= 2")
+    if not np.all(np.isfinite(q)):
+        raise InvalidInputError("probability vector must be finite")
+    if q.min() < 0.0 or q.max() > 1.0:
+        raise InvalidInputError("probability entries must lie in [0, 1]")
+    if abs(q.sum() - 1.0) > PROB_SUM_TOL:
+        raise InvalidInputError("probability entries must sum to 1")
+    return q
+
+
+def entropy(p):
+    """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
+    q = check_prob_vector(p)
+    live = q[q > 0.0]
+    return float(-np.sum(live * np.log(live)))
+
+
+def cross_entropy(p, y):
+    """Negative log-likelihood -log p[y] with the probability floor."""
+    q = check_prob_vector(p)
+    if not 0 <= int(y) < q.size:
+        raise InvalidInputError(f"class index {y} out of range [0, {q.size})")
+    return float(-np.log(max(q[int(y)], PROB_FLOOR)))
 
 # softmax([1, 2, 3]) evaluated with mpmath at 50 significant digits.
 SOFTMAX_123 = np.array(
@@ -111,8 +150,11 @@ class TestRowKernelsAgainstOracles:
         z = hard_logits(*case)
         with np.errstate(invalid="ignore"):
             got, want = softmax_rows(z), _softmax_rows_oracle(z)
+            buffer = z.copy()
+            in_place = softmax_rows(buffer, out=buffer)
         assert same_bits(row_max(z), z.max(axis=-1))
         assert same_bits(got, want)
+        assert in_place is buffer and same_bits(in_place, want)
 
     def test_nan_row_reaches_the_probabilities(self):
         # A maximum that skipped NaN would hand finite probabilities to the
@@ -171,6 +213,29 @@ class TestCrossEntropy:
     def test_rejects_bad_index(self):
         with pytest.raises(InvalidInputError):
             cross_entropy([0.5, 0.5], 2)
+
+
+class TestRowKernelsAgainstSingleRowOracles:
+    def test_softmax_and_entropy_rows(self):
+        rng = np.random.default_rng(12)
+        for c in range(2, 13):
+            z = rng.normal(scale=4.0, size=(40, c))
+            z[0, 1] = z[0, 0] - 800.0  # an underflowed probability
+            p = softmax_rows(z)
+            h = entropy_rows(p)
+            for i in range(40):
+                np.testing.assert_array_equal(p[i], softmax(z[i]))
+                assert h[i] == pytest.approx(entropy(p[i]), rel=1e-14, abs=1e-15)
+
+    def test_cross_entropy_loss_is_the_mean_single_row_loss(self):
+        params = init_student(5, 7, 3, dropout_rate=0.0, seed=13)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(30, 5)) * 4.0
+        y = rng.integers(0, 3, size=30)
+        p = softmax_rows(forward_batch(params, x)[0])
+        loss, _ = loss_and_grads(params, x, y, "ce")
+        want = np.mean([cross_entropy(p[i], y[i]) for i in range(30)])
+        assert loss == pytest.approx(want, rel=1e-14)
 
 
 class TestFiniteDiffGrad:

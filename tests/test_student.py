@@ -378,9 +378,13 @@ def _hidden_layer_oracle_init(self, params, x):
     self.dact = _gelu_prime_oracle(pre, erf_pre)
 
 
-def _softmax_rows_oracle(z):
+def _softmax_rows_oracle(z, out=None):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = e / e.sum(axis=-1, keepdims=True)
+    if out is None:
+        return e
+    out[...] = e
+    return out
 
 
 def _entropy_dlogits_oracle(probs):
@@ -388,6 +392,23 @@ def _entropy_dlogits_oracle(probs):
     h = entropy_rows(probs)
     logp = np.where(probs <= 0.0, 0.0, np.log(np.maximum(probs, PROB_FLOOR)))
     return h, np.where(probs <= 0.0, 0.0, -probs * (logp + h[:, None]))
+
+
+def _backward_to_pre_oracle(params, cache, dlogits):
+    dhidden = dlogits @ params.w2.T
+    dact = dhidden if cache.scale is None else dhidden * cache.scale
+    return dact * cache.layer.dact
+
+
+def _input_entropy_grad_oracle(params, x):
+    """The evaluation-mode objective written out, one temporary per step."""
+    pre = x @ params.w1 + params.b1
+    erf_pre = erf(pre * (1.0 / math.sqrt(2.0)))
+    act = _gelu_oracle(pre, erf_pre)
+    dact = _gelu_prime_oracle(pre, erf_pre)
+    logits = act @ params.w2 + params.b2
+    h, dlogits = _entropy_dlogits_oracle(_softmax_rows_oracle(logits))
+    return h, ((dlogits @ params.w2.T) * dact) @ params.w1.T
 
 
 def _same_bits(a, b) -> bool:
@@ -453,9 +474,9 @@ class TestEntropyAscentKernelsAgainstOracles:
         e = erf(u * (1.0 / math.sqrt(2.0)))
         with np.errstate(over="ignore", invalid="ignore"):
             assert _same_bits(gelu(u), _gelu_oracle(u))
-            assert _same_bits(gelu(u, e), _gelu_oracle(u, e))
+            assert _same_bits(gelu(u, 1.0 + e), _gelu_oracle(u, e))
             assert _same_bits(gelu_prime(u), _gelu_prime_oracle(u))
-            assert _same_bits(gelu_prime(u, e), _gelu_prime_oracle(u, e))
+            assert _same_bits(gelu_prime(u, 1.0 + e), _gelu_prime_oracle(u, e))
 
     @settings(max_examples=80, deadline=None)
     @given(case=hard_cases)
@@ -486,9 +507,19 @@ class TestEntropyAscentKernelsAgainstOracles:
                 mp.setattr(student.HiddenLayer, "__init__", _hidden_layer_oracle_init)
                 mp.setattr(student, "softmax_rows", _softmax_rows_oracle)
                 mp.setattr(student, "_entropy_dlogits", _entropy_dlogits_oracle)
+                mp.setattr(student, "_backward_to_pre", _backward_to_pre_oracle)
                 want = [call() for call in calls]
         for g, w in zip(got, want):
             assert _same_bits(g, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hard_cases)
+    def test_array_input_objective_equals_the_written_out_oracle(self, case):
+        params, x, _ = _hard_case(*case)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = input_entropy_grad(params, x)
+            want = _input_entropy_grad_oracle(params, x)
+        assert _same_bits(got, want)
 
     def test_nan_row_reaches_the_entropy_input_and_the_loss(self):
         # The non-finite guard reads the loss: a NaN input row must make the

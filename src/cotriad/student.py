@@ -54,6 +54,10 @@ class _Flat:
         self.w2 = v[b:e].reshape(d_h, c)
         self.b2 = v[e:]
 
+    def __reduce__(self):
+        # Rebuilt from the vector, so the four segments stay views into it.
+        return type(self), (self.vector, self.dims)
+
 
 class StudentParams(_Flat):
     """Weights of one student, ``dims = (d_in, d_h, n_classes)``.
@@ -67,6 +71,9 @@ class StudentParams(_Flat):
     def __init__(self, vector: np.ndarray, dims: tuple[int, int, int], dropout_rate: float = 0.1):
         super().__init__(vector, dims)
         self.dropout_rate = float(dropout_rate)
+
+    def __reduce__(self):
+        return StudentParams, (self.vector, self.dims, self.dropout_rate)
 
     @property
     def d_in(self) -> int:

@@ -13,6 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,23 +129,9 @@ def converged_config():
     )
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def one_blas_thread_in_new_processes():
-    # BLAS reads its thread count when numpy is imported, so the setting
-    # reaches the workers spawned inside this block and not this process.
-    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+# BLAS reads its thread count when numpy is imported, so this environment
+# reaches the worker processes spawned under it and not this process.
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +149,7 @@ def long_runs():
         jobs[seed, "no_generator"] = (no_generator_config(seed), learning_task(seed))
     pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
     try:
-        with one_blas_thread_in_new_processes():
+        with mock.patch.dict(os.environ, ONE_BLAS_THREAD):
             futures = {key: pool.submit(run_training, *job) for key, job in jobs.items()}
         yield futures
     finally:

@@ -25,6 +25,7 @@ from cotriad.student import (
     input_entropy_grad,
     input_mi_grad,
 )
+from same_bits import same_bits
 
 DIMS = (4, 6, 3)
 
@@ -250,14 +251,6 @@ def _pgd_oracle(params, x, cfg, rng=None):
     return delta, rejecting
 
 
-def _same_bits(a, b) -> bool:
-    """``np.array_equal`` with NaN equal to NaN and the sign of every zero kept."""
-    if a.shape != b.shape or not np.array_equal(a, b, equal_nan=True):
-        return False
-    known = ~np.isnan(a)
-    return np.array_equal(np.signbit(a[known]), np.signbit(b[known]))
-
-
 def _ascent_case(seed, n, d_in, sharpness, nan_row, dropout):
     rng = np.random.default_rng(seed)
     dims = (d_in, 6, 3)
@@ -279,7 +272,7 @@ class TestPgdAgainstOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             got = pgd_perturb_batch(params, x, cfg, np.random.default_rng(seed))
             want, rejecting = _pgd_oracle(params, x, cfg, np.random.default_rng(seed))
-        assert _same_bits(got, want)
+        assert same_bits(got, want)
         return rejecting
 
     @settings(max_examples=120, deadline=None)

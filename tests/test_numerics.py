@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cotriad.errors import InvalidInputError, OracleFailureError
 from cotriad.numerics import PROB_FLOOR, entropy_rows, finite_diff_grad, row_max, softmax_rows
 from cotriad.student import forward_batch, init_student, loss_and_grads
+from same_bits import same_bits
 
 # The single-row, validated forms of the row kernels: the oracles they are
 # checked against. The tests below certify each oracle first.
@@ -127,15 +128,6 @@ def hard_logits(seed, n, c, nan_row):
         z[rng.integers(0, n), rng.integers(0, c)] = np.nan
         z[rng.integers(0, n)] = np.nan
     return z
-
-
-def same_bits(a, b) -> bool:
-    """``np.array_equal`` with NaN equal to NaN and the sign of every zero kept."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape or a.dtype != b.dtype or not np.array_equal(a, b, equal_nan=True):
-        return False
-    known = ~np.isnan(a)
-    return np.array_equal(np.signbit(a[known]), np.signbit(b[known]))
 
 
 logit_cases = st.tuples(

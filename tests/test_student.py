@@ -1,6 +1,7 @@
 """Student MLP: forward semantics, analytic gradients, optimizer behavior."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cotriad.student import (
     sgd_step,
     weighted_ce_grads,
 )
+from same_bits import same_bits
 
 TOY = dict(d_in=3, d_h=4, n_classes=3)
 TOY_DIMS = (3, 4, 3)
@@ -411,19 +413,6 @@ def _input_entropy_grad_oracle(params, x):
     return h, ((dlogits @ params.w2.T) * dact) @ params.w1.T
 
 
-def _same_bits(a, b) -> bool:
-    """``np.array_equal`` with NaN equal to NaN and the sign of every zero kept."""
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(_same_bits(u, v) for u, v in zip(a, b))
-    if isinstance(a, Gradients):
-        a, b = a.vector, b.vector
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape or a.dtype != b.dtype or not np.array_equal(a, b, equal_nan=True):
-        return False
-    known = ~np.isnan(a)
-    return np.array_equal(np.signbit(a[known]), np.signbit(b[known]))
-
-
 def _hard_case(seed, n, d_in, d_h, c, nan_row):
     """Params and an (n, d_in) input whose softmax has tied, underflowing
     (exactly 0) and, with ``nan_row``, NaN rows."""
@@ -473,10 +462,10 @@ class TestEntropyAscentKernelsAgainstOracles:
         u[rng.random(n) < 0.05] = np.nan
         e = erf(u * (1.0 / math.sqrt(2.0)))
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _same_bits(gelu(u), _gelu_oracle(u))
-            assert _same_bits(gelu(u, 1.0 + e), _gelu_oracle(u, e))
-            assert _same_bits(gelu_prime(u), _gelu_prime_oracle(u))
-            assert _same_bits(gelu_prime(u, 1.0 + e), _gelu_prime_oracle(u, e))
+            assert same_bits(gelu(u), _gelu_oracle(u))
+            assert same_bits(gelu(u, 1.0 + e), _gelu_oracle(u, e))
+            assert same_bits(gelu_prime(u), _gelu_prime_oracle(u))
+            assert same_bits(gelu_prime(u, 1.0 + e), _gelu_prime_oracle(u, e))
 
     @settings(max_examples=80, deadline=None)
     @given(case=hard_cases)
@@ -486,11 +475,11 @@ class TestEntropyAscentKernelsAgainstOracles:
         with np.errstate(over="ignore", invalid="ignore"):
             layer = hidden_layer(params, x)
             _hidden_layer_oracle_init(oracle, params, x)
-            assert _same_bits(layer.act, oracle.act)
-            assert _same_bits(layer.dact, oracle.dact)
+            assert same_bits(layer.act, oracle.act)
+            assert same_bits(layer.dact, oracle.dact)
             probs = softmax_rows(forward_batch(params, layer)[0])
-            assert _same_bits(probs, _softmax_rows_oracle(forward_batch(params, x)[0]))
-            assert _same_bits(student._entropy_dlogits(probs), _entropy_dlogits_oracle(probs))
+            assert same_bits(probs, _softmax_rows_oracle(forward_batch(params, x)[0]))
+            assert same_bits(student._entropy_dlogits(probs), _entropy_dlogits_oracle(probs))
 
     @settings(max_examples=60, deadline=None)
     @given(case=hard_cases)
@@ -510,7 +499,7 @@ class TestEntropyAscentKernelsAgainstOracles:
                 mp.setattr(student, "_backward_to_pre", _backward_to_pre_oracle)
                 want = [call() for call in calls]
         for g, w in zip(got, want):
-            assert _same_bits(g, w)
+            assert same_bits(g, w)
 
     @settings(max_examples=60, deadline=None)
     @given(case=hard_cases)
@@ -519,7 +508,7 @@ class TestEntropyAscentKernelsAgainstOracles:
         with np.errstate(over="ignore", invalid="ignore"):
             got = input_entropy_grad(params, x)
             want = _input_entropy_grad_oracle(params, x)
-        assert _same_bits(got, want)
+        assert same_bits(got, want)
 
     def test_nan_row_reaches_the_entropy_input_and_the_loss(self):
         # The non-finite guard reads the loss: a NaN input row must make the
@@ -588,6 +577,22 @@ class TestParamVectorRoundTrip:
     def test_wrong_length_raises(self):
         with pytest.raises(InvalidInputError):
             StudentParams(np.zeros(TOY_SIZE + 1), TOY_DIMS)
+
+    @pytest.mark.parametrize("cls", [StudentParams, Gradients])
+    def test_pickle_keeps_the_segments_views_of_the_vector(self, cls):
+        # Reports come back from worker processes pickled; the segments must
+        # stay views into the vector, as _Flat builds them.
+        params = toy_params(seed=12)
+        flat = params if cls is StudentParams else Gradients(params.vector.copy(), params.dims)
+        back = pickle.loads(pickle.dumps(flat))
+        assert type(back) is cls and back.dims == flat.dims
+        np.testing.assert_array_equal(back.vector, flat.vector)
+        for name in ("w1", "b1", "w2", "b2"):
+            segment = getattr(back, name)
+            np.testing.assert_array_equal(segment, getattr(flat, name))
+            assert np.shares_memory(segment, back.vector)
+        if cls is StudentParams:
+            assert back.dropout_rate == flat.dropout_rate
 
 
 dims_strategy = st.tuples(

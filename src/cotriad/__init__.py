@@ -7,7 +7,7 @@ and loss weights against a held-out validation split. The game module checks
 the equilibrium structure of trained configurations empirically.
 """
 
-from .data import BatchIterator, BatchPlan, TwoViewDataset, gen_synthetic_two_view, make_splits
+from .data import BatchIterator, BatchPlan, TwoViewDataset, gen_synthetic_two_view
 from .engine import StepReport, TrainConfig, TrainingReport, evaluate, run_training
 from .errors import (
     ConfigError,
@@ -52,7 +52,6 @@ __all__ = [
     "gen_synthetic_two_view",
     "init_strategy",
     "init_student",
-    "make_splits",
     "map_strategy",
     "mi_filter",
     "nash_residual",

@@ -128,8 +128,8 @@ def cmd_equilibrium(args) -> int:
     students, teacher = load_model(run_dir / f"model_seed{seed}.trcm")
     train_cfg = cfg.train_config(seed)
     eps_grid = cfg["game.epsilon_grid"] or [cfg["perturb.epsilon"]]
-    # The run's own attack at each budget, and the run's MC estimate, so the
-    # incumbent is on its grid and both diagnostics filter alike.
+    # The run's own attack at each budget, so the incumbent is on its grid;
+    # the game takes the run's MC passes and filter from train_cfg.
     generator_points = [replace(train_cfg.perturb, epsilon=e) for e in eps_grid]
     game = TrainedTriadicGame(
         ds,
@@ -138,7 +138,6 @@ def cmd_equilibrium(args) -> int:
         generator_points=generator_points,
         budgets=[StudentBudget(epochs=cfg["game.budget_epochs"], seed=cfg["game.budget_seed"])],
         probe_size=cfg["game.probe_size"],
-        mc_passes=train_cfg.mc_passes,
     )
     profile = GameProfile(teacher.mapped(), students, train_cfg.perturb)
     residuals = stackelberg_residual(

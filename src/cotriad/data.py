@@ -199,30 +199,6 @@ def split_by_counts(
     return replace(ds, split=split)
 
 
-def make_splits(
-    ds: TwoViewDataset,
-    labeled_fraction: float,
-    validation_fraction_of_labeled: float,
-    seed: int = 0,
-    test_fraction: float = 0.0,
-) -> TwoViewDataset:
-    """Fraction-based stratified splits over the rows that carry labels."""
-    if not 0.0 < labeled_fraction <= 1.0:
-        raise InvalidInputError("labeled_fraction must lie in (0, 1]")
-    if not 0.0 < validation_fraction_of_labeled < 1.0:
-        raise InvalidInputError("validation fraction must lie in (0, 1)")
-    if not 0.0 <= test_fraction < 1.0:
-        raise InvalidInputError("test_fraction must lie in [0, 1)")
-    labeled_pool = np.flatnonzero(ds.labels >= 0)
-    if labeled_pool.size == 0:
-        raise InvalidInputError("no labeled rows to split")
-    n_test = round(test_fraction * labeled_pool.size)
-    n_labeled = round(labeled_fraction * (labeled_pool.size - n_test))
-    classes = np.unique(ds.labels[labeled_pool])
-    n_validation = max(round(validation_fraction_of_labeled * n_labeled), classes.size)
-    return split_by_counts(ds, n_labeled, n_validation, n_test, seed)
-
-
 @dataclass(frozen=True)
 class BatchPlan:
     """Per-step batch sizes: the unlabeled batch is ratio x the labeled one.
@@ -431,7 +407,7 @@ def load_embedding_file(path_view1, path_view2, path_labels) -> TwoViewDataset:
 
     Formats are detected from the magic bytes (binary) or fall back to CSV.
     Rows labeled -1 are tagged unlabeled; all others start as labeled-train,
-    ready for ``make_splits``/``split_by_counts``.
+    ready for ``split_by_counts``.
     """
     v1 = _sniff_matrix(path_view1)
     v2 = _sniff_matrix(path_view2)

@@ -297,6 +297,144 @@ def _apply_filter(
     return accepted, (1.0 - accepted.size / n) if n else 0.0, gate
 
 
+@dataclass
+class StepParts:
+    """What one step builds from its rows, before any update. A disabled
+    term has weight 0 in ``mapped`` and no hidden ``layers`` (unless the other
+    term runs), MC ``stats`` or ``meta_batches``."""
+
+    mapped: tuple[float, float, float]
+    unsup: bool
+    adv: bool
+    layers: list
+    stats: list
+    accepted: list
+    mask_rates: list
+    losses: tuple[float, float, float]
+    grads: list
+    meta_batches: tuple
+
+
+def assemble_step(
+    students: tuple[StudentParams, StudentParams],
+    teacher: TeacherStrategy,
+    cfg: TrainConfig,
+    ds: TwoViewDataset,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    mc_seed,
+    attack_rng,
+    keeps,
+) -> StepParts:
+    """MC statistics, filter, attack, loss gradients and meta-batches of one step.
+
+    ``rows`` are the (labeled, unlabeled, validation) rows. ``mc_seed(view)``
+    and ``attack_rng(view)`` give each view's MC seed and attack stream, and
+    ``keeps(tag, view, n)`` the dropout keeps of one (view, term) on n rows,
+    None in evaluation mode. Each is called only when its term runs.
+    """
+    lab_rows, unl_rows, val_rows = rows
+    s = students
+    views_l = ds.views(lab_rows)
+    y_l = ds.labels[lab_rows]
+    views_u = ds.views(unl_rows)
+    views_v = ds.views(val_rows)
+    y_v = ds.labels[val_rows]
+    n_u = unl_rows.size
+
+    tau, lu_m, la_m = teacher.mapped()
+    lam_u = lu_m if cfg.unsup_enabled else 0.0
+    lam_adv = la_m if cfg.adv_enabled else 0.0
+    use_unsup = cfg.unsup_enabled and n_u > 0
+    use_adv = cfg.adv_enabled and n_u > 0
+
+    # One dropout-free hidden layer per view on the unlabeled batch serves the
+    # MC passes, the attack's first objective and the teacher's soft gate.
+    layers = [None, None]
+    if use_unsup or use_adv:
+        layers = [hidden_layer(s[view], views_u[view]) for view in (0, 1)]
+
+    # (1)-(3) MC dropout, per-sample MI, cross-view filtering.
+    stats = [None, None]
+    accepted = [np.array([], dtype=np.int64)] * 2
+    mask_rates = [0.0, 0.0]
+    gates = [None, None]
+    if use_unsup:
+        for view in (0, 1):
+            probs = mc_forward_batch(s[view], layers[view], cfg.mc_passes, mc_seed(view))
+            stats[view] = batch_statistics(probs)
+        for view in (0, 1):
+            accepted[view], mask_rates[view], gates[view] = _apply_filter(cfg, stats[view], tau)
+
+    # (4) embedding attacks and the adversarial inputs.
+    x_adv = [None, None]
+    if use_adv:
+        for view in (0, 1):
+            delta = pgd_perturb_batch(s[view], layers[view], cfg.perturb, attack_rng(view))
+            x_adv[view] = views_u[view] + delta
+
+    # (5) loss assembly. Dropout keeps are drawn per (view, term); the unsup
+    # keeps cover the whole unlabeled batch so the teacher's soft path sees
+    # the identical masks.
+    loss_sup = loss_unsup = loss_adv = 0.0
+    grads: list[Gradients] = []
+    meta_batches = []
+    for view in (0, 1):
+        other = 1 - view
+        l_sup, g_total = loss_and_grads(
+            s[view], views_l[view], y_l, "ce", keeps(_RNG_KEEP_SUP, view, lab_rows.size)
+        )
+        loss_sup += l_sup
+
+        keep_unsup = None
+        if use_unsup:
+            keep_unsup = keeps(_RNG_KEEP_UNSUP, view, n_u)
+            acc = accepted[other]  # pseudo-labels sourced from the other view
+            if acc.size:
+                # Masked expectation over the unlabeled batch: the accepted
+                # fraction scales the term, so sparse early acceptance keeps
+                # the pseudo-label pressure conservative.
+                l_u, g_u = loss_and_grads(
+                    s[view],
+                    views_u[view][acc],
+                    stats[other].pseudo_label[acc],
+                    "ce",
+                    keep_unsup[acc] if keep_unsup is not None else None,
+                )
+                frac = acc.size / n_u
+                loss_unsup += l_u * frac
+                g_total = g_total.plus(g_u, lam_u * frac)
+
+        keep_adv = adv_grad = None
+        if use_adv:
+            keep_adv = keeps(_RNG_KEEP_ADV, view, n_u)
+            l_a, g_a = loss_and_grads(s[view], x_adv[view], None, "entropy", keep_adv)
+            adv_grad = (s[view], g_a)
+            loss_adv += l_a
+            g_total = g_total.plus(g_a, lam_adv)
+        grads.append(g_total)
+
+        if use_unsup:
+            gate_values, gate_sign = gates[other]
+            meta_batches.append(
+                MetaBatch(
+                    x_unsup=layers[view],
+                    pseudo_from_other=stats[other].pseudo_label,
+                    mi_from_other=gate_values,
+                    keep_unsup=keep_unsup,
+                    x_adv=x_adv[view],
+                    keep_adv=keep_adv,
+                    x_val=views_v[view],
+                    y_val=y_v,
+                    gate_sign=gate_sign,
+                    adv_grad=adv_grad,
+                )
+            )
+
+    losses = (loss_sup, loss_unsup, loss_adv)
+    return StepParts((tau, lam_u, lam_adv), use_unsup, use_adv, layers, stats, accepted,
+                     mask_rates, losses, grads, tuple(meta_batches))
+
+
 def train_step(
     state: TrainerState,
     cfg: TrainConfig,
@@ -307,130 +445,26 @@ def train_step(
 ) -> tuple[TrainerState, StepReport]:
     lab_rows, unl_rows, val_rows = rows
     s = state.students
-    views_l = ds.views(lab_rows)
-    y_l = ds.labels[lab_rows]
-    views_u = ds.views(unl_rows)
-    y_u_private = ds.labels[unl_rows]
-    views_v = ds.views(val_rows)
-    y_v = ds.labels[val_rows]
+    parts = assemble_step(
+        s, state.teacher, cfg, ds, rows,
+        mc_seed=lambda view: _seed(cfg, _RNG_MC, epoch, step, view),
+        attack_rng=lambda view: _rng(cfg, _RNG_PERTURB, epoch, step, view),
+        keeps=lambda tag, view, n: _keeps(cfg, tag, epoch, step, view, n),
+    )
+    tau, lam_u, lam_adv = parts.mapped
+    loss_sup, loss_unsup, loss_adv = parts.losses
     n_u = unl_rows.size
-    counters = StepCounters()
     p_mac = [s[0].d_in * s[0].d_h + s[0].d_h * s[0].n_classes,
              s[1].d_in * s[1].d_h + s[1].d_h * s[1].n_classes]
-
-    tau, lu_m, la_m = state.teacher.mapped()
-    lam_u = lu_m if cfg.unsup_enabled else 0.0
-    lam_adv = la_m if cfg.adv_enabled else 0.0
-    use_unsup = cfg.unsup_enabled and n_u > 0
-    use_adv = cfg.adv_enabled and n_u > 0
-
-    # One dropout-free hidden layer per view on the unlabeled batch serves the
-    # MC passes, the attack's first objective and the teacher's soft gate.
-    layers_u = [None, None]
-    if use_unsup or use_adv:
-        layers_u = [hidden_layer(s[view], views_u[view]) for view in (0, 1)]
-
-    # (1)-(3) MC dropout, per-sample MI, cross-view filtering.
-    stats = [None, None]
-    accepted = [np.array([], dtype=np.int64)] * 2
-    mask_rates = [0.0, 0.0]
-    gates = [None, None]
-    if use_unsup:
-        for view in (0, 1):
-            probs = mc_forward_batch(
-                s[view], layers_u[view], cfg.mc_passes, _seed(cfg, _RNG_MC, epoch, step, view)
-            )
-            stats[view] = batch_statistics(probs)
-            counters.mi_passes_per_view = cfg.mc_passes * n_u
-            counters.flops += 2 * p_mac[view] * cfg.mc_passes * n_u
-        for view in (0, 1):
-            accepted[view], mask_rates[view], gates[view] = _apply_filter(cfg, stats[view], tau)
-
-    # (4) embedding attacks and the adversarial inputs.
-    x_adv = [None, None]
-    if use_adv:
-        for view in (0, 1):
-            delta = pgd_perturb_batch(
-                s[view], layers_u[view], cfg.perturb, _rng(cfg, _RNG_PERTURB, epoch, step, view)
-            )
-            x_adv[view] = views_u[view] + delta
-            counters.perturb_passes_per_view = cfg.perturb.steps * n_u
-            counters.flops += 6 * p_mac[view] * cfg.perturb.steps * n_u
-
-    # (5) loss assembly. Dropout keeps are drawn per (step, view, term); the
-    # unsup keeps cover the whole unlabeled batch so the teacher's soft path
-    # sees the identical masks.
-    loss_sup = loss_unsup = loss_adv = 0.0
-    grads_total: list[Gradients] = []
-    keep_unsup_full = [None, None]
-    keep_adv = [None, None]
-    zero_accepted = [False, False]
-    meta_batches = []
+    n_mc = cfg.mc_passes * n_u if parts.unsup else 0
+    n_attack = cfg.perturb.steps * n_u if parts.adv else 0
+    counters = StepCounters(
+        student_train_passes=2, mi_passes_per_view=n_mc, perturb_passes_per_view=n_attack)
     for view in (0, 1):
-        other = 1 - view
-        l_sup, g_sup = loss_and_grads(
-            s[view],
-            views_l[view],
-            y_l,
-            "ce",
-            _keeps(cfg, _RNG_KEEP_SUP, epoch, step, view, lab_rows.size),
-        )
-        loss_sup += l_sup
-        g_total = g_sup
-        train_rows = lab_rows.size
+        # Labeled rows, the accepted rows (none without the unsup term) and the attacked rows.
+        train_rows = lab_rows.size + parts.accepted[1 - view].size + (n_u if parts.adv else 0)
+        counters.flops += p_mac[view] * (2 * n_mc + 6 * n_attack + 6 * train_rows)
 
-        if use_unsup:
-            keep_unsup_full[view] = _keeps(cfg, _RNG_KEEP_UNSUP, epoch, step, view, n_u)
-            acc = accepted[other]  # pseudo-labels sourced from the other view
-            if acc.size:
-                keep = keep_unsup_full[view][acc] if keep_unsup_full[view] is not None else None
-                # Masked expectation over the unlabeled batch: the accepted
-                # fraction scales the term, so sparse early acceptance keeps
-                # the pseudo-label pressure conservative.
-                l_u, g_u = loss_and_grads(
-                    s[view],
-                    views_u[view][acc],
-                    stats[other].pseudo_label[acc],
-                    "ce",
-                    keep,
-                )
-                frac = acc.size / n_u
-                loss_unsup += l_u * frac
-                g_total = g_total.plus(g_u, lam_u * frac)
-                train_rows += acc.size
-            else:
-                zero_accepted[view] = True
-
-        adv_grad = None
-        if use_adv:
-            keep_adv[view] = _keeps(cfg, _RNG_KEEP_ADV, epoch, step, view, n_u)
-            l_a, g_a = loss_and_grads(s[view], x_adv[view], None, "entropy", keep_adv[view])
-            adv_grad = (s[view], g_a)
-            loss_adv += l_a
-            g_total = g_total.plus(g_a, lam_adv)
-            train_rows += n_u
-
-        grads_total.append(g_total)
-        counters.flops += 6 * p_mac[view] * train_rows
-
-        if use_unsup:
-            gate_values, gate_sign = gates[other]
-            meta_batches.append(
-                MetaBatch(
-                    x_unsup=layers_u[view],
-                    pseudo_from_other=stats[other].pseudo_label,
-                    mi_from_other=gate_values,
-                    keep_unsup=keep_unsup_full[view],
-                    x_adv=x_adv[view],
-                    keep_adv=keep_adv[view],
-                    x_val=views_v[view],
-                    y_val=y_v,
-                    gate_sign=gate_sign,
-                    adv_grad=adv_grad,
-                )
-            )
-
-    counters.student_train_passes = 2
     loss_total = loss_sup + lam_u * loss_unsup + lam_adv * loss_adv
     if not math.isfinite(loss_total):
         raise NonFiniteError("loss_total", epoch, step)
@@ -439,27 +473,22 @@ def train_step(
     lr_now = cosine_lr(cfg.lr, state.opts[0].step, state.opts[0].total_steps)
     teacher_due = (
         cfg.teacher_enabled
-        and use_unsup
+        and parts.unsup
         and val_rows.size > 0
         and state.global_step % cfg.teacher_update_every == 0
     )
     meta_g = np.zeros(3)
     if teacher_due and not cfg.meta_after_step:
-        meta_g = meta_grad(state.teacher, s, tuple(meta_batches), lr_now)
+        meta_g = meta_grad(state.teacher, s, parts.meta_batches, lr_now)
 
     # (6) student updates.
-    new_students = []
-    new_opts = []
-    for view in (0, 1):
-        p2, o2 = sgd_step(s[view], grads_total[view], state.opts[view])
-        new_students.append(p2)
-        new_opts.append(o2)
+    new_students, new_opts = zip(*(sgd_step(s[v], parts.grads[v], state.opts[v]) for v in (0, 1)))
 
     # (7b) teacher update, after the students per the loop ordering.
     new_teacher = state.teacher
     if teacher_due:
         if cfg.meta_after_step:
-            meta_g = meta_grad(state.teacher, tuple(new_students), tuple(meta_batches), lr_now)
+            meta_g = meta_grad(state.teacher, new_students, parts.meta_batches, lr_now)
         if not np.isfinite(meta_g).all():
             raise NonFiniteError("meta-gradient", epoch, step)
         new_teacher = teacher_step(state.teacher, meta_g)
@@ -471,25 +500,25 @@ def train_step(
     # each consumed unlabeled row twice (the two-pass convention of standard
     # SSL baselines). For a supervised-only configuration this is the step's
     # own cost, so the ratio is exactly 1.
-    n_u_used = n_u if (use_unsup or use_adv) else 0
+    n_u_used = n_u if (parts.unsup or parts.adv) else 0
     counters.baseline_flops = sum(
         6 * p_mac[v] * (lab_rows.size + 2 * n_u_used) for v in (0, 1)
     )
 
-    if use_unsup:
+    stats, accepted = parts.stats, parts.accepted
+    if parts.unsup:
         agreement = float((stats[0].pseudo_label == stats[1].pseudo_label).mean())
         mean_entropy = float(
             np.concatenate([stats[0].predictive_entropy, stats[1].predictive_entropy]).mean()
         )
+        y_u_private = ds.labels[unl_rows]
         imp = tuple(
             impurity(stats[v].pseudo_label, accepted[v], y_u_private) for v in (0, 1)
         )
-        acc_counts = (int(accepted[0].size), int(accepted[1].size))
     else:
         agreement = float("nan")
         mean_entropy = float("nan")
         imp = (float("nan"), float("nan"))
-        acc_counts = (0, 0)
 
     report = StepReport(
         epoch=epoch,
@@ -501,18 +530,18 @@ def train_step(
         tau_mi=tau,
         lambda_u=lam_u,
         lambda_adv=lam_adv,
-        accepted=acc_counts,
-        mask_rate=(mask_rates[0], mask_rates[1]),
+        accepted=(int(accepted[0].size), int(accepted[1].size)),
+        mask_rate=(parts.mask_rates[0], parts.mask_rates[1]),
         impurity=imp,
-        zero_accepted=(zero_accepted[0], zero_accepted[1]),
+        zero_accepted=tuple(parts.unsup and not accepted[1 - v].size for v in (0, 1)),
         agreement=agreement,
         mean_entropy=mean_entropy,
         meta_grad_inf=float(np.abs(meta_g).max()),
         counters=counters,
     )
     new_state = TrainerState(
-        students=tuple(new_students),
-        opts=tuple(new_opts),
+        students=new_students,
+        opts=new_opts,
         teacher=new_teacher,
         global_step=state.global_step + 1,
     )

@@ -19,19 +19,13 @@ from typing import Any, Protocol
 import numpy as np
 
 from .data import LABELED, UNLABELED, VALIDATION, TwoViewDataset
-from .engine import TrainConfig, evaluate, run_training
+from .engine import TrainConfig, _apply_filter, assemble_step, evaluate, run_training
 from .errors import InvalidInputError
 from .generator import PerturbConfig, fixed_point_residual, pgd_perturb_batch
 from .numerics import entropy_rows, softmax_rows
-from .student import (
-    StudentParams,
-    forward_batch,
-    hidden_layer,
-    loss_and_grads,
-    mc_forward_batch,
-)
-from .teacher import MetaBatch, TeacherStrategy, meta_grad
-from .uncertainty import batch_statistics, mi_filter
+from .student import StudentParams, forward_batch, loss_and_grads, mc_forward_batch
+from .teacher import TeacherStrategy, meta_grad
+from .uncertainty import batch_statistics
 
 
 @dataclass(frozen=True)
@@ -116,31 +110,6 @@ def nash_residual(game: TriadicGame, profile: GameProfile) -> tuple[float, float
     )
 
 
-def alternating_best_response(
-    game: TriadicGame,
-    profile: GameProfile,
-    max_rounds: int = 10,
-    tol: float = 0.0,
-) -> tuple[GameProfile, int, tuple[float, float, float]]:
-    """Cyclic best-response dynamics: teacher, then students, then generator.
-
-    Returns the final profile, the number of completed rounds, and its Nash
-    residuals. Stops as soon as every residual is within tolerance.
-    """
-    current = profile
-    for round_index in range(1, max_rounds + 1):
-        t, _ = best_response(game, "teacher", current)
-        current = replace(current, teacher_point=t)
-        s = game.respond_students(current.teacher_point, current.generator_cfg)
-        current = replace(current, students=s)
-        g, _ = best_response(game, "generator", current)
-        current = replace(current, generator_cfg=g)
-        residuals = nash_residual(game, current)
-        if all(r <= tol for r in residuals):
-            return current, round_index, residuals
-    return current, max_rounds, nash_residual(game, current)
-
-
 # ---------------------------------------------------------------------------
 # The trained game: payoffs measured on a dataset, students retrained.
 
@@ -152,6 +121,15 @@ def _attack_rng(probe_seed: int, view: int) -> np.random.Generator:
     of its arguments.
     """
     return np.random.default_rng(np.random.SeedSequence([probe_seed, view]))
+
+
+def probe_rows(ds: TwoViewDataset, probe_size: int, probe_seed: int) -> np.ndarray:
+    """The probe batch: the first ``probe_size`` unlabeled rows of a seeded
+    permutation, sorted."""
+    unl = ds.indices(UNLABELED)
+    if unl.size == 0:
+        raise InvalidInputError("need unlabeled probe rows")
+    return np.sort(np.random.default_rng(probe_seed).permutation(unl)[:probe_size])
 
 
 @dataclass(frozen=True)
@@ -211,7 +189,6 @@ class TrainedTriadicGame:
         budgets: list[StudentBudget] | None = None,
         probe_size: int = 256,
         probe_seed: int = 0,
-        mc_passes: int = 5,
     ):
         self.ds = ds
         self.base_cfg = base_cfg
@@ -226,12 +203,7 @@ class TrainedTriadicGame:
         self.teacher_points = list(grid.teacher_points)
         self.generator_points = list(grid.generator_configs)
         self.budgets = list(grid.student_budgets)
-        self.mc_passes = mc_passes
-        unl = ds.indices(UNLABELED)
-        if unl.size == 0:
-            raise InvalidInputError("trained game needs unlabeled probe rows")
-        order = np.random.default_rng(probe_seed).permutation(unl)
-        self.probe_rows = np.sort(order[: min(probe_size, unl.size)])
+        self.probe_rows = probe_rows(ds, probe_size, probe_seed)
         self.probe_seed = probe_seed
         # Payoff ingredients by what they depend on: students by identity
         # (StudentParams is an immutable value), attack configs by value.
@@ -250,10 +222,9 @@ class TrainedTriadicGame:
         s = tuple(s)
 
         def compute():
+            passes = self.base_cfg.mc_passes
             return [
-                batch_statistics(
-                    mc_forward_batch(s[view], x, self.mc_passes, seed=self.probe_seed + view)
-                )
+                batch_statistics(mc_forward_batch(s[view], x, passes, seed=self.probe_seed + view))
                 for view, x in enumerate(self.ds.views(self.probe_rows))
             ]
 
@@ -289,9 +260,10 @@ class TrainedTriadicGame:
     def payoff_students(self, t, s, g) -> float:
         """Weighted cost lambda_u * L_unsup + lambda_adv * L_adv on the probe.
 
-        A run trained without the unsup or the adversarial term has no
-        L_unsup or L_adv, like its retraining, so that term's weight counts
-        as 0 here.
+        L_unsup takes the pseudo-labels that the run's ``filter.mode``
+        accepts at ``tau``. A run trained without the unsup or the
+        adversarial term has no L_unsup or L_adv, like its retraining, so
+        that term's weight counts as 0 here.
         """
         tau, lam_u, lam_adv = t
         if not self.base_cfg.unsup_enabled:
@@ -306,7 +278,7 @@ class TrainedTriadicGame:
         for view in (0, 1):
             other = 1 - view
             if lam_u > 0:
-                accepted, _ = mi_filter(stats[other], tau, self.base_cfg.filter_direction)
+                accepted = _apply_filter(self.base_cfg, stats[other], tau)[0]
                 if accepted.size:
                     # A row subset is not a row slice of the full-probe pass
                     # (the rounding trap), so this loss is computed per call.
@@ -326,14 +298,19 @@ class TrainedTriadicGame:
 
     def _retrain_cfg(self, t, g, budget: StudentBudget) -> TrainConfig:
         tau, lam_u, lam_adv = t
+        lam_u_init = min(max(lam_u, 1e-6), 1 - 1e-6)
+        lam_adv_init = min(max(lam_adv, 1e-6), 1 - 1e-6)
+        # map_strategy's rescaled pair can sum to 1 + 1 ulp; TrainConfig rejects that.
+        if lam_u_init + lam_adv_init > 1.0:
+            lam_adv_init = 1.0 - lam_u_init
         return replace(
             self.base_cfg,
             epochs=budget.epochs,
             seed=budget.seed,
             teacher_enabled=False,
             tau_init=min(max(tau, 1e-6), 1 - 1e-6),
-            lambda_u_init=min(max(lam_u, 1e-6), 1 - 1e-6),
-            lambda_adv_init=min(max(lam_adv, 1e-6), 1 - 1e-6),
+            lambda_u_init=lam_u_init,
+            lambda_adv_init=lam_adv_init,
             unsup_enabled=self.base_cfg.unsup_enabled and lam_u > 0,
             adv_enabled=self.base_cfg.adv_enabled and lam_adv > 0,
             perturb=g,
@@ -375,94 +352,29 @@ def stackelberg_residual(
 ) -> StackelbergResiduals:
     """The three stationarity gaps at the final state of a run.
 
+    Teacher and students: the training step's objective (``assemble_step``)
+    on all labeled rows, the probe and all validation rows, in evaluation
+    mode (stationarity is about the expected loss, not one dropout draw).
     Teacher: infinity norm of the meta-gradient probed at the base learning
-    rate. It is 0.0 when the unsup term is off: ``train_step`` then applies
-    no meta-gradient, and MC, the filter and the unsup terms are skipped.
-    Students: infinity norm of the total-loss gradient, with losses in
-    evaluation mode (the stationarity notion is about the expected loss, not
-    one dropout draw). Generator: mean fixed-point residual of a long
-    diagnostic ascent against the final students.
+    rate; 0.0 when the unsup term is off, as ``train_step`` then applies no
+    meta-gradient. Students: infinity norm of the total-loss gradient.
+    Generator: mean fixed-point residual of a long diagnostic ascent against
+    the final students.
     """
-    unl = ds.indices(UNLABELED)
-    lab = ds.indices(LABELED)
-    val = ds.indices(VALIDATION)
-    if unl.size == 0 or lab.size == 0 or val.size == 0:
-        raise InvalidInputError("need labeled, unlabeled and validation rows")
-    order = np.random.default_rng(probe_seed).permutation(unl)
-    probe = np.sort(order[: min(probe_size, unl.size)])
-    x_u = ds.views(probe)
-    x_l = ds.views(lab)
-    y_l = ds.labels[lab]
-    x_v = ds.views(val)
-    y_v = ds.labels[val]
-    # One hidden layer per view on the probe serves MC, both attacks and the
-    # teacher's soft gate.
-    layers = [hidden_layer(students[view], x_u[view]) for view in (0, 1)]
-
-    tau, lam_u, lam_adv = teacher.mapped()
-    if not cfg.adv_enabled:
-        lam_adv = 0.0
-
-    stats = [None, None]
-    if cfg.unsup_enabled:
-        for view in (0, 1):
-            probs = mc_forward_batch(
-                students[view], layers[view], cfg.mc_passes, seed=probe_seed + view
-            )
-            stats[view] = batch_statistics(probs)
-
-    x_adv = [None, None]
-    if cfg.adv_enabled:
-        for view in (0, 1):
-            delta = pgd_perturb_batch(
-                students[view], layers[view], cfg.perturb, _attack_rng(probe_seed, view)
-            )
-            x_adv[view] = x_u[view] + delta
-
-    # Student stationarity: gradient of the weighted total loss.
-    student_res = 0.0
-    batches = []
-    n = probe.size
-    for view in (0, 1):
-        other = 1 - view
-        _, g_sup = loss_and_grads(students[view], x_l[view], y_l, "ce")
-        g_total = g_sup
-        if cfg.unsup_enabled:
-            accepted, _ = mi_filter(stats[other], tau, cfg.filter_direction)
-            if accepted.size and lam_u > 0:
-                _, g_u = loss_and_grads(
-                    students[view],
-                    x_u[view][accepted],
-                    stats[other].pseudo_label[accepted],
-                    "ce",
-                )
-                g_total = g_total.plus(g_u, lam_u * accepted.size / n)
-        adv_grad = None
-        if lam_adv > 0 and x_adv[view] is not None:
-            _, g_a = loss_and_grads(students[view], x_adv[view], None, "entropy")
-            g_total = g_total.plus(g_a, lam_adv)
-            adv_grad = (students[view], g_a)
-        student_res = max(student_res, g_total.inf_norm())
-        if cfg.unsup_enabled:
-            batches.append(
-                MetaBatch(
-                    x_unsup=layers[view],
-                    pseudo_from_other=stats[other].pseudo_label,
-                    mi_from_other=stats[other].mi,
-                    keep_unsup=None,
-                    x_adv=x_adv[view],
-                    keep_adv=None,
-                    x_val=x_v[view],
-                    y_val=y_v,
-                    gate_sign=1.0 if cfg.filter_direction == "above" else -1.0,
-                    adv_grad=adv_grad,
-                )
-            )
-
-    # Teacher stationarity: meta-gradient at the base learning rate.
+    lab, val = ds.indices(LABELED), ds.indices(VALIDATION)
+    if lab.size == 0 or val.size == 0:
+        raise InvalidInputError("need labeled and validation rows")
+    probe = probe_rows(ds, probe_size, probe_seed)
+    parts = assemble_step(
+        students, teacher, cfg, ds, (lab, probe, val),
+        mc_seed=lambda view: probe_seed + view,
+        attack_rng=lambda view: _attack_rng(probe_seed, view),
+        keeps=lambda tag, view, n: None,
+    )
+    student_res = max(g.inf_norm() for g in parts.grads)
     teacher_res = 0.0
-    if cfg.unsup_enabled:
-        teacher_res = float(np.abs(meta_grad(teacher, students, tuple(batches), cfg.lr)).max())
+    if parts.meta_batches:
+        teacher_res = float(np.abs(meta_grad(teacher, students, parts.meta_batches, cfg.lr)).max())
 
     # Generator stationarity: long diagnostic ascent, small relative step.
     attack = diag_attack or PerturbConfig(
@@ -472,11 +384,10 @@ def stackelberg_residual(
         step_size=cfg.perturb.epsilon / 10.0,
     )
     gen_res = 0.0
-    for view in (0, 1):
-        delta = pgd_perturb_batch(
-            students[view], layers[view], attack, _attack_rng(probe_seed, view)
-        )
-        gen_res += float(fixed_point_residual(students[view], x_u[view], delta, attack).mean())
+    for view, x in enumerate(ds.views(probe)):
+        layer = parts.layers[view] if parts.layers[view] is not None else x
+        delta = pgd_perturb_batch(students[view], layer, attack, _attack_rng(probe_seed, view))
+        gen_res += float(fixed_point_residual(students[view], x, delta, attack).mean())
     return StackelbergResiduals(
         teacher=teacher_res, students=student_res, generator=gen_res / 2.0
     )

@@ -40,13 +40,12 @@ from cotriad.engine import (
 )
 from cotriad.game import (
     GameProfile,
-    alternating_best_response,
     nash_residual,
     stackelberg_residual,
 )
 from cotriad.gradcheck import run_all
 from cotriad.generator import PerturbConfig, fixed_point_residual, pgd_perturb_batch
-from toy_game import toy_game
+from toy_game import alternating_best_response, toy_game
 from cotriad.student import (
     StudentParams,
     init_student,

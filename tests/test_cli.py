@@ -448,8 +448,9 @@ class TestCommands:
 
         def students_payoff(mc_passes):
             game = TrainedTriadicGame(
-                cfg.build_dataset(), train_cfg, teacher_points=[(0.05, 0.5, 0.25)],
-                budgets=[StudentBudget(epochs=1, seed=97)], probe_size=32, mc_passes=mc_passes,
+                cfg.build_dataset(), dataclasses.replace(train_cfg, mc_passes=mc_passes),
+                teacher_points=[(0.05, 0.5, 0.25)],
+                budgets=[StudentBudget(epochs=1, seed=97)], probe_size=32,
             )
             return game.payoff_students(teacher.mapped(), students, train_cfg.perturb)
 

@@ -13,7 +13,6 @@ from cotriad.data import (
     TwoViewDataset,
     gen_synthetic_two_view,
     load_embedding_file,
-    make_splits,
     read_embeddings,
     read_labels,
     split_by_counts,
@@ -70,7 +69,7 @@ class TestSyntheticGeneration:
 class TestSplits:
     def test_full_labeled_fraction_leaves_nothing_unlabeled(self):
         ds = gen_synthetic_two_view(200, 4, 4, 4, 0.3, seed=1)
-        out = make_splits(ds, 1.0, 0.1, seed=2)
+        out = split_by_counts(ds, n_labeled=180, n_validation=18, n_test=20, seed=2)
         assert (out.split == UNLABELED).sum() == 0
 
     def test_counts_and_disjointness(self):
@@ -94,16 +93,9 @@ class TestSplits:
 
     def test_deterministic_under_seed(self):
         ds = gen_synthetic_two_view(300, 3, 4, 4, 0.3, seed=1)
-        a = make_splits(ds, 0.2, 0.1, seed=5, test_fraction=0.2)
-        b = make_splits(ds, 0.2, 0.1, seed=5, test_fraction=0.2)
+        a = split_by_counts(ds, 48, 5, 60, seed=5)
+        b = split_by_counts(ds, 48, 5, 60, seed=5)
         np.testing.assert_array_equal(a.split, b.split)
-
-    def test_validation_fraction_default_style(self):
-        ds = gen_synthetic_two_view(1000, 4, 4, 4, 0.3, seed=2)
-        out = make_splits(ds, 0.5, 0.1, seed=3)
-        n_lab = ((out.split == LABELED) | (out.split == VALIDATION)).sum()
-        n_val = (out.split == VALIDATION).sum()
-        assert n_val == pytest.approx(0.1 * n_lab, abs=2)
 
     def test_class_without_labels_rejected(self):
         ds = gen_synthetic_two_view(100, 4, 4, 4, 0.3, seed=2)
@@ -113,7 +105,7 @@ class TestSplits:
             split=np.full(len(ds), UNLABELED, dtype=np.int8),
         )
         with pytest.raises(InvalidInputError):
-            make_splits(broken, 0.5, 0.1, seed=1)
+            split_by_counts(broken, 50, 4, 0, seed=1)
 
     def test_no_leakage_between_validation_and_training(self):
         ds = gen_synthetic_two_view(500, 4, 4, 4, 0.3, seed=4)

@@ -216,13 +216,31 @@ class TestGoldenDigest:
         ),
     }
     # The base run's final robust evaluation (the gamma = 0, 10-step attack
-    # of eval_attack_config) and its Stackelberg residuals, whose generator
-    # term runs two 50-step ascents; recorded with pgd10_frozen.
+    # of eval_attack_config), recorded with pgd10_frozen, and its Stackelberg
+    # residuals, whose generator term runs two 50-step ascents. The teacher
+    # and students residuals were recorded when they began to filter with the
+    # run's mi_conf filter like training does (0.0031849040414763086 and
+    # 0.10558377587607312 when they filtered on MI alone).
     ROBUST_ACCURACY = 0.47
     STACKELBERG = {
-        "teacher": 0.0031849040414763086,
-        "students": 0.10558377587607312,
+        "teacher": 0.003211823978247303,
+        "students": 0.09711507591753846,
         "generator": 0.002345807385885084,
+    }
+    # The residuals of the same run trained and diagnosed with filter.mode =
+    # mi in each direction, where one MI filter served both before and after
+    # the residual began to share the training step's assembly.
+    STACKELBERG_MI = {
+        "below": {
+            "teacher": 0.003140134098654756,
+            "students": 0.11301630727393085,
+            "generator": 0.0022735852130226697,
+        },
+        "above": {
+            "teacher": 0.005432032811238038,
+            "students": 0.12515540904187955,
+            "generator": 0.002271825810964529,
+        },
     }
 
     @staticmethod
@@ -282,6 +300,12 @@ class TestGoldenDigest:
         ds, cfg, rep = base_run
         res = stackelberg_residual(rep.students, rep.teacher, ds, cfg)
         assert res.as_dict() == self.STACKELBERG
+
+    @pytest.mark.parametrize("direction", sorted(STACKELBERG_MI))
+    def test_mi_run_stackelberg_residuals_are_unchanged(self, direction):
+        ds, cfg, rep = self._run(filter_mode="mi", filter_direction=direction)
+        res = stackelberg_residual(rep.students, rep.teacher, ds, cfg)
+        assert res.as_dict() == self.STACKELBERG_MI[direction]
 
 
 def _filter_and_gate_oracle(cfg, stats, tau):

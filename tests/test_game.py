@@ -8,26 +8,32 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cotriad import engine as engine_module
 from cotriad import game as game_module
-from cotriad.data import gen_synthetic_two_view, split_by_counts
-from cotriad.engine import TrainConfig, run_training
+from cotriad.data import LABELED, VALIDATION, gen_synthetic_two_view, split_by_counts
+from cotriad.engine import TrainConfig, _apply_filter, run_training
 from cotriad.errors import InvalidInputError
 from cotriad.game import (
     GameProfile,
     StrategyGrid,
     StudentBudget,
     TrainedTriadicGame,
-    alternating_best_response,
     best_response,
     compute_payoffs,
     default_teacher_grid,
     equilibrium_report,
     nash_residual,
+    probe_rows,
     stackelberg_residual,
 )
-from cotriad.generator import PerturbConfig
-from toy_game import TabularTriadicGame, toy_game
+from cotriad.generator import PerturbConfig, pgd_perturb_batch
+from cotriad.student import loss_and_grads, mc_forward_batch
+from cotriad.teacher import MetaBatch, map_strategy, meta_grad
+from cotriad.uncertainty import batch_statistics
+from toy_game import TabularTriadicGame, alternating_best_response, toy_game
 
 
 def enumerate_nash(game):
@@ -293,9 +299,13 @@ class TestPayoffCache:
 
     # sha256 of the sorted-key JSON of equilibrium_report (with Stackelberg
     # residuals) for the game below, and payoff_students at STUDENT_POINTS x
-    # the generator grid. Both were recorded before the ingredients were
-    # cached, on the platform TestGoldenDigest in test_engine.py names.
-    REPORT_DIGEST = "e56f1ec54b76f8a7ffc52b98a04577330540cf927c676c51a9a53550f7dd5e3f"
+    # the generator grid, on the platform TestGoldenDigest in test_engine.py
+    # names. The payoffs were recorded before the ingredients were cached,
+    # when the game's MC passes were its own argument (default 5), so they
+    # are checked on a 5-pass config. The digest was recorded when the game
+    # began to read them from the run's config (3 passes here); the parent
+    # code gave the same digest when passed the run's 3.
+    REPORT_DIGEST = "8146224e6a2b70ef763fa0bd05f78aed0dd59f9e23da9d331bcc33fe90c05783"
     STUDENT_POINTS = [
         (0.05, 0.0, 0.0), (0.05, 0.5, 0.0), (0.05, 0.0, 0.5), (0.2, 0.25, 0.5), (0.01, 0.75, 0.25)
     ]
@@ -359,6 +369,7 @@ class TestPayoffCache:
         payload = equilibrium_report(game, profile, 1e-2, res)
         blob = json.dumps(payload, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == self.REPORT_DIGEST
+        game = self._game(ds, dataclasses.replace(cfg, mc_passes=5), grid)
         payoffs = [
             game.payoff_students(t, rep.students, g) for t in self.STUDENT_POINTS for g in grid
         ]
@@ -455,7 +466,7 @@ class TestStackelbergResiduals:
         def no_mc(*args, **kwargs):
             raise AssertionError("stackelberg_residual ran an MC pass")
 
-        monkeypatch.setattr(game_module, "mc_forward_batch", no_mc)
+        monkeypatch.setattr(engine_module, "mc_forward_batch", no_mc)
         res = stackelberg_residual(rep.students, rep.teacher, ds, cfg, probe_size=64)
         assert res.teacher == 0.0
         assert res.students > 0.0 and res.generator >= 0.0
@@ -466,3 +477,119 @@ class TestStackelbergResiduals:
         rep = run_training(cfg, ds)
         res = stackelberg_residual(rep.students, rep.teacher, ds, cfg, probe_size=64)
         assert np.isfinite(res.teacher)
+
+
+def probe_filter_oracle(students, ds, cfg, tau, probe_size):
+    """MC statistics on each view of the probe and the run's filter of each."""
+    probe = probe_rows(ds, probe_size, 0)
+    x_u = ds.views(probe)
+    stats = [
+        batch_statistics(mc_forward_batch(students[v], x_u[v], cfg.mc_passes, seed=v))
+        for v in (0, 1)
+    ]
+    return probe, x_u, stats, [_apply_filter(cfg, stats[v], tau) for v in (0, 1)]
+
+
+def residual_oracle(students, teacher, ds, cfg, probe_size):
+    """The teacher and students residuals written out: the training objective
+    with the run's filter, in evaluation mode, on all labeled rows, the probe
+    and all validation rows (both terms on)."""
+    tau, lam_u, lam_adv = teacher.mapped()
+    probe, x_u, stats, filtered = probe_filter_oracle(students, ds, cfg, tau, probe_size)
+    lab, val = ds.indices(LABELED), ds.indices(VALIDATION)
+    x_l, x_v = ds.views(lab), ds.views(val)
+    students_res = 0.0
+    batches = []
+    for view in (0, 1):
+        other = 1 - view
+        rng = np.random.default_rng(np.random.SeedSequence([0, view]))
+        x_adv = x_u[view] + pgd_perturb_batch(students[view], x_u[view], cfg.perturb, rng)
+        accepted, _, (gate, sign) = filtered[other]
+        _, grad = loss_and_grads(students[view], x_l[view], ds.labels[lab], "ce")
+        if accepted.size:
+            pseudo = stats[other].pseudo_label[accepted]
+            _, g_u = loss_and_grads(students[view], x_u[view][accepted], pseudo, "ce")
+            grad = grad.plus(g_u, lam_u * (accepted.size / probe.size))
+        _, g_adv = loss_and_grads(students[view], x_adv, None, "entropy")
+        grad = grad.plus(g_adv, lam_adv)
+        students_res = max(students_res, grad.inf_norm())
+        batches.append(MetaBatch(
+            x_unsup=x_u[view], pseudo_from_other=stats[other].pseudo_label,
+            mi_from_other=gate, keep_unsup=None, x_adv=x_adv, keep_adv=None,
+            x_val=x_v[view], y_val=ds.labels[val], gate_sign=sign,
+        ))
+    teacher_res = float(np.abs(meta_grad(teacher, students, tuple(batches), cfg.lr)).max())
+    return teacher_res, students_res
+
+
+def unsup_payoff_oracle(students, ds, cfg, t, probe_size):
+    """payoff_students at lambda_adv = 0, written out with the run's filter."""
+    tau, lam_u, _ = t
+    probe, x_u, stats, filtered = probe_filter_oracle(students, ds, cfg, tau, probe_size)
+    cost = 0.0
+    for view in (0, 1):
+        accepted = filtered[1 - view][0]
+        if accepted.size:
+            pseudo = stats[1 - view].pseudo_label[accepted]
+            loss, _ = loss_and_grads(students[view], x_u[view][accepted], pseudo, "ce")
+            cost += lam_u * loss * (accepted.size / probe.size)
+    return cost
+
+
+class TestDiagnosticsFilterLikeTraining:
+    """The residuals and the students' payoff filter with the run's filter.mode."""
+
+    @pytest.mark.parametrize("mode", ["mi", "mi_conf", "confidence", "none"])
+    def test_residuals_and_students_payoff_match_the_oracle(self, mode):
+        ds = small_task()
+        cfg = small_cfg(filter_mode=mode, tau_conf=0.6, mc_passes=5)
+        rep = run_training(cfg, ds)
+        res = stackelberg_residual(rep.students, rep.teacher, ds, cfg, probe_size=64)
+        assert (res.teacher, res.students) == residual_oracle(
+            rep.students, rep.teacher, ds, cfg, 64
+        )
+        game = TrainedTriadicGame(ds, cfg, probe_size=64)
+        t = (rep.teacher.mapped()[0], 0.5, 0.0)
+        payoff = game.payoff_students(t, rep.students, cfg.perturb)
+        assert payoff > 0.0
+        assert payoff == unsup_payoff_oracle(rep.students, ds, cfg, t, 64)
+
+
+class TestRetrainConfig:
+    """Every teacher point the game can score builds a retraining config."""
+
+    BUDGET = StudentBudget(epochs=1, seed=3)
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        return TrainedTriadicGame(small_task(), small_cfg(), budgets=[self.BUDGET], probe_size=32)
+
+    def test_weights_summing_to_one_ulp_above_one_retrain(self, game):
+        # A pair map_strategy returned on an equilibrium benchmark run.
+        lam_u, lam_adv = 0.49996828790166675, 0.5000317120983334
+        assert lam_u + lam_adv > 1.0
+        retrained = game.respond_students((0.05, lam_u, lam_adv), small_cfg().perturb)
+        assert len(retrained) == 2
+
+    # Any finite z, weighted toward the range where both weights are near 1/2.
+    FINITE = st.one_of(st.floats(-40.0, 40.0), st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.lists(FINITE, min_size=3, max_size=3))
+    def test_every_mapped_strategy_builds_a_config(self, game, z):
+        cfg = game._retrain_cfg(map_strategy(np.array(z)), small_cfg().perturb, self.BUDGET)
+        assert cfg.lambda_u_init + cfg.lambda_adv_init <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tau=st.floats(0.0, 1.0),
+        lam_u=st.floats(0.0, 1.0),
+        share=st.floats(0.0, 1.0),
+        slack=st.floats(0.0, 1e-12),
+    )
+    def test_every_grid_point_builds_a_config(self, game, tau, lam_u, share, slack):
+        # StrategyGrid admits lambda_u + lambda_adv up to 1 + 1e-12.
+        t = (tau, lam_u, share * (1.0 - lam_u) + slack)
+        StrategyGrid((t,), (small_cfg().perturb,), (self.BUDGET,))
+        cfg = game._retrain_cfg(t, small_cfg().perturb, self.BUDGET)
+        assert cfg.lambda_u_init + cfg.lambda_adv_init <= 1.0

@@ -1,4 +1,9 @@
-"""The toy-game oracle: a finite triadic game given by explicit payoff tables."""
+"""The toy-game oracle: a finite triadic game given by explicit payoff tables,
+and the cyclic best-response dynamics that only this game exercises."""
+
+from dataclasses import replace
+
+from cotriad.game import GameProfile, TriadicGame, best_response, nash_residual
 
 
 class TabularTriadicGame:
@@ -52,3 +57,28 @@ def toy_game():
           ("T2", "S1", "G1"): 0.10, ("T2", "S2", "G1"): 0.70}
     rg = {key: 1.0 for key in rt}
     return TabularTriadicGame(teachers, students, generators, rt, rs, rg)
+
+
+def alternating_best_response(
+    game: TriadicGame,
+    profile: GameProfile,
+    max_rounds: int = 10,
+    tol: float = 0.0,
+) -> tuple[GameProfile, int, tuple[float, float, float]]:
+    """Cyclic best-response dynamics: teacher, then students, then generator.
+
+    Returns the final profile, the number of completed rounds, and its Nash
+    residuals. Stops as soon as every residual is within tolerance.
+    """
+    current = profile
+    for round_index in range(1, max_rounds + 1):
+        t, _ = best_response(game, "teacher", current)
+        current = replace(current, teacher_point=t)
+        s = game.respond_students(current.teacher_point, current.generator_cfg)
+        current = replace(current, students=s)
+        g, _ = best_response(game, "generator", current)
+        current = replace(current, generator_cfg=g)
+        residuals = nash_residual(game, current)
+        if all(r <= tol for r in residuals):
+            return current, round_index, residuals
+    return current, max_rounds, nash_residual(game, current)

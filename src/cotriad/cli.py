@@ -35,7 +35,6 @@ from .game import (
     StudentBudget,
     TrainedTriadicGame,
     equilibrium_report,
-    nash_residual,
     stackelberg_residual,
 )
 

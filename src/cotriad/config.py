@@ -13,7 +13,7 @@ from pathlib import Path
 from .data import TwoViewDataset, gen_synthetic_two_view, load_embedding_file, split_by_counts
 from .engine import TrainConfig
 from .errors import BoundError, ConfigError
-from .game import teacher_grid
+from .game import TEACHER_AXES, teacher_grid
 from .generator import PerturbConfig
 from .settings import declare, settings_of
 
@@ -36,9 +36,9 @@ _OTHER_KEYS = [
     declare("data.view2", "", "view-2 embeddings path (files mode)"),
     declare("data.labels", "", "labels path (files mode)"),
     declare("train.seeds", [1, 2, 3], "training seeds, comma separated", ">= 0"),
-    declare("game.tau_grid", [0.01, 0.05, 0.1, 0.2], "teacher deviation thresholds", "[0, 1]"),
-    declare("game.lambda_u_grid", [0.0, 0.25, 0.5, 0.75], "teacher deviation unsup weights", "[0, 1]"),
-    declare("game.lambda_adv_grid", [0.0, 0.25, 0.5], "teacher deviation adv weights", "[0, 1]"),
+    declare("game.tau_grid", list(TEACHER_AXES[0]), "teacher deviation thresholds", "[0, 1]"),
+    declare("game.lambda_u_grid", list(TEACHER_AXES[1]), "teacher deviation unsup weights", "[0, 1]"),
+    declare("game.lambda_adv_grid", list(TEACHER_AXES[2]), "teacher deviation adv weights", "[0, 1]"),
     declare("game.epsilon_grid", [], "generator deviation budgets, empty = training epsilon", "> 0"),
     declare("game.budget_epochs", 2, "student best-response retraining epochs", ">= 0"),
     declare("game.budget_seed", 97, "student best-response retraining seed", ">= 0"),

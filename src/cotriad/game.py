@@ -14,7 +14,7 @@ generator's projected-ascent fixed-point gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Protocol
+from typing import Any
 
 import numpy as np
 
@@ -37,77 +37,46 @@ class GameProfile:
     generator_cfg: Any
 
 
-class TriadicGame(Protocol):
-    teacher_points: list
-    generator_points: list
+def _scan(game, profile: GameProfile):
+    """Every payoff a report reads, each scored once.
 
-    def payoff_teacher(self, t, s, g) -> float: ...
-
-    def payoff_students(self, t, s, g) -> float: ...
-
-    def payoff_generator(self, t, s, g) -> float: ...
-
-    def respond_students(self, t, g): ...
-
-    def student_deviations(self, t, g) -> list: ...
-
-
-def compute_payoffs(game: TriadicGame, profile: GameProfile) -> tuple[float, float, float]:
+    Returns the profile's (teacher, students, generator) payoffs and, for
+    each player in that order, the payoffs of its deviations: the teacher
+    grid, the students' retrained deviations and the generator grid.
+    """
     t, s, g = profile.teacher_point, profile.students, profile.generator_cfg
+    payoffs = (game.payoff_teacher(t, s, g), game.payoff_students(t, s, g),
+               game.payoff_generator(t, s, g))
+    deviations = (
+        [game.payoff_teacher(cand, s, g) for cand in game.teacher_points],
+        [game.payoff_students(t, cand, g) for cand in game.student_deviations(t, g)],
+        [game.payoff_generator(t, s, cand) for cand in game.generator_points],
+    )
+    return payoffs, deviations
+
+
+def _residuals(payoffs, deviations) -> tuple[float, float, float]:
+    """Clamped best unilateral improvements over a scan.
+
+    ``max`` and ``min`` keep the incumbent unless a deviation is strictly
+    better, so ties (and a NaN incumbent) give 0.
+    """
+    (rt, rs, rg), (dev_t, dev_s, dev_g) = payoffs, deviations
     return (
-        game.payoff_teacher(t, s, g),
-        game.payoff_students(t, s, g),
-        game.payoff_generator(t, s, g),
+        max(0.0, max([rt, *dev_t]) - rt),
+        max(0.0, rs - min([rs, *dev_s])),
+        max(0.0, max([rg, *dev_g]) - rg),
     )
 
 
-def best_response(game: TriadicGame, player: str, profile: GameProfile):
-    """Best unilateral deviation for one player, ties kept at the incumbent.
-
-    Teacher and generator scan their grids for a strictly better payoff; the
-    students' response is the retraining operator (argmin over the recorded
-    deviation budgets). Deterministic: grid order decides among fresh ties.
-    """
-    t, s, g = profile.teacher_point, profile.students, profile.generator_cfg
-    if player == "teacher":
-        best, best_val = t, game.payoff_teacher(t, s, g)
-        for cand in game.teacher_points:
-            val = game.payoff_teacher(cand, s, g)
-            if val > best_val:
-                best, best_val = cand, val
-        return best, best_val
-    if player == "generator":
-        best, best_val = g, game.payoff_generator(t, s, g)
-        for cand in game.generator_points:
-            val = game.payoff_generator(t, s, cand)
-            if val > best_val:
-                best, best_val = cand, val
-        return best, best_val
-    if player == "students":
-        best, best_val = s, game.payoff_students(t, s, g)
-        for cand in game.student_deviations(t, g):
-            val = game.payoff_students(t, cand, g)
-            if val < best_val:
-                best, best_val = cand, val
-        return best, best_val
-    raise InvalidInputError(f"unknown player {player!r}")
-
-
-def nash_residual(game: TriadicGame, profile: GameProfile) -> tuple[float, float, float]:
+def nash_residual(game, profile: GameProfile) -> tuple[float, float, float]:
     """Clamped unilateral improvements (teacher, students, generator).
 
     All three are nonnegative; a profile is a grid-Nash point exactly when
-    every residual is within tolerance.
+    every residual is within tolerance. ``game`` is any object with the
+    payoff and deviation interface of ``TrainedTriadicGame``.
     """
-    rt, rs, rg = compute_payoffs(game, profile)
-    _, best_t = best_response(game, "teacher", profile)
-    _, best_s = best_response(game, "students", profile)
-    _, best_g = best_response(game, "generator", profile)
-    return (
-        max(0.0, best_t - rt),
-        max(0.0, rs - best_s),
-        max(0.0, best_g - rg),
-    )
+    return _residuals(*_scan(game, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +130,13 @@ def teacher_grid(taus, lambda_us, lambda_advs) -> list[tuple[float, float, float
     return [(t, lu, la) for t in taus for lu in lambda_us for la in lambda_advs if lu + la <= 1.0]
 
 
+# The default teacher grid's (tau, lambda_u, lambda_adv) axes, which are also
+# the defaults of the game.*_grid config keys.
+TEACHER_AXES = ((0.01, 0.05, 0.1, 0.2), (0.0, 0.25, 0.5, 0.75), (0.0, 0.25, 0.5))
+
+
 def default_teacher_grid() -> list[tuple[float, float, float]]:
-    return teacher_grid((0.01, 0.05, 0.1, 0.2), (0.0, 0.25, 0.5, 0.75), (0.0, 0.25, 0.5))
+    return teacher_grid(*TEACHER_AXES)
 
 
 class TrainedTriadicGame:
@@ -183,7 +157,6 @@ class TrainedTriadicGame:
         self,
         ds: TwoViewDataset,
         base_cfg: TrainConfig,
-        grid: StrategyGrid | None = None,
         teacher_points: list[tuple[float, float, float]] | None = None,
         generator_points: list[PerturbConfig] | None = None,
         budgets: list[StudentBudget] | None = None,
@@ -192,17 +165,10 @@ class TrainedTriadicGame:
     ):
         self.ds = ds
         self.base_cfg = base_cfg
-        grid = grid or StrategyGrid(
-            teacher_points=tuple(teacher_points or default_teacher_grid()),
-            generator_configs=tuple(generator_points or [base_cfg.perturb]),
-            student_budgets=tuple(
-                budgets or [StudentBudget(epochs=base_cfg.epochs, seed=base_cfg.seed)]
-            ),
-        )
-        self.grid = grid
-        self.teacher_points = list(grid.teacher_points)
-        self.generator_points = list(grid.generator_configs)
-        self.budgets = list(grid.student_budgets)
+        self.teacher_points = list(teacher_points or default_teacher_grid())
+        self.generator_points = list(generator_points or [base_cfg.perturb])
+        self.budgets = list(budgets or [StudentBudget(epochs=base_cfg.epochs, seed=base_cfg.seed)])
+        StrategyGrid(tuple(self.teacher_points), tuple(self.generator_points), tuple(self.budgets))
         self.probe_rows = probe_rows(ds, probe_size, probe_seed)
         self.probe_seed = probe_seed
         # Payoff ingredients by what they depend on: students by identity
@@ -400,9 +366,9 @@ def equilibrium_report(
     stackelberg: StackelbergResiduals | None = None,
 ) -> dict:
     """JSON-ready summary: payoffs, grids, residuals, and the verdict."""
-    rt, rs, rg = compute_payoffs(game, profile)
-    res_t, res_s, res_g = nash_residual(game, profile)
-    t, s, g = profile.teacher_point, profile.students, profile.generator_cfg
+    payoffs, deviations = _scan(game, profile)
+    rt, rs, rg = payoffs
+    res_t, res_s, res_g = _residuals(payoffs, deviations)
     payload = {
         "teacher_point": list(profile.teacher_point),
         "generator_config": {
@@ -412,17 +378,17 @@ def equilibrium_report(
             "step_size": profile.generator_cfg.effective_step,
         },
         "teacher_grid": [
-            {"point": list(cand), "payoff": game.payoff_teacher(cand, s, g)}
-            for cand in game.teacher_points
+            {"point": list(cand), "payoff": payoff}
+            for cand, payoff in zip(game.teacher_points, deviations[0])
         ],
         "generator_grid": [
             {
                 "epsilon": cand.epsilon,
                 "steps": cand.steps,
                 "step_size": cand.effective_step,
-                "payoff": game.payoff_generator(t, s, cand),
+                "payoff": payoff,
             }
-            for cand in game.generator_points
+            for cand, payoff in zip(game.generator_points, deviations[2])
         ],
         "payoffs": {"teacher": rt, "students": rs, "generator": rg},
         "nash_residuals": {"teacher": res_t, "students": res_s, "generator": res_g},

@@ -6,7 +6,6 @@ bit-reproducible.
 """
 
 import itertools
-import json
 import math
 import multiprocessing
 import os

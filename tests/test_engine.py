@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cotriad.data import (
     TEST,
     UNLABELED,
-    VALIDATION,
     gen_synthetic_two_view,
     split_by_counts,
 )

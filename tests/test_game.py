@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from cotriad import engine as engine_module
 from cotriad import game as game_module
+from cotriad.config import parse_config
 from cotriad.data import LABELED, VALIDATION, gen_synthetic_two_view, split_by_counts
 from cotriad.engine import TrainConfig, _apply_filter, run_training
 from cotriad.errors import InvalidInputError
@@ -21,8 +23,6 @@ from cotriad.game import (
     StrategyGrid,
     StudentBudget,
     TrainedTriadicGame,
-    best_response,
-    compute_payoffs,
     default_teacher_grid,
     equilibrium_report,
     nash_residual,
@@ -33,7 +33,14 @@ from cotriad.generator import PerturbConfig, pgd_perturb_batch
 from cotriad.student import loss_and_grads, mc_forward_batch
 from cotriad.teacher import MetaBatch, map_strategy, meta_grad
 from cotriad.uncertainty import batch_statistics
-from toy_game import TabularTriadicGame, alternating_best_response, toy_game
+from toy_game import (
+    TabularTriadicGame,
+    alternating_best_response,
+    best_response,
+    best_response_residuals,
+    compute_payoffs,
+    toy_game,
+)
 
 
 def enumerate_nash(game):
@@ -149,6 +156,21 @@ class TestTabularGame:
         with pytest.raises(InvalidInputError):
             best_response(toy_game(), "referee", GameProfile("T1", "S1", "G1"))
 
+    # A small payoff set, so deviations often tie with the incumbent.
+    PAYOFF = st.sampled_from([0.0, 0.5, 1.0, math.inf, -math.inf, math.nan])
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes=st.tuples(*[st.integers(0, 4)] * 3), data=st.data())
+    def test_nash_residual_matches_best_response_oracle(self, sizes, data):
+        # Grid points "T0", "T1", ...; the incumbent "T" is off the grid.
+        grids = [[f"{player}{i}" for i in range(n)] for player, n in zip("TSG", sizes)]
+        profile = GameProfile("T", "S", "G")
+        keys = list(itertools.product(*([player, *grid] for player, grid in zip("TSG", grids))))
+        payoffs = st.lists(self.PAYOFF, min_size=len(keys), max_size=len(keys))
+        tables = [dict(zip(keys, data.draw(payoffs))) for _ in range(3)]
+        game = TabularTriadicGame(*grids, *tables)
+        assert nash_residual(game, profile) == best_response_residuals(game, profile)
+
 
 class TestStrategyGrid:
     def test_rejects_empty_and_simplex_violations(self):
@@ -160,16 +182,17 @@ class TestStrategyGrid:
                 ((0.05, 0.8, 0.7),), (PerturbConfig(epsilon=0.1),), (budget,)
             )
 
-    def test_trained_game_accepts_grid(self):
+    def test_trained_game_validates_its_lists(self):
         ds = small_task()
         cfg = small_cfg()
-        grid = StrategyGrid(
-            teacher_points=((0.05, 0.5, 0.25),),
-            generator_configs=(cfg.perturb,),
-            student_budgets=(StudentBudget(epochs=1, seed=3),),
+        budget = StudentBudget(epochs=1, seed=3)
+        game = TrainedTriadicGame(
+            ds, cfg, teacher_points=[(0.05, 0.5, 0.25)], budgets=[budget], probe_size=32
         )
-        game = TrainedTriadicGame(ds, cfg, grid=grid, probe_size=32)
         assert game.teacher_points == [(0.05, 0.5, 0.25)]
+        assert game.generator_points == [cfg.perturb] and game.budgets == [budget]
+        with pytest.raises(InvalidInputError):
+            TrainedTriadicGame(ds, cfg, teacher_points=[(0.05, 0.8, 0.7)], probe_size=32)
 
 
 def small_task(seed=5):
@@ -276,6 +299,9 @@ class TestTrainedGame:
         for tau, lam_u, lam_adv in default_teacher_grid():
             assert 0.0 <= tau <= 1.0
             assert lam_u + lam_adv <= 1.0
+
+    def test_config_default_grid_is_the_default_teacher_grid(self):
+        assert parse_config(None).teacher_grid() == default_teacher_grid()
 
     def test_equilibrium_report_shape(self):
         ds = small_task()
@@ -391,6 +417,26 @@ class TestPayoffCache:
         assert all(calls["mc"][id(p)] == 1 for p in rep.students)
         assert set(calls["pgd"].values()) == {1} and len(calls["pgd"]) == 6
         assert all(calls["pgd"][(id(p), g)] == 1 for p in rep.students for g in grid)
+
+    def test_report_scores_each_strategy_once(self, monkeypatch):
+        ds, cfg, rep, grid = self._setup()
+        game = self._game(ds, cfg, grid)
+        profile = GameProfile(rep.teacher.mapped(), rep.students, cfg.perturb)
+        calls = collections.Counter()
+        names = ("payoff_teacher", "payoff_students", "payoff_generator", "student_deviations")
+        for name in names:
+            def counted(*args, name=name, method=getattr(game, name)):
+                calls[name] += 1
+                return method(*args)
+            monkeypatch.setattr(game, name, counted)
+        equilibrium_report(game, profile)
+        # Once for the profile and once per grid point or retrained deviation.
+        assert calls == {
+            "payoff_teacher": 1 + len(game.teacher_points),
+            "payoff_students": 1 + len(game.budgets),
+            "payoff_generator": 1 + len(grid),
+            "student_deviations": 1,
+        }
 
     def test_keys_follow_identity_and_lifetime_is_the_game(self, monkeypatch):
         ds, cfg, rep, grid = self._setup()

@@ -1,9 +1,65 @@
 """The toy-game oracle: a finite triadic game given by explicit payoff tables,
-and the cyclic best-response dynamics that only this game exercises."""
+the best-response search that ``nash_residual`` is checked against, and the
+cyclic best-response dynamics that only this game exercises."""
 
 from dataclasses import replace
 
-from cotriad.game import GameProfile, TriadicGame, best_response, nash_residual
+from cotriad.errors import InvalidInputError
+from cotriad.game import GameProfile, nash_residual
+
+
+def compute_payoffs(game, profile: GameProfile) -> tuple[float, float, float]:
+    t, s, g = profile.teacher_point, profile.students, profile.generator_cfg
+    return (
+        game.payoff_teacher(t, s, g),
+        game.payoff_students(t, s, g),
+        game.payoff_generator(t, s, g),
+    )
+
+
+def best_response(game, player: str, profile: GameProfile):
+    """Best unilateral deviation for one player, ties kept at the incumbent.
+
+    Teacher and generator scan their grids for a strictly better payoff; the
+    students' response is the retraining operator (argmin over the recorded
+    deviation budgets). Deterministic: grid order decides among fresh ties.
+    """
+    t, s, g = profile.teacher_point, profile.students, profile.generator_cfg
+    if player == "teacher":
+        best, best_val = t, game.payoff_teacher(t, s, g)
+        for cand in game.teacher_points:
+            val = game.payoff_teacher(cand, s, g)
+            if val > best_val:
+                best, best_val = cand, val
+        return best, best_val
+    if player == "generator":
+        best, best_val = g, game.payoff_generator(t, s, g)
+        for cand in game.generator_points:
+            val = game.payoff_generator(t, s, cand)
+            if val > best_val:
+                best, best_val = cand, val
+        return best, best_val
+    if player == "students":
+        best, best_val = s, game.payoff_students(t, s, g)
+        for cand in game.student_deviations(t, g):
+            val = game.payoff_students(t, cand, g)
+            if val < best_val:
+                best, best_val = cand, val
+        return best, best_val
+    raise InvalidInputError(f"unknown player {player!r}")
+
+
+def best_response_residuals(game, profile: GameProfile) -> tuple[float, float, float]:
+    """The Nash residuals built from ``best_response``: the oracle of ``nash_residual``."""
+    rt, rs, rg = compute_payoffs(game, profile)
+    _, best_t = best_response(game, "teacher", profile)
+    _, best_s = best_response(game, "students", profile)
+    _, best_g = best_response(game, "generator", profile)
+    return (
+        max(0.0, best_t - rt),
+        max(0.0, rs - best_s),
+        max(0.0, best_g - rg),
+    )
 
 
 class TabularTriadicGame:
@@ -60,7 +116,7 @@ def toy_game():
 
 
 def alternating_best_response(
-    game: TriadicGame,
+    game,
     profile: GameProfile,
     max_rounds: int = 10,
     tol: float = 0.0,

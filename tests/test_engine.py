@@ -307,6 +307,36 @@ class TestGoldenDigest:
         assert res.as_dict() == self.STACKELBERG_MI[direction]
 
 
+class TestReportBytes:
+    # sha256 of the report.json written below: both stop rules on, with a
+    # stability window shorter than the run, and a weight-norm ball the
+    # students reach. It pins the epoch rows, the stop epoch, the cost block
+    # (including the float type of every counter total) and the final
+    # evaluation. Recorded as TestGoldenDigest.GOLDEN was.
+    REPORT_JSON = "c1ad9833d212b53f739ac8a49b12456fb6337534e9fc96a83a41b597b7e76564"
+
+    def test_report_json_bytes_are_unchanged(self, tmp_path):
+        ds = small_task()
+        cfg = small_cfg(
+            epochs=8,
+            weight_norm_bound=3.0,
+            stability_stop=True,
+            stop_epsilon=1e-9,
+            stop_patience=5,
+            stability_window=3,
+            ea_stop=True,
+            ea_window=2,
+            delta_entropy=0.06,
+            delta_agreement=0.1,
+        )
+        rep = run_training(cfg, ds)
+        assert (rep.stop_reason, len(rep.epoch_rows)) == ("entropy_agreement", 5)
+        assert all(np.linalg.norm(p.vector) <= 3.0 for p in rep.students)
+        path = tmp_path / "report.json"
+        engine_module.dump_json(path, engine_module.report_payload(rep, ds))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.REPORT_JSON
+
+
 def _filter_and_gate_oracle(cfg, stats, tau):
     """The separate filter and soft-gate inputs that ``_apply_filter``
     replaced; the composed mode ran the confidence filter in each."""

@@ -20,7 +20,7 @@ from .errors import (
 from .game import GameProfile, TrainedTriadicGame, nash_residual, stackelberg_residual
 from .generator import PerturbConfig, pgd_perturb_batch, project_linf
 from .numerics import finite_diff_grad
-from .student import OptimizerState, StudentParams, init_student
+from .student import StudentParams, init_student
 from .teacher import TeacherStrategy, init_strategy, map_strategy, soft_gate
 from .uncertainty import batch_statistics, confidence_filter, mi_filter
 
@@ -35,7 +35,6 @@ __all__ = [
     "InsufficientHistoryError",
     "InvalidInputError",
     "NonFiniteError",
-    "OptimizerState",
     "OracleFailureError",
     "PerturbConfig",
     "StepReport",

@@ -22,6 +22,7 @@ from .data import write_embeddings, write_labels, write_labels_csv, write_matrix
 from .engine import (
     dump_json,
     eval_attack_config,
+    eval_split,
     evaluate,
     load_model,
     run_training,
@@ -104,11 +105,8 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     ds = cfg.build_dataset()
     students, _ = load_model(args.model)
-    from .data import TEST, VALIDATION
-
-    split = TEST if ds.indices(TEST).size else VALIDATION
     seed0 = cfg["train.seeds"][0]
-    metrics = evaluate(students, ds, split, eval_attack_config(cfg.train_config(seed0)))
+    metrics = evaluate(students, ds, eval_split(ds), eval_attack_config(cfg.train_config(seed0)))
     print(json.dumps(metrics, indent=2, sort_keys=True))
     if args.out:
         dump_json(_out_dir(args.out) / "eval.json", {"config": cfg.echo(), "metrics": metrics})

@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import (
+    SPLIT_NAMES,
     TEST,
     UNLABELED,
     VALIDATION,
@@ -38,12 +39,10 @@ from .numerics import entropy_rows, softmax_rows
 from .settings import check_fields, setting
 from .student import (
     Gradients,
-    OptimizerState,
     StudentParams,
     cosine_lr,
     draw_keeps,
     forward_batch,
-    fresh_optimizer,
     hidden_layer,
     init_student,
     loss_and_grads,
@@ -52,7 +51,6 @@ from .student import (
 )
 from .teacher import (
     MetaBatch,
-    StrategyHistory,
     TeacherStrategy,
     init_strategy,
     meta_grad,
@@ -152,9 +150,6 @@ class StepCounters:
     flops: float = 0.0
     baseline_flops: float = 0.0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class StepReport:
@@ -179,44 +174,28 @@ class StepReport:
 
 @dataclass
 class TrainerState:
+    """The loop's state: the students, their SGD velocities, the teacher, and
+    the step count that drives the cosine rate and the teacher's period."""
+
     students: tuple[StudentParams, StudentParams]
-    opts: tuple[OptimizerState, OptimizerState]
+    velocities: tuple[Gradients, Gradients]
     teacher: TeacherStrategy
-    global_step: int = 0
+    total_steps: int
+    step: int = 0
 
 
-class ConvergenceMonitor:
-    """Per-epoch mean predictive entropy and cross-view agreement traces.
-
-    Declares convergence when every epoch-over-epoch delta inside the window
-    stays below its threshold; epochs without unlabeled statistics (NaN)
-    never qualify.
-    """
-
-    def __init__(self, delta_entropy: float, delta_agreement: float, window: int):
-        self.delta_entropy = delta_entropy
-        self.delta_agreement = delta_agreement
-        self.window = window
-        self.entropy_trace: list[float] = []
-        self.agreement_trace: list[float] = []
-
-    def push(self, mean_entropy: float, agreement: float) -> None:
-        if not math.isnan(agreement) and not 0.0 <= agreement <= 1.0:
-            raise InvalidInputError("agreement must lie in [0, 1]")
-        self.entropy_trace.append(mean_entropy)
-        self.agreement_trace.append(agreement)
-
-    def converged(self) -> bool:
-        if len(self.entropy_trace) < self.window + 1:
-            return False
-        h = np.asarray(self.entropy_trace[-(self.window + 1):])
-        a = np.asarray(self.agreement_trace[-(self.window + 1):])
-        if np.any(np.isnan(h)) or np.any(np.isnan(a)):
-            return False
-        return bool(
-            np.all(np.abs(np.diff(h)) < self.delta_entropy)
-            and np.all(np.abs(np.diff(a)) < self.delta_agreement)
-        )
+def converged(epoch_rows: list[dict], delta_h: float, delta_a: float, window: int) -> bool:
+    """True when every epoch-over-epoch change of ``mean_entropy`` and
+    ``agreement`` in the last ``window + 1`` rows stays below its threshold;
+    epochs without unlabeled statistics (NaN) never qualify."""
+    if len(epoch_rows) < window + 1:
+        return False
+    last = epoch_rows[-(window + 1):]
+    h = np.array([row["mean_entropy"] for row in last])
+    a = np.array([row["agreement"] for row in last])
+    if np.any(np.isnan(h)) or np.any(np.isnan(a)):
+        return False
+    return bool(np.all(np.abs(np.diff(h)) < delta_h) and np.all(np.abs(np.diff(a)) < delta_a))
 
 
 def _view_key(cfg: TrainConfig, view: int) -> int:
@@ -248,14 +227,10 @@ def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> Traine
     if classes < 2:
         raise InvalidInputError("dataset must carry at least two labeled classes")
     students = []
-    opts = []
     for view in (0, 1):
         key = [cfg.seed, _RNG_INIT, _view_key(cfg, view)]
         seed = int(np.random.default_rng(np.random.SeedSequence(key)).integers(0, 2**31 - 1))
-        params = init_student(dims[view], cfg.hidden, classes, cfg.dropout, seed)
-        bound = cfg.weight_norm_bound if cfg.weight_norm_bound > 0 else None
-        opts.append(fresh_optimizer(params, cfg.lr, cfg.momentum, total_steps, bound))
-        students.append(params)
+        students.append(init_student(dims[view], cfg.hidden, classes, cfg.dropout, seed))
     teacher = init_strategy(
         cfg.tau_init,
         cfg.lambda_u_init,
@@ -263,7 +238,8 @@ def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> Traine
         lr_teacher=cfg.eta_teacher,
         gate_temperature=cfg.gate_temperature,
     )
-    return TrainerState(students=tuple(students), opts=tuple(opts), teacher=teacher)
+    velocities = tuple(Gradients.zeros_like(p) for p in students)
+    return TrainerState(tuple(students), velocities, teacher, total_steps)
 
 
 def _apply_filter(
@@ -469,20 +445,25 @@ def train_step(
     if not math.isfinite(loss_total):
         raise NonFiniteError("loss_total", epoch, step)
 
-    # (7a) meta-gradient from the pre-step students (default ordering).
-    lr_now = cosine_lr(cfg.lr, state.opts[0].step, state.opts[0].total_steps)
+    # (7a) meta-gradient from the pre-step students (default ordering). One
+    # cosine rate drives it and both SGD steps.
+    lr_now = cosine_lr(cfg.lr, state.step, state.total_steps)
     teacher_due = (
         cfg.teacher_enabled
         and parts.unsup
         and val_rows.size > 0
-        and state.global_step % cfg.teacher_update_every == 0
+        and state.step % cfg.teacher_update_every == 0
     )
     meta_g = np.zeros(3)
     if teacher_due and not cfg.meta_after_step:
         meta_g = meta_grad(state.teacher, s, parts.meta_batches, lr_now)
 
     # (6) student updates.
-    new_students, new_opts = zip(*(sgd_step(s[v], parts.grads[v], state.opts[v]) for v in (0, 1)))
+    new_students, new_velocities = zip(*(
+        sgd_step(s[v], parts.grads[v], state.velocities[v], lr_now, cfg.momentum,
+                 cfg.weight_norm_bound)
+        for v in (0, 1)
+    ))
 
     # (7b) teacher update, after the students per the loop ordering.
     new_teacher = state.teacher
@@ -539,13 +520,9 @@ def train_step(
         meta_grad_inf=float(np.abs(meta_g).max()),
         counters=counters,
     )
-    new_state = TrainerState(
-        students=new_students,
-        opts=new_opts,
-        teacher=new_teacher,
-        global_step=state.global_step + 1,
-    )
-    return new_state, report
+    return TrainerState(
+        new_students, new_velocities, new_teacher, state.total_steps, state.step + 1
+    ), report
 
 
 def evaluate(
@@ -589,6 +566,12 @@ def evaluate(
         robust = (pred[known] == y[known]) & (pred_a[known] == y[known])
         out["pgd_robust_accuracy"] = float(robust.mean()) if known.any() else float("nan")
     return out
+
+
+def eval_split(ds: TwoViewDataset) -> int:
+    """The split a finished run is evaluated on: test, or validation when
+    there are no test rows."""
+    return TEST if ds.indices(TEST).size else VALIDATION
 
 
 def eval_attack_config(cfg: TrainConfig) -> PerturbConfig:
@@ -664,9 +647,8 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
     steps_per_epoch = cfg.steps_per_epoch or iterator.steps_per_epoch
     total_steps = max(cfg.epochs * steps_per_epoch, 1)
     state = init_state(cfg, ds, total_steps)
-    history = StrategyHistory(window=cfg.stability_window)
+    trace: list[tuple[float, float, float]] = []  # the teacher's mapped triple per epoch
     scores: list[float] = []
-    monitor = ConvergenceMonitor(cfg.delta_entropy, cfg.delta_agreement, cfg.ea_window)
     epoch_rows: list[dict] = []
     step_reports: list[StepReport] = []
     stop_reason = "epochs_exhausted" if cfg.epochs > 0 else "no_epochs"
@@ -678,16 +660,13 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
             state, report = train_step(state, cfg, ds, rows, epoch, step)
             step_reports.append(report)
         epoch_steps = step_reports[-steps_per_epoch:]
-        history.push(state.teacher.mapped())
-        if len(history) >= 2:
-            scores.append(stability_score(history))
-        mean_h = _nanmean([r.mean_entropy for r in epoch_steps])
-        mean_a = _nanmean([r.agreement for r in epoch_steps])
-        monitor.push(mean_h, mean_a)
+        trace.append(state.teacher.mapped())
+        if len(trace) >= 2:
+            scores.append(stability_score(trace[-cfg.stability_window:]))
         val_metrics = (
             evaluate(state.students, ds, VALIDATION) if has_validation else {"accuracy": float("nan")}
         )
-        tau, lam_u, lam_adv = state.teacher.mapped()
+        tau, lam_u, lam_adv = trace[-1]
         epoch_rows.append(
             {
                 "epoch": epoch,
@@ -700,15 +679,17 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
                 "accuracy": val_metrics["accuracy"],
                 "mask_rate": _nanmean([np.mean(r.mask_rate) for r in epoch_steps]),
                 "impurity": _nanmean([_nanmean(r.impurity) for r in epoch_steps]),
-                "mean_entropy": mean_h,
-                "agreement": mean_a,
+                "mean_entropy": _nanmean([r.mean_entropy for r in epoch_steps]),
+                "agreement": _nanmean([r.agreement for r in epoch_steps]),
                 "stability_score": scores[-1] if scores else float("nan"),
             }
         )
         if cfg.stability_stop and should_stop(scores, cfg.stop_epsilon, cfg.stop_patience):
             stop_reason = "teacher_stability"
             break
-        if cfg.ea_stop and monitor.converged():
+        if cfg.ea_stop and converged(
+            epoch_rows, cfg.delta_entropy, cfg.delta_agreement, cfg.ea_window
+        ):
             stop_reason = "entropy_agreement"
             break
 
@@ -717,10 +698,10 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
     if step_reports and not all(np.isfinite(v).all() for v in final):
         raise NonFiniteError("parameters", step_reports[-1].epoch, step_reports[-1].step)
 
-    eval_split = TEST if ds.indices(TEST).size else VALIDATION
-    if ds.indices(eval_split).size:
-        final_eval = evaluate(state.students, ds, eval_split, eval_attack_config(cfg))
-        final_eval["split"] = {TEST: "test", VALIDATION: "validation"}[eval_split]
+    split = eval_split(ds)
+    if ds.indices(split).size:
+        final_eval = evaluate(state.students, ds, split, eval_attack_config(cfg))
+        final_eval["split"] = SPLIT_NAMES[split]
     else:
         final_eval = {}
     return TrainingReport(
@@ -731,7 +712,7 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
         final_eval=final_eval,
         students=state.students,
         teacher=state.teacher,
-        total_steps=state.global_step,
+        total_steps=state.step,
     )
 
 
@@ -739,27 +720,19 @@ def cost_summary(reports: list[StepReport], cfg: TrainConfig) -> dict:
     """Aggregate counters and the cost ratio against the supervised reference."""
     if not reports:
         raise InvalidInputError("need at least one recorded step")
-    total = StepCounters()
-    for r in reports:
-        total.student_train_passes += r.counters.student_train_passes
-        total.mi_passes_per_view += r.counters.mi_passes_per_view
-        total.perturb_passes_per_view += r.counters.perturb_passes_per_view
-        total.validation_passes += r.counters.validation_passes
-        total.flops += r.counters.flops
-        total.baseline_flops += r.counters.baseline_flops
+    # Each total starts from its field's default, so a float counter totals
+    # to a float even when every step recorded an int.
+    totals = {
+        f.name: sum((getattr(r.counters, f.name) for r in reports), f.default)
+        for f in fields(StepCounters)
+    }
     n = len(reports)
     return {
         "steps": n,
-        "per_step": {
-            "student_train_passes": total.student_train_passes / n,
-            "mi_passes_per_view": total.mi_passes_per_view / n,
-            "perturb_passes_per_view": total.perturb_passes_per_view / n,
-            "validation_passes": total.validation_passes / n,
-            "flops": total.flops / n,
-        },
-        "totals": total.as_dict(),
-        "ratio_vs_supervised": total.flops / total.baseline_flops
-        if total.baseline_flops
+        "per_step": {k: v / n for k, v in totals.items() if k != "baseline_flops"},
+        "totals": totals,
+        "ratio_vs_supervised": totals["flops"] / totals["baseline_flops"]
+        if totals["baseline_flops"]
         else float("nan"),
         "mc_passes_config": cfg.mc_passes,
         "perturb_steps_config": cfg.perturb.steps,

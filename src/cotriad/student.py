@@ -18,7 +18,6 @@ the first layer once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -115,18 +114,6 @@ class Gradients(_Flat):
 
     def inf_norm(self) -> float:
         return float(np.abs(self.vector).max())
-
-
-@dataclass
-class OptimizerState:
-    """SGD-momentum state with a cosine learning-rate schedule."""
-
-    velocity: Gradients
-    momentum: float
-    base_lr: float
-    step: int
-    total_steps: int
-    weight_norm_bound: float | None = None
 
 
 def init_student(
@@ -480,40 +467,17 @@ def project_weight_norm(params: StudentParams, bound: float) -> StudentParams:
 
 
 def sgd_step(
-    params: StudentParams, grads: Gradients, opt: OptimizerState
-) -> tuple[StudentParams, OptimizerState]:
-    """One momentum step at the cosine-scheduled rate; returns new values."""
-    lr = cosine_lr(opt.base_lr, opt.step, opt.total_steps)
-    vel = Gradients(opt.momentum * opt.velocity.vector + grads.vector, grads.dims)
-    new = params.with_vector(params.vector - lr * vel.vector)
-    if opt.weight_norm_bound is not None:
-        new = project_weight_norm(new, opt.weight_norm_bound)
-    return new, OptimizerState(
-        velocity=vel,
-        momentum=opt.momentum,
-        base_lr=opt.base_lr,
-        step=opt.step + 1,
-        total_steps=opt.total_steps,
-        weight_norm_bound=opt.weight_norm_bound,
-    )
-
-
-def fresh_optimizer(
     params: StudentParams,
-    base_lr: float,
+    grads: Gradients,
+    velocity: Gradients,
+    lr: float,
     momentum: float,
-    total_steps: int,
-    weight_norm_bound: float | None = None,
-) -> OptimizerState:
-    if not 0.0 <= momentum < 1.0:
-        raise InvalidInputError("momentum must lie in [0, 1)")
-    if base_lr <= 0:
-        raise InvalidInputError("base_lr must be positive")
-    return OptimizerState(
-        velocity=Gradients.zeros_like(params),
-        momentum=momentum,
-        base_lr=base_lr,
-        step=0,
-        total_steps=total_steps,
-        weight_norm_bound=weight_norm_bound,
-    )
+    weight_norm_bound: float,
+) -> tuple[StudentParams, Gradients]:
+    """One momentum step at rate ``lr``, then the projection onto the
+    weight-norm ball when ``weight_norm_bound > 0``; returns (params, velocity)."""
+    vel = Gradients(momentum * velocity.vector + grads.vector, grads.dims)
+    new = params.with_vector(params.vector - lr * vel.vector)
+    if weight_norm_bound > 0:
+        new = project_weight_norm(new, weight_norm_bound)
+    return new, vel

@@ -19,7 +19,6 @@ for this objective; the virtual update never touches the real students.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,17 +204,6 @@ def _unroll(
     return params.with_vector(params.vector - eta_student * step), g_unsup, dA_dtau, g_adv
 
 
-def virtual_update(
-    params: StudentParams,
-    batch: MetaBatch,
-    mapped: tuple[float, float, float],
-    temperature: float,
-    eta_student: float,
-) -> StudentParams:
-    """The one-step unrolled student the teacher is judged on. Pure function."""
-    return _unroll(params, batch, mapped, temperature, eta_student)[0]
-
-
 def unrolled_validation_loss(
     z: np.ndarray,
     students: tuple[StudentParams, ...],
@@ -227,7 +215,7 @@ def unrolled_validation_loss(
     mapped = map_strategy(z)
     total = 0.0
     for params, batch in zip(students, batches):
-        updated = virtual_update(params, batch, mapped, temperature, eta_student)
+        updated = _unroll(params, batch, mapped, temperature, eta_student)[0]
         loss, _ = loss_and_grads(updated, batch.x_val, batch.y_val, "ce")
         total += loss
     return total
@@ -279,28 +267,12 @@ def teacher_step(strategy: TeacherStrategy, grad: np.ndarray) -> TeacherStrategy
     return replace(strategy, z=strategy.z - strategy.lr_teacher * g)
 
 
-class StrategyHistory:
-    """Ring buffer of mapped strategy triples, one entry per epoch."""
-
-    def __init__(self, window: int = 10):
-        self.window = window
-        self._buf: deque[tuple[float, float, float]] = deque(maxlen=window)
-
-    def push(self, mapped: tuple[float, float, float]) -> None:
-        self._buf.append(tuple(float(v) for v in mapped))
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def values(self) -> np.ndarray:
-        return np.array(self._buf, dtype=np.float64)
-
-
-def stability_score(history: StrategyHistory) -> float:
-    """Sum of the three windowed population variances of the mapped triple."""
-    if len(history) < 2:
+def stability_score(trace) -> float:
+    """Sum of the three population variances over a trace of mapped triples,
+    one per epoch; the caller passes the window it scores."""
+    if len(trace) < 2:
         raise InsufficientHistoryError("stability score needs >= 2 recorded epochs")
-    vals = history.values()
+    vals = np.array(trace, dtype=np.float64)
     # Shift by the first entry: variance is shift-invariant and this makes
     # the score exactly zero on constant traces.
     return float((vals - vals[0]).var(axis=0, ddof=0).sum())

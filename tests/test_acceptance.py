@@ -51,7 +51,7 @@ from cotriad.student import (
     input_entropy_grad,
     mc_forward_batch,
 )
-from cotriad.teacher import StrategyHistory, TeacherStrategy, should_stop, stability_score, teacher_step
+from cotriad.teacher import TeacherStrategy, should_stop, stability_score, teacher_step
 from cotriad.uncertainty import batch_statistics, impurity, mi_filter
 
 LN2 = 0.69314718055994530942
@@ -267,10 +267,7 @@ class TestCriterion4TeacherConstraints:
                 )
                 violations += 0 if ok else 1
             assert violations == 0
-            history = StrategyHistory(window=10)
-            for _ in range(10):
-                history.push((0.05, 0.5, 0.5))
-            assert stability_score(history) == 0.0
+            assert stability_score([(0.05, 0.5, 0.5)] * 10) == 0.0
             # Converging synthetic trace: the stop rule fires at the first
             # epoch whose trailing `patience` scores all qualify.
             scores = [0.1 * (0.2**k) for k in range(12)]

@@ -20,6 +20,7 @@ from cotriad.data import (
 from cotriad.engine import (
     TrainConfig,
     bin_error_histogram,
+    converged,
     cost_summary,
     eval_attack_config,
     evaluate,
@@ -31,8 +32,8 @@ from cotriad import engine as engine_module
 from cotriad.errors import FormatError, InvalidInputError, NonFiniteError
 from cotriad.game import stackelberg_residual
 from cotriad.generator import PerturbConfig
-from cotriad.student import StudentParams, fresh_optimizer, init_student, loss_and_grads, sgd_step
-from cotriad.teacher import TeacherStrategy, init_strategy
+from cotriad.student import Gradients, StudentParams, init_student, loss_and_grads, sgd_step
+from cotriad.teacher import TeacherStrategy, init_strategy, stability_score
 
 
 def small_task(seed=3, n=400, labeled=24, val=4, test=80, classes=3, noise=0.4):
@@ -420,12 +421,12 @@ class TestNonFiniteGuard:
         cfg = small_cfg(epochs=2, steps_per_epoch=3, teacher_enabled=False)
         calls = []
 
-        def last_update_breaks(params, grads, opt):
+        def last_update_breaks(*args):
             calls.append(None)
-            new, opt = sgd_step(params, grads, opt)
+            new, velocity = sgd_step(*args)
             if len(calls) > 2 * 5:
                 new = new.with_vector(np.full_like(new.vector, np.nan))
-            return new, opt
+            return new, velocity
 
         monkeypatch.setattr(engine_module, "sgd_step", last_update_breaks)
         with pytest.raises(NonFiniteError) as err:
@@ -480,20 +481,34 @@ class TestEarlyStopping:
         assert len(rep.epoch_rows) == 3
 
     def test_convergence_monitor_semantics(self):
-        from cotriad.engine import ConvergenceMonitor
+        def rows(pairs):
+            return [{"mean_entropy": h, "agreement": a} for h, a in pairs]
 
-        mon = ConvergenceMonitor(delta_entropy=0.1, delta_agreement=0.1, window=2)
-        for h, a in [(1.0, 0.5), (0.95, 0.52), (0.93, 0.53)]:
-            mon.push(h, a)
-        assert mon.converged()
-        mon.push(2.0, 0.5)  # entropy jump breaks the window
-        assert not mon.converged()
-        nanny = ConvergenceMonitor(0.1, 0.1, 2)
-        for _ in range(4):
-            nanny.push(float("nan"), float("nan"))
-        assert not nanny.converged()
-        with pytest.raises(InvalidInputError):
-            mon.push(1.0, 1.5)
+        trace = rows([(1.0, 0.5), (0.95, 0.52), (0.93, 0.53)])
+        assert converged(trace, 0.1, 0.1, window=2)
+        assert not converged(trace[:2], 0.1, 0.1, window=2)  # too few epochs
+        # An entropy jump breaks the window; an agreement jump does too.
+        assert not converged(trace + rows([(2.0, 0.5)]), 0.1, 0.1, window=2)
+        assert not converged(trace + rows([(0.93, 0.9)]), 0.1, 0.1, window=2)
+        # Only the last window + 1 epochs count.
+        assert converged(rows([(5.0, 0.0)]) + trace, 0.1, 0.1, window=2)
+        nan = float("nan")
+        assert not converged(rows([(nan, nan)] * 4), 0.1, 0.1, window=2)
+
+    @pytest.mark.parametrize("window", [2, 10])
+    def test_stability_score_reads_the_last_window_epochs(self, window):
+        # A large teacher rate moves the mapped triple every epoch, so a
+        # window that dropped its slice would score a different trace.
+        ds = small_task()
+        cfg = small_cfg(epochs=12, steps_per_epoch=3, eta_teacher=200.0,
+                        stability_window=window)
+        rows = run_training(cfg, ds).epoch_rows
+        trace = [(r["tau_mi"], r["lambda_u"], r["lambda_adv"]) for r in rows]
+        assert math.isnan(rows[0]["stability_score"])
+        sliced = [stability_score(trace[:e + 1][-window:]) for e in range(1, len(rows))]
+        assert [r["stability_score"] for r in rows[1:]] == sliced
+        unsliced = [stability_score(trace[:e + 1]) for e in range(1, len(rows))]
+        assert unsliced != sliced
 
 
 class TestEvaluate:
@@ -625,7 +640,7 @@ class TestModelContainer:
             x = rng.normal(size=(8, d_in))
             y = rng.integers(0, 3, size=8)
             _, g = loss_and_grads(p, x, y, "ce")
-            p, _ = sgd_step(p, g, fresh_optimizer(p, 0.1, 0.9, 10))
+            p, _ = sgd_step(p, g, Gradients.zeros_like(p), 0.1, 0.9, 0.0)
             students.append(p)
         teacher = init_strategy(0.1, 0.3, 0.4, lr_teacher=0.02, gate_temperature=0.05)
         path = tmp_path / "m.trcm"

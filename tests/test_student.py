@@ -15,12 +15,10 @@ from cotriad.errors import InvalidInputError
 from cotriad.numerics import PROB_FLOOR, entropy_rows, finite_diff_grad, softmax_rows
 from cotriad.student import (
     Gradients,
-    OptimizerState,
     StudentParams,
     cosine_lr,
     draw_keeps,
     forward_batch,
-    fresh_optimizer,
     gelu,
     gelu_prime,
     hidden_layer,
@@ -530,8 +528,8 @@ class TestEntropyAscentKernelsAgainstOracles:
 class TestOptimizer:
     def test_no_momentum_zero_grads_is_identity(self):
         params = toy_params()
-        opt = fresh_optimizer(params, base_lr=0.1, momentum=0.0, total_steps=10)
-        new, _ = sgd_step(params, Gradients.zeros_like(params), opt)
+        zeros = Gradients.zeros_like(params)
+        new, _ = sgd_step(params, zeros, zeros, 0.1, 0.0, 0.0)
         np.testing.assert_array_equal(new.w1, params.w1)
         np.testing.assert_array_equal(new.b2, params.b2)
 
@@ -543,11 +541,10 @@ class TestOptimizer:
     def test_momentum_accumulates(self):
         params = zero_params()
         g = Gradients(np.ones(TOY_SIZE), TOY_DIMS)
-        opt = fresh_optimizer(toy_params(), base_lr=1.0, momentum=0.9, total_steps=10**9)
-        p1, opt = sgd_step(params, g, opt)
+        p1, vel = sgd_step(params, g, Gradients.zeros_like(params), 1.0, 0.9, 0.0)
         assert p1.w1[0, 0] == pytest.approx(-1.0)
-        p2, opt = sgd_step(p1, g, opt)
-        # velocity = 0.9 * 1 + 1 = 1.9 at the second step (lr still ~1).
+        p2, vel = sgd_step(p1, g, vel, 1.0, 0.9, 0.0)
+        # velocity = 0.9 * 1 + 1 = 1.9 at the second step.
         assert p2.w1[0, 0] == pytest.approx(-1.0 - 1.9, rel=1e-6)
 
     def test_weight_norm_projection(self):
@@ -556,12 +553,6 @@ class TestOptimizer:
         assert np.linalg.norm(bounded.vector) == pytest.approx(0.5, rel=1e-12)
         loose = project_weight_norm(params, 1e6)
         np.testing.assert_array_equal(loose.w1, params.w1)
-
-    def test_step_counter_advances(self):
-        params = toy_params()
-        opt = fresh_optimizer(params, base_lr=0.03, momentum=0.9, total_steps=5)
-        _, opt = sgd_step(params, Gradients.zeros_like(params), opt)
-        assert opt.step == 1
 
 
 class TestParamVectorRoundTrip:
@@ -630,7 +621,7 @@ class TestFlatLayoutProperties:
         dims=dims_strategy,
         seed=st.integers(0, 2**32 - 1),
         momentum=st.sampled_from([0.0, 0.5, 0.9]),
-        bound=st.sampled_from([None, 0.5, 3.0, 1e6]),
+        bound=st.sampled_from([0.0, 0.5, 3.0, 1e6]),
         step=st.integers(0, 9),
     )
     def test_sgd_step_matches_per_array_oracle(self, dims, seed, momentum, bound, step):
@@ -638,21 +629,19 @@ class TestFlatLayoutProperties:
         params = _random_flat(rng, dims, StudentParams)
         velocity = _random_flat(rng, dims)
         grads = _random_flat(rng, dims)
-        opt = OptimizerState(velocity, momentum, 0.1, step, 10, bound)
-        new, new_opt = sgd_step(params, grads, opt)
-
         lr = cosine_lr(0.1, step, 10)
+        new, new_velocity = sgd_step(params, grads, velocity, lr, momentum, bound)
+
         vel = [momentum * v + g for v, g in zip(_segments(velocity), _segments(grads))]
         expected = [p - lr * v for p, v in zip(_segments(params), vel)]
-        if bound is not None:
+        if bound > 0:
             norm = math.sqrt(float(sum(np.sum(a**2) for a in expected)))
             if norm > bound:
                 expected = [(bound / norm) * a for a in expected]
         for got, want in zip(_segments(new), expected):
             assert np.array_equal(got, want)
-        for got, want in zip(_segments(new_opt.velocity), vel):
+        for got, want in zip(_segments(new_velocity), vel):
             assert np.array_equal(got, want)
-        assert new_opt.step == step + 1
 
     @settings(max_examples=60, deadline=None)
     @given(dims=dims_strategy, seed=st.integers(0, 2**32 - 1))

@@ -18,7 +18,6 @@ from cotriad.student import (
 )
 from cotriad.teacher import (
     MetaBatch,
-    StrategyHistory,
     TeacherStrategy,
     init_strategy,
     map_strategy,
@@ -326,28 +325,15 @@ class TestTeacherStep:
 
 class TestStabilityAndStopping:
     def test_constant_history_scores_zero(self):
-        h = StrategyHistory(window=10)
-        for _ in range(10):
-            h.push((0.05, 0.5, 0.5))
-        assert stability_score(h) == 0.0
+        assert stability_score([(0.05, 0.5, 0.5)] * 10) == 0.0
 
     def test_alternating_threshold_variance(self):
-        h = StrategyHistory(window=10)
-        for i in range(10):
-            h.push((float(i % 2), 0.5, 0.3))
-        assert stability_score(h) == pytest.approx(0.25)
-
-    def test_window_truncates(self):
-        h = StrategyHistory(window=4)
-        for i in range(100):
-            h.push((float(i % 2), 0.0, 0.0))
-        assert len(h) == 4
+        trace = [(float(i % 2), 0.5, 0.3) for i in range(10)]
+        assert stability_score(trace) == pytest.approx(0.25)
 
     def test_insufficient_history_raises(self):
-        h = StrategyHistory(window=10)
-        h.push((0.1, 0.2, 0.3))
         with pytest.raises(InsufficientHistoryError):
-            stability_score(h)
+            stability_score([(0.1, 0.2, 0.3)])
 
     def test_should_stop_all_below(self):
         assert should_stop([0.0, 0.0, 0.0, 0.0, 0.0], 1e-4, 5)

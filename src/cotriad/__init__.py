@@ -7,7 +7,7 @@ and loss weights against a held-out validation split. The game module checks
 the equilibrium structure of trained configurations empirically.
 """
 
-from .data import BatchIterator, BatchPlan, TwoViewDataset, gen_synthetic_two_view
+from .data import BatchIterator, TwoViewDataset, gen_synthetic_two_view
 from .engine import StepReport, TrainConfig, TrainingReport, evaluate, run_training
 from .errors import (
     ConfigError,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchIterator",
-    "BatchPlan",
     "ConfigError",
     "FormatError",
     "GameProfile",

@@ -20,6 +20,8 @@ from . import engine, gradcheck
 from .config import echo_overrides, parse_config
 from .data import write_embeddings, write_labels, write_labels_csv, write_matrix_csv
 from .engine import (
+    CURVE_COLUMNS,
+    STRATEGY_COLUMNS,
     dump_json,
     eval_attack_config,
     eval_split,
@@ -27,8 +29,7 @@ from .engine import (
     load_model,
     run_training,
     save_model,
-    write_curves_csv,
-    write_strategy_trace_csv,
+    write_csv,
 )
 from .errors import ConfigError, FormatError, InvalidInputError, NonFiniteError
 from .game import (
@@ -79,18 +80,15 @@ def cmd_train(args) -> int:
     for index, seed in enumerate(cfg["train.seeds"]):
         report = run_training(cfg.train_config(seed), ds)
         per_seed.append(engine.report_payload(report, ds))
-        write_curves_csv(out / f"curves_seed{seed}.csv", report.epoch_rows)
-        write_strategy_trace_csv(out / f"strategy_trace_seed{seed}.csv", report.epoch_rows)
         save_model(out / f"model_seed{seed}.trcm", report.students, report.teacher)
-        if index == 0:
-            write_curves_csv(out / "curves.csv", report.epoch_rows)
-            write_strategy_trace_csv(out / "strategy_trace.csv", report.epoch_rows)
+        for name, columns in (("curves", CURVE_COLUMNS), ("strategy_trace", STRATEGY_COLUMNS)):
+            write_csv(out / f"{name}_seed{seed}.csv", report.epoch_rows, columns)
+            if index == 0:
+                write_csv(out / f"{name}.csv", report.epoch_rows, columns)
     metrics = {}
     for key in ("accuracy", "pgd_robust_accuracy", "agreement", "mean_entropy"):
-        vals = [p["final_eval"].get(key) for p in per_seed if key in p["final_eval"]]
-        if vals:
-            arr = np.asarray(vals, dtype=np.float64)
-            metrics[key] = {"mean": float(arr.mean()), "sd": float(arr.std(ddof=0))}
+        arr = np.asarray([p["final_eval"][key] for p in per_seed], dtype=np.float64)
+        metrics[key] = {"mean": float(arr.mean()), "sd": float(arr.std(ddof=0))}
     dump_json(
         out / "report.json",
         {"config": cfg.echo(), "seeds": cfg["train.seeds"], "runs": per_seed, "aggregate": metrics},

@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import TwoViewDataset, gen_synthetic_two_view, load_embedding_file, split_by_counts
+from .data import (
+    UNLABELED,
+    TwoViewDataset,
+    gen_synthetic_two_view,
+    load_embedding_file,
+    split_by_counts,
+)
 from .engine import TrainConfig
 from .errors import BoundError, ConfigError
 from .game import TEACHER_AXES, teacher_grid
@@ -111,8 +117,9 @@ class RunConfig:
         return gen_synthetic_two_view(**self._data_args(*names))
 
     def build_dataset(self) -> TwoViewDataset:
-        """The split dataset. Files-mode budgets are checked against the
-        loaded labels here, since parsing cannot see them."""
+        """The split dataset, with labeled, unlabeled and validation rows.
+        Files-mode budgets are checked against the loaded labels here, since
+        parsing cannot see them."""
         v = self.values
         if v["data.source"] == "synthetic":
             ds = self.synthetic_dataset()
@@ -120,7 +127,12 @@ class RunConfig:
             ds = load_embedding_file(v["data.view1"], v["data.view2"], v["data.labels"])
         budgets = self._data_args("n_labeled", "n_validation", "n_test", "seed")
         try:
-            return split_by_counts(ds, **budgets)
+            split = split_by_counts(ds, **budgets)
+            if not split.indices(UNLABELED).size:
+                rows = int((ds.labels >= 0).sum())
+                rule = f"{{1}} + {{0}} must be < {rows}, the labeled rows, so some stay unlabeled"
+                raise BoundError(rule, "n_test", "n_labeled")
+            return split
         except BoundError as exc:
             raise self._error(exc, [f"data.{n}" for n in exc.names]) from None
 

@@ -16,6 +16,7 @@ generation so every encoding round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -199,46 +200,28 @@ def split_by_counts(
     return replace(ds, split=split)
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """Per-step batch sizes: the unlabeled batch is ratio x the labeled one.
-
-    Labeled rows are drawn uniformly by default; ``balanced`` switches to
-    per-class uniform draws (off by default, balancing otherwise applies to
-    the validation split only).
-    """
-
-    labeled_batch: int
-    unlabeled_ratio: int
-    seed: int = 0
-    balanced: bool = False
-
-    def __post_init__(self):
-        if self.labeled_batch < 1 or self.unlabeled_ratio < 1:
-            raise InvalidInputError("batch sizes must be positive")
-
-    @property
-    def unlabeled_batch(self) -> int:
-        return self.labeled_batch * self.unlabeled_ratio
-
-
 class BatchIterator:
     """Cursor over one dataset: an epoch is one pass over the unlabeled rows.
 
-    The unlabeled permutation reshuffles per epoch from (seed, epoch); labeled
+    The dataset must hold labeled, unlabeled and validation rows. The
+    unlabeled permutation reshuffles per epoch from (seed, epoch); labeled
     rows are drawn uniformly with replacement, so small labeled pools still
     fill the configured batch. The final unlabeled batch of an epoch may be
     short so that every unlabeled row is visited exactly once.
     """
 
-    def __init__(self, ds: TwoViewDataset, plan: BatchPlan):
-        self.ds = ds
-        self.plan = plan
+    def __init__(self, ds: TwoViewDataset, labeled_batch: int, unlabeled_batch: int, seed: int = 0):
+        if labeled_batch < 1 or unlabeled_batch < 1:
+            raise InvalidInputError("batch sizes must be positive")
+        for split in (LABELED, UNLABELED, VALIDATION):
+            if not ds.indices(split).size:
+                raise InvalidInputError(f"dataset has no {SPLIT_NAMES[split]} rows")
+        self.labeled_batch = labeled_batch
+        self.unlabeled_batch = unlabeled_batch
+        self.seed = seed
         self.labeled_rows = ds.indices(LABELED)
         self.unlabeled_rows = ds.indices(UNLABELED)
         self.validation_rows = ds.indices(VALIDATION)
-        if self.labeled_rows.size == 0:
-            raise InvalidInputError("dataset has no labeled-train rows")
         self.epoch = -1
         self._cursor = 0
         self._perm = np.array([], dtype=np.int64)
@@ -246,39 +229,25 @@ class BatchIterator:
 
     @property
     def steps_per_epoch(self) -> int:
-        if self.unlabeled_rows.size == 0:
-            return 1
-        b = self.plan.unlabeled_batch
-        return -(-self.unlabeled_rows.size // b)
+        return -(-self.unlabeled_rows.size // self.unlabeled_batch)
 
     def _start_epoch(self):
         self.epoch += 1
         self._cursor = 0
-        rng = np.random.default_rng(np.random.SeedSequence([self.plan.seed, self.epoch, 0]))
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, self.epoch, 0]))
         self._perm = rng.permutation(self.unlabeled_rows)
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(labeled rows, unlabeled rows, validation rows) for one step."""
-        if self.unlabeled_rows.size and self._cursor >= self._perm.size:
+        if self._cursor >= self._perm.size:
             self._start_epoch()
-        step_in_epoch = self._cursor // max(self.plan.unlabeled_batch, 1)
-        unlabeled = self._perm[self._cursor : self._cursor + self.plan.unlabeled_batch]
-        self._cursor += self.plan.unlabeled_batch
-        if self.unlabeled_rows.size == 0:
-            self._cursor = self._perm.size + 1  # force epoch advance
+        step_in_epoch = self._cursor // self.unlabeled_batch
+        unlabeled = self._perm[self._cursor : self._cursor + self.unlabeled_batch]
+        self._cursor += self.unlabeled_batch
         rng = np.random.default_rng(
-            np.random.SeedSequence([self.plan.seed, self.epoch, 1, step_in_epoch])
+            np.random.SeedSequence([self.seed, self.epoch, 1, step_in_epoch])
         )
-        if self.plan.balanced:
-            classes = self.ds.labels[self.labeled_rows]
-            groups = [self.labeled_rows[classes == c] for c in np.unique(classes)]
-            picks = [
-                rng.choice(groups[i % len(groups)])
-                for i in range(self.plan.labeled_batch)
-            ]
-            labeled = np.array(picks, dtype=np.int64)
-        else:
-            labeled = rng.choice(self.labeled_rows, size=self.plan.labeled_batch, replace=True)
+        labeled = rng.choice(self.labeled_rows, size=self.labeled_batch, replace=True)
         return labeled, unlabeled, self.validation_rows
 
 
@@ -303,18 +272,26 @@ def write_embeddings(path, x: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
 
 
-def read_embeddings(path) -> np.ndarray:
+def _read_container(path, magic: bytes, header: str) -> tuple[list[int], bytes]:
+    """The shape fields after the version in ``header``, and the payload of
+    4 bytes per element, of one binary container."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, 0)
-        if magic != EMBEDDING_MAGIC:
-            raise FormatError(path, 0, f"bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
-        version, n, d = struct.unpack("<HII", _read_exact(fh, 10, path, 4))
+        found = _read_exact(fh, 4, path, 0)
+        if found != magic:
+            raise FormatError(path, 0, f"bad magic {found!r}, expected {magic!r}")
+        size = struct.calcsize(header)
+        version, *shape = struct.unpack(header, _read_exact(fh, size, path, 4))
         if version != FORMAT_VERSION:
             raise FormatError(path, 4, f"unsupported version {version}")
-        payload = _read_exact(fh, 4 * n * d, path, 14)
-        extra = fh.read(1)
-        if extra:
-            raise FormatError(path, 14 + 4 * n * d, "trailing bytes after payload")
+        start, count = 4 + size, 4 * math.prod(shape)
+        payload = _read_exact(fh, count, path, start)
+        if fh.read(1):
+            raise FormatError(path, start + count, "trailing bytes after payload")
+    return shape, payload
+
+
+def read_embeddings(path) -> np.ndarray:
+    (n, d), payload = _read_container(path, EMBEDDING_MAGIC, "<HII")
     return np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
 
 
@@ -327,17 +304,7 @@ def write_labels(path, labels: np.ndarray) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, 0)
-        if magic != LABEL_MAGIC:
-            raise FormatError(path, 0, f"bad magic {magic!r}, expected {LABEL_MAGIC!r}")
-        version, n = struct.unpack("<HI", _read_exact(fh, 6, path, 4))
-        if version != FORMAT_VERSION:
-            raise FormatError(path, 4, f"unsupported version {version}")
-        payload = _read_exact(fh, 4 * n, path, 10)
-        extra = fh.read(1)
-        if extra:
-            raise FormatError(path, 10 + 4 * n, "trailing bytes after payload")
+    _, payload = _read_container(path, LABEL_MAGIC, "<HI")
     return np.frombuffer(payload, dtype="<i4").astype(np.int64)
 
 
@@ -390,16 +357,11 @@ def read_labels_csv(path) -> np.ndarray:
             raise FormatError(path, 1, str(exc)) from exc
 
 
-def _sniff_matrix(path) -> np.ndarray:
+def _sniff(path, magic: bytes, read_binary, read_csv) -> np.ndarray:
+    """Read ``path`` as a binary container if it starts with ``magic``, else as CSV."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-    return read_embeddings(path) if head == EMBEDDING_MAGIC else read_matrix_csv(path)
-
-
-def _sniff_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    return read_labels(path) if head == LABEL_MAGIC else read_labels_csv(path)
+    return read_binary(path) if head == magic else read_csv(path)
 
 
 def load_embedding_file(path_view1, path_view2, path_labels) -> TwoViewDataset:
@@ -409,9 +371,9 @@ def load_embedding_file(path_view1, path_view2, path_labels) -> TwoViewDataset:
     Rows labeled -1 are tagged unlabeled; all others start as labeled-train,
     ready for ``split_by_counts``.
     """
-    v1 = _sniff_matrix(path_view1)
-    v2 = _sniff_matrix(path_view2)
-    y = _sniff_labels(path_labels)
+    v1 = _sniff(path_view1, EMBEDDING_MAGIC, read_embeddings, read_matrix_csv)
+    v2 = _sniff(path_view2, EMBEDDING_MAGIC, read_embeddings, read_matrix_csv)
+    y = _sniff(path_labels, LABEL_MAGIC, read_labels, read_labels_csv)
     if not (v1.shape[0] == v2.shape[0] == y.shape[0]):
         raise FormatError(
             Path(path_labels),

@@ -29,7 +29,6 @@ from .data import (
     UNLABELED,
     VALIDATION,
     BatchIterator,
-    BatchPlan,
     TwoViewDataset,
     _read_exact,
 )
@@ -126,8 +125,6 @@ class TrainConfig:
         "eval.attack_step_frac", 0.25, "attack step size as a fraction of epsilon", "> 0")
     seed: int = 1
     tie_view_rng: bool = setting("train.tie_view_rng", False, "share per-view rng substreams")
-    balanced_labeled: bool = setting(
-        "train.balanced_labeled", False, "per-class labeled batch sampling")
 
     def __post_init__(self):
         check_fields(self)
@@ -137,6 +134,11 @@ class TrainConfig:
             raise BoundError(rule, "mc_passes", "filter_mode")
         if self.lambda_u_init + self.lambda_adv_init > 1.0:
             raise BoundError("{1} + {0} must not exceed 1", "lambda_adv_init", "lambda_u_init")
+
+    def weights(self, mapped) -> tuple[float, float, float]:
+        """A mapped teacher triple with the weight of each disabled term set to 0."""
+        tau, lam_u, lam_adv = mapped
+        return tau, lam_u if self.unsup_enabled else 0.0, lam_adv if self.adv_enabled else 0.0
 
 
 @dataclass
@@ -270,7 +272,7 @@ def _apply_filter(
         synth = np.full(n, -1e6)
         synth[accepted] = 1e6
         gate = (synth, 1.0)
-    return accepted, (1.0 - accepted.size / n) if n else 0.0, gate
+    return accepted, 1.0 - accepted.size / n, gate
 
 
 @dataclass
@@ -280,8 +282,6 @@ class StepParts:
     term runs), MC ``stats`` or ``meta_batches``."""
 
     mapped: tuple[float, float, float]
-    unsup: bool
-    adv: bool
     layers: list
     stats: list
     accepted: list
@@ -317,16 +317,12 @@ def assemble_step(
     y_v = ds.labels[val_rows]
     n_u = unl_rows.size
 
-    tau, lu_m, la_m = teacher.mapped()
-    lam_u = lu_m if cfg.unsup_enabled else 0.0
-    lam_adv = la_m if cfg.adv_enabled else 0.0
-    use_unsup = cfg.unsup_enabled and n_u > 0
-    use_adv = cfg.adv_enabled and n_u > 0
+    tau, lam_u, lam_adv = cfg.weights(teacher.mapped())
 
     # One dropout-free hidden layer per view on the unlabeled batch serves the
     # MC passes, the attack's first objective and the teacher's soft gate.
     layers = [None, None]
-    if use_unsup or use_adv:
+    if cfg.unsup_enabled or cfg.adv_enabled:
         layers = [hidden_layer(s[view], views_u[view]) for view in (0, 1)]
 
     # (1)-(3) MC dropout, per-sample MI, cross-view filtering.
@@ -334,7 +330,7 @@ def assemble_step(
     accepted = [np.array([], dtype=np.int64)] * 2
     mask_rates = [0.0, 0.0]
     gates = [None, None]
-    if use_unsup:
+    if cfg.unsup_enabled:
         for view in (0, 1):
             probs = mc_forward_batch(s[view], layers[view], cfg.mc_passes, mc_seed(view))
             stats[view] = batch_statistics(probs)
@@ -343,7 +339,7 @@ def assemble_step(
 
     # (4) embedding attacks and the adversarial inputs.
     x_adv = [None, None]
-    if use_adv:
+    if cfg.adv_enabled:
         for view in (0, 1):
             delta = pgd_perturb_batch(s[view], layers[view], cfg.perturb, attack_rng(view))
             x_adv[view] = views_u[view] + delta
@@ -362,7 +358,7 @@ def assemble_step(
         loss_sup += l_sup
 
         keep_unsup = None
-        if use_unsup:
+        if cfg.unsup_enabled:
             keep_unsup = keeps(_RNG_KEEP_UNSUP, view, n_u)
             acc = accepted[other]  # pseudo-labels sourced from the other view
             if acc.size:
@@ -381,7 +377,7 @@ def assemble_step(
                 g_total = g_total.plus(g_u, lam_u * frac)
 
         keep_adv = adv_grad = None
-        if use_adv:
+        if cfg.adv_enabled:
             keep_adv = keeps(_RNG_KEEP_ADV, view, n_u)
             l_a, g_a = loss_and_grads(s[view], x_adv[view], None, "entropy", keep_adv)
             adv_grad = (s[view], g_a)
@@ -389,7 +385,7 @@ def assemble_step(
             g_total = g_total.plus(g_a, lam_adv)
         grads.append(g_total)
 
-        if use_unsup:
+        if cfg.unsup_enabled:
             gate_values, gate_sign = gates[other]
             meta_batches.append(
                 MetaBatch(
@@ -407,8 +403,8 @@ def assemble_step(
             )
 
     losses = (loss_sup, loss_unsup, loss_adv)
-    return StepParts((tau, lam_u, lam_adv), use_unsup, use_adv, layers, stats, accepted,
-                     mask_rates, losses, grads, tuple(meta_batches))
+    return StepParts((tau, lam_u, lam_adv), layers, stats, accepted, mask_rates, losses, grads,
+                     tuple(meta_batches))
 
 
 def train_step(
@@ -432,13 +428,13 @@ def train_step(
     n_u = unl_rows.size
     p_mac = [s[0].d_in * s[0].d_h + s[0].d_h * s[0].n_classes,
              s[1].d_in * s[1].d_h + s[1].d_h * s[1].n_classes]
-    n_mc = cfg.mc_passes * n_u if parts.unsup else 0
-    n_attack = cfg.perturb.steps * n_u if parts.adv else 0
+    n_mc = cfg.mc_passes * n_u if cfg.unsup_enabled else 0
+    n_attack = cfg.perturb.steps * n_u if cfg.adv_enabled else 0
     counters = StepCounters(
         student_train_passes=2, mi_passes_per_view=n_mc, perturb_passes_per_view=n_attack)
     for view in (0, 1):
         # Labeled rows, the accepted rows (none without the unsup term) and the attacked rows.
-        train_rows = lab_rows.size + parts.accepted[1 - view].size + (n_u if parts.adv else 0)
+        train_rows = lab_rows.size + parts.accepted[1 - view].size + (n_u if cfg.adv_enabled else 0)
         counters.flops += p_mac[view] * (2 * n_mc + 6 * n_attack + 6 * train_rows)
 
     loss_total = loss_sup + lam_u * loss_unsup + lam_adv * loss_adv
@@ -449,10 +445,7 @@ def train_step(
     # cosine rate drives it and both SGD steps.
     lr_now = cosine_lr(cfg.lr, state.step, state.total_steps)
     teacher_due = (
-        cfg.teacher_enabled
-        and parts.unsup
-        and val_rows.size > 0
-        and state.step % cfg.teacher_update_every == 0
+        cfg.teacher_enabled and cfg.unsup_enabled and state.step % cfg.teacher_update_every == 0
     )
     meta_g = np.zeros(3)
     if teacher_due and not cfg.meta_after_step:
@@ -481,13 +474,13 @@ def train_step(
     # each consumed unlabeled row twice (the two-pass convention of standard
     # SSL baselines). For a supervised-only configuration this is the step's
     # own cost, so the ratio is exactly 1.
-    n_u_used = n_u if (parts.unsup or parts.adv) else 0
+    n_u_used = n_u if (cfg.unsup_enabled or cfg.adv_enabled) else 0
     counters.baseline_flops = sum(
         6 * p_mac[v] * (lab_rows.size + 2 * n_u_used) for v in (0, 1)
     )
 
     stats, accepted = parts.stats, parts.accepted
-    if parts.unsup:
+    if cfg.unsup_enabled:
         agreement = float((stats[0].pseudo_label == stats[1].pseudo_label).mean())
         mean_entropy = float(
             np.concatenate([stats[0].predictive_entropy, stats[1].predictive_entropy]).mean()
@@ -514,7 +507,7 @@ def train_step(
         accepted=(int(accepted[0].size), int(accepted[1].size)),
         mask_rate=(parts.mask_rates[0], parts.mask_rates[1]),
         impurity=imp,
-        zero_accepted=tuple(parts.unsup and not accepted[1 - v].size for v in (0, 1)),
+        zero_accepted=tuple(cfg.unsup_enabled and not accepted[1 - v].size for v in (0, 1)),
         agreement=agreement,
         mean_entropy=mean_entropy,
         meta_grad_inf=float(np.abs(meta_g).max()),
@@ -523,6 +516,13 @@ def train_step(
     return TrainerState(
         new_students, new_velocities, new_teacher, state.total_steps, state.step + 1
     ), report
+
+
+def _ensemble(students, x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each student's evaluation-mode distribution on its view, and their mean."""
+    p1 = softmax_rows(forward_batch(students[0], x1)[0])
+    p2 = softmax_rows(forward_batch(students[1], x2)[0])
+    return p1, p2, 0.5 * (p1 + p2)
 
 
 def evaluate(
@@ -545,9 +545,7 @@ def evaluate(
     y = ds.labels[rows]
     # The clean pass and the attack's first objective share each hidden layer.
     h1, h2 = hidden_layer(students[0], x1), hidden_layer(students[1], x2)
-    p1 = softmax_rows(forward_batch(students[0], h1)[0])
-    p2 = softmax_rows(forward_batch(students[1], h2)[0])
-    ens = 0.5 * (p1 + p2)
+    p1, p2, ens = _ensemble(students, h1, h2)
     pred = np.argmax(ens, axis=1)
     known = y >= 0
     accuracy = float((pred[known] == y[known]).mean()) if known.any() else float("nan")
@@ -560,9 +558,7 @@ def evaluate(
     if attack is not None:
         d1 = pgd_perturb_batch(students[0], h1, attack)
         d2 = pgd_perturb_batch(students[1], h2, attack)
-        p1a = softmax_rows(forward_batch(students[0], x1 + d1)[0])
-        p2a = softmax_rows(forward_batch(students[1], x2 + d2)[0])
-        pred_a = np.argmax(0.5 * (p1a + p2a), axis=1)
+        pred_a = np.argmax(_ensemble(students, x1 + d1, x2 + d2)[2], axis=1)
         robust = (pred[known] == y[known]) & (pred_a[known] == y[known])
         out["pgd_robust_accuracy"] = float(robust.mean()) if known.any() else float("nan")
     return out
@@ -603,10 +599,7 @@ def bin_error_histogram(
         raise InvalidInputError("no unlabeled rows with private labels")
     x1, x2 = ds.views(rows)
     y = ds.labels[rows]
-    ens = 0.5 * (
-        softmax_rows(forward_batch(students[0], x1)[0])
-        + softmax_rows(forward_batch(students[1], x2)[0])
-    )
+    ens = _ensemble(students, x1, x2)[2]
     conf = ens.max(axis=1)
     pseudo = np.argmax(ens, axis=1)
     idx = np.minimum((conf * bins).astype(int), bins - 1)
@@ -641,8 +634,7 @@ def _nanmean(values) -> float:
 
 def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
     iterator = BatchIterator(
-        ds,
-        BatchPlan(cfg.labeled_batch, cfg.unlabeled_ratio, cfg.seed, cfg.balanced_labeled),
+        ds, cfg.labeled_batch, cfg.labeled_batch * cfg.unlabeled_ratio, cfg.seed
     )
     steps_per_epoch = cfg.steps_per_epoch or iterator.steps_per_epoch
     total_steps = max(cfg.epochs * steps_per_epoch, 1)
@@ -652,7 +644,6 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
     epoch_rows: list[dict] = []
     step_reports: list[StepReport] = []
     stop_reason = "epochs_exhausted" if cfg.epochs > 0 else "no_epochs"
-    has_validation = ds.indices(VALIDATION).size > 0
 
     for epoch in range(cfg.epochs):
         for step in range(steps_per_epoch):
@@ -663,10 +654,8 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
         trace.append(state.teacher.mapped())
         if len(trace) >= 2:
             scores.append(stability_score(trace[-cfg.stability_window:]))
-        val_metrics = (
-            evaluate(state.students, ds, VALIDATION) if has_validation else {"accuracy": float("nan")}
-        )
-        tau, lam_u, lam_adv = trace[-1]
+        val_metrics = evaluate(state.students, ds, VALIDATION)
+        tau, lam_u, lam_adv = cfg.weights(trace[-1])
         epoch_rows.append(
             {
                 "epoch": epoch,
@@ -674,8 +663,8 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
                 "loss_unsup": _nanmean([r.loss_unsup for r in epoch_steps]),
                 "loss_adv": _nanmean([r.loss_adv for r in epoch_steps]),
                 "tau_mi": tau,
-                "lambda_u": lam_u if cfg.unsup_enabled else 0.0,
-                "lambda_adv": lam_adv if cfg.adv_enabled else 0.0,
+                "lambda_u": lam_u,
+                "lambda_adv": lam_adv,
                 "accuracy": val_metrics["accuracy"],
                 "mask_rate": _nanmean([np.mean(r.mask_rate) for r in epoch_steps]),
                 "impurity": _nanmean([_nanmean(r.impurity) for r in epoch_steps]),
@@ -699,11 +688,8 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
         raise NonFiniteError("parameters", step_reports[-1].epoch, step_reports[-1].step)
 
     split = eval_split(ds)
-    if ds.indices(split).size:
-        final_eval = evaluate(state.students, ds, split, eval_attack_config(cfg))
-        final_eval["split"] = SPLIT_NAMES[split]
-    else:
-        final_eval = {}
+    final_eval = evaluate(state.students, ds, split, eval_attack_config(cfg))
+    final_eval["split"] = SPLIT_NAMES[split]
     return TrainingReport(
         config=cfg,
         epoch_rows=epoch_rows,
@@ -804,20 +790,17 @@ CURVE_COLUMNS = [
 ]
 
 
-def write_curves_csv(path, epoch_rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CURVE_COLUMNS) + "\n")
-        for row in epoch_rows:
-            fh.write(",".join(repr(row[c]) if c != "epoch" else str(row[c]) for c in CURVE_COLUMNS) + "\n")
+STRATEGY_COLUMNS = ["epoch", "tau_mi", "lambda_u", "lambda_adv"]
 
 
-def write_strategy_trace_csv(path, epoch_rows: list[dict]) -> None:
+def write_csv(path, rows: list[dict], columns: list[str]) -> None:
+    """A header line, then one line per row: the epoch as ``str``, every
+    other column as ``repr``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,tau_mi,lambda_u,lambda_adv\n")
-        for row in epoch_rows:
-            fh.write(
-                f"{row['epoch']},{row['tau_mi']!r},{row['lambda_u']!r},{row['lambda_adv']!r}\n"
-            )
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = (str(row[c]) if c == "epoch" else repr(row[c]) for c in columns)
+            fh.write(",".join(cells) + "\n")
 
 
 def report_payload(report: TrainingReport, ds: TwoViewDataset | None = None) -> dict:
@@ -837,10 +820,8 @@ def report_payload(report: TrainingReport, ds: TwoViewDataset | None = None) -> 
         else {},
         "epochs": report.epoch_rows,
     }
-    if ds is not None:
-        rows = ds.indices(UNLABELED)
-        if rows.size and np.any(ds.labels[rows] >= 0):
-            payload["confidence_bins"] = bin_error_histogram(report.students, ds, bins=5)
+    if ds is not None and np.any(ds.labels[ds.indices(UNLABELED)] >= 0):
+        payload["confidence_bins"] = bin_error_histogram(report.students, ds, bins=5)
     return payload
 
 

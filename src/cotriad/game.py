@@ -109,22 +109,6 @@ class StudentBudget:
     seed: int
 
 
-@dataclass(frozen=True)
-class StrategyGrid:
-    """Finite strategy spaces the residuals are measured over."""
-
-    teacher_points: tuple[tuple[float, float, float], ...]
-    generator_configs: tuple[PerturbConfig, ...]
-    student_budgets: tuple[StudentBudget, ...]
-
-    def __post_init__(self):
-        if not (self.teacher_points and self.generator_configs and self.student_budgets):
-            raise InvalidInputError("strategy grids must be nonempty")
-        for _, lam_u, lam_adv in self.teacher_points:
-            if lam_u + lam_adv > 1.0 + 1e-12:
-                raise InvalidInputError("teacher grid point violates the weight simplex")
-
-
 def teacher_grid(taus, lambda_us, lambda_advs) -> list[tuple[float, float, float]]:
     """The (tau, lambda_u, lambda_adv) points of a grid that lie on the weight simplex."""
     return [(t, lu, la) for t in taus for lu in lambda_us for la in lambda_advs if lu + la <= 1.0]
@@ -168,7 +152,8 @@ class TrainedTriadicGame:
         self.teacher_points = list(teacher_points or default_teacher_grid())
         self.generator_points = list(generator_points or [base_cfg.perturb])
         self.budgets = list(budgets or [StudentBudget(epochs=base_cfg.epochs, seed=base_cfg.seed)])
-        StrategyGrid(tuple(self.teacher_points), tuple(self.generator_points), tuple(self.budgets))
+        if any(lam_u + lam_adv > 1.0 + 1e-12 for _, lam_u, lam_adv in self.teacher_points):
+            raise InvalidInputError("teacher grid point violates the weight simplex")
         self.probe_rows = probe_rows(ds, probe_size, probe_seed)
         self.probe_seed = probe_seed
         # Payoff ingredients by what they depend on: students by identity
@@ -231,11 +216,7 @@ class TrainedTriadicGame:
         adversarial term has no L_unsup or L_adv, like its retraining, so
         that term's weight counts as 0 here.
         """
-        tau, lam_u, lam_adv = t
-        if not self.base_cfg.unsup_enabled:
-            lam_u = 0.0
-        if not self.base_cfg.adv_enabled:
-            lam_adv = 0.0
+        tau, lam_u, lam_adv = self.base_cfg.weights(t)
         stats = self._probe_stats(s) if lam_u > 0 else None
         entropy = self._attacked_entropy(s, g) if lam_adv > 0 else None
         x = self.ds.views(self.probe_rows)

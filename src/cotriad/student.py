@@ -197,12 +197,8 @@ class HiddenLayer:
 
     def __init__(self, params: StudentParams, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape[1] != params.d_in:
-            raise InvalidInputError(
-                f"input dim {x.shape[1]} does not match d_in {params.d_in}"
-            )
+        if x.ndim != 2 or x.shape[1] != params.d_in:
+            raise InvalidInputError(f"input of shape {x.shape} does not match d_in {params.d_in}")
         pre = x @ params.w1
         pre += params.b1
         one_plus_erf = _one_plus_erf(pre)

@@ -262,8 +262,6 @@ def meta_grad(
 def teacher_step(strategy: TeacherStrategy, grad: np.ndarray) -> TeacherStrategy:
     """Gradient-descent update on the raw vector; constraints hold by mapping."""
     g = np.asarray(grad, dtype=np.float64)
-    if g.shape != (3,) or not np.all(np.isfinite(g)):
-        raise InvalidInputError("meta-gradient must be a finite 3-vector")
     return replace(strategy, z=strategy.z - strategy.lr_teacher * g)
 
 

@@ -126,6 +126,10 @@ class TestParseConfig:
         for key in keys:
             assert cfg[key] == SCHEMA[key].default, key
 
+    def test_every_key_appears_in_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert [key for key in SCHEMA if key not in readme] == []
+
     def test_file_values_and_comments(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# comment\ntrain.epochs = 7\nperturb.epsilon = 0.5  # inline\n")
@@ -317,6 +321,9 @@ class TestCommands:
             ("data.n_validation", "2",
              "data.n_validation must be >= 3, the classes among the labeled rows"),
             ("data.n_test", "500", "data.n_labeled + data.n_test must be <= 420, the labeled rows"),
+            # Every synthetic row is labeled, so this split leaves no unlabeled row.
+            ("data.n_test", "390", "data.n_labeled + data.n_test must be < 420, "
+             "the labeled rows, so some stay unlabeled"),
         ],
     )
     def test_files_mode_split_rules_name_the_key_and_line(
@@ -559,6 +566,22 @@ class TestCommands:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "report.json").exists()
+
+    def test_removed_balanced_batch_key_is_unknown(self, tiny_cfg, tmp_path, capsys):
+        # train.balanced_labeled is gone: as a flag, and in the config echo
+        # of a run directory written while it existed.
+        out = tmp_path / "run"
+        capsys.readouterr()
+        flag = ["--train.balanced_labeled", "true"]
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + flag) == 2
+        assert "unknown key 'train.balanced_labeled'" in capsys.readouterr().err
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["config"]["train.balanced_labeled"] = False
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["equilibrium", "--run", str(out)]) == 2
+        assert "unknown key 'train.balanced_labeled'" in capsys.readouterr().err
 
     def test_cost_command(self, tiny_cfg, capsys):
         assert main(["cost", "--config", str(tiny_cfg)]) == 0

@@ -1,15 +1,17 @@
 """Dataset construction, splits, batching, and serialization round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cotriad.data import (
     LABELED,
+    SPLIT_NAMES,
     TEST,
     UNLABELED,
     VALIDATION,
     BatchIterator,
-    BatchPlan,
     TwoViewDataset,
     gen_synthetic_two_view,
     load_embedding_file,
@@ -120,7 +122,7 @@ class TestBatchIterator:
     def make(self, n=200, labeled=20, val=4, batch=8, mu=3, seed=0):
         ds = gen_synthetic_two_view(n, 2, 4, 4, 0.3, seed=1)
         ds = split_by_counts(ds, labeled, val, 0, seed=2)
-        return ds, BatchIterator(ds, BatchPlan(batch, mu, seed=seed))
+        return ds, BatchIterator(ds, batch, batch * mu, seed=seed)
 
     def test_batch_sizes(self):
         _, it = self.make()
@@ -152,6 +154,19 @@ class TestBatchIterator:
             b = it2.next_batch()
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("split", [LABELED, UNLABELED, VALIDATION])
+    def test_rejects_a_dataset_without_a_training_split(self, split):
+        ds, _ = self.make()
+        tags = np.where(ds.split == split, TEST, ds.split).astype(np.int8)
+        with pytest.raises(InvalidInputError, match=f"^dataset has no {SPLIT_NAMES[split]} rows$"):
+            BatchIterator(replace(ds, split=tags), 8, 24)
+
+    def test_rejects_nonpositive_batch_sizes(self):
+        ds, _ = self.make()
+        for sizes in [(0, 24), (8, 0)]:
+            with pytest.raises(InvalidInputError, match="batch sizes"):
+                BatchIterator(ds, *sizes)
 
     def test_no_validation_rows_in_batches(self):
         ds, it = self.make()

@@ -168,6 +168,26 @@ class TestTrainStepSemantics:
         assert r.loss_unsup == 0.0
 
 
+    @pytest.mark.parametrize("direction", ["above", "below"])
+    def test_dropout_zero_run_accepts_by_an_mi_of_zero(self, direction):
+        # Without dropout every MC pass is the same pass, so every MI is 0:
+        # no row lies above the threshold, and every row lies below it.
+        ds = small_task()
+        cfg = small_cfg(dropout=0.0, filter_direction=direction)
+        rep = run_training(cfg, ds)
+        assert rep.step_reports
+        for r in rep.step_reports:
+            if direction == "above":
+                assert r.accepted == (0, 0) and r.zero_accepted == (True, True)
+            else:
+                assert r.mask_rate == (0.0, 0.0) and r.zero_accepted == (False, False)
+        replay = run_training(cfg, ds)
+        for a, b in zip(rep.step_reports, replay.step_reports, strict=True):
+            assert_reports_equal(a, b)
+        for a, b in zip(rep.students, replay.students):
+            np.testing.assert_array_equal(a.vector, b.vector)
+        np.testing.assert_array_equal(rep.teacher.z, replay.teacher.z)
+
     @pytest.mark.parametrize(
         "fields",
         [

@@ -20,7 +20,6 @@ from cotriad.engine import TrainConfig, _apply_filter, run_training
 from cotriad.errors import InvalidInputError
 from cotriad.game import (
     GameProfile,
-    StrategyGrid,
     StudentBudget,
     TrainedTriadicGame,
     default_teacher_grid,
@@ -173,13 +172,13 @@ class TestTabularGame:
 
 
 class TestStrategyGrid:
-    def test_rejects_empty_and_simplex_violations(self):
-        budget = StudentBudget(epochs=1, seed=0)
-        with pytest.raises(InvalidInputError):
-            StrategyGrid((), (PerturbConfig(epsilon=0.1),), (budget,))
-        with pytest.raises(InvalidInputError):
-            StrategyGrid(
-                ((0.05, 0.8, 0.7),), (PerturbConfig(epsilon=0.1),), (budget,)
+    """The game's strategy grids: an empty list falls back to its default, and
+    every teacher point must lie on the weight simplex."""
+
+    def test_rejects_simplex_violations(self):
+        with pytest.raises(InvalidInputError, match="simplex"):
+            TrainedTriadicGame(
+                small_task(), small_cfg(), teacher_points=[(0.05, 0.8, 0.7)], probe_size=32
             )
 
     def test_trained_game_validates_its_lists(self):
@@ -191,6 +190,12 @@ class TestStrategyGrid:
         )
         assert game.teacher_points == [(0.05, 0.5, 0.25)]
         assert game.generator_points == [cfg.perturb] and game.budgets == [budget]
+        empty = TrainedTriadicGame(
+            ds, cfg, teacher_points=[], generator_points=[], budgets=[], probe_size=32
+        )
+        assert empty.teacher_points == default_teacher_grid()
+        assert empty.generator_points == [cfg.perturb]
+        assert empty.budgets == [StudentBudget(epochs=cfg.epochs, seed=cfg.seed)]
         with pytest.raises(InvalidInputError):
             TrainedTriadicGame(ds, cfg, teacher_points=[(0.05, 0.8, 0.7)], probe_size=32)
 
@@ -634,8 +639,8 @@ class TestRetrainConfig:
         slack=st.floats(0.0, 1e-12),
     )
     def test_every_grid_point_builds_a_config(self, game, tau, lam_u, share, slack):
-        # StrategyGrid admits lambda_u + lambda_adv up to 1 + 1e-12.
+        # The game admits teacher points with lambda_u + lambda_adv up to 1 + 1e-12.
         t = (tau, lam_u, share * (1.0 - lam_u) + slack)
-        StrategyGrid((t,), (small_cfg().perturb,), (self.BUDGET,))
+        TrainedTriadicGame(game.ds, game.base_cfg, teacher_points=[t], probe_size=32)
         cfg = game._retrain_cfg(t, small_cfg().perturb, self.BUDGET)
         assert cfg.lambda_u_init + cfg.lambda_adv_init <= 1.0

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundError, FormatError, InvalidInputError
+from .numerics import stream
 
 EMBEDDING_MAGIC = b"TRCO"
 LABEL_MAGIC = b"TRCL"
@@ -234,8 +235,7 @@ class BatchIterator:
     def _start_epoch(self):
         self.epoch += 1
         self._cursor = 0
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, self.epoch, 0]))
-        self._perm = rng.permutation(self.unlabeled_rows)
+        self._perm = stream(self.seed, self.epoch, 0).permutation(self.unlabeled_rows)
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(labeled rows, unlabeled rows, validation rows) for one step."""
@@ -244,9 +244,7 @@ class BatchIterator:
         step_in_epoch = self._cursor // self.unlabeled_batch
         unlabeled = self._perm[self._cursor : self._cursor + self.unlabeled_batch]
         self._cursor += self.unlabeled_batch
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, self.epoch, 1, step_in_epoch])
-        )
+        rng = stream(self.seed, self.epoch, 1, step_in_epoch)
         labeled = rng.choice(self.labeled_rows, size=self.labeled_batch, replace=True)
         return labeled, unlabeled, self.validation_rows
 

@@ -5,9 +5,9 @@ mutual information, cross-view filtering through the teacher's threshold
 (view 1's accepted pseudo-labels supervise student 2 and vice versa),
 embedding attacks and the adversarial entropy term, the supervised term, one
 SGD step per student on the weighted total, then the teacher meta-update.
-The meta-gradient is taken from the pre-step student parameters through a
-virtual update by default, reusing the step's adversarial-entropy gradient;
-``meta_after_step`` flips it to the post-step parameters, where that
+The meta-gradient is taken through a virtual update of the pre-step
+students by default, reusing the step's adversarial-entropy gradient;
+``meta_after_step`` takes it at the post-step students instead, where that
 gradient is recomputed.
 
 Every random draw derives from (config seed, purpose tag, epoch, step, view),
@@ -34,7 +34,7 @@ from .data import (
 )
 from .errors import BoundError, FormatError, InvalidInputError, NonFiniteError
 from .generator import PerturbConfig, pgd_perturb_batch
-from .numerics import entropy_rows, softmax_rows
+from .numerics import entropy_rows, softmax_rows, stream
 from .settings import check_fields, setting
 from .student import (
     Gradients,
@@ -206,12 +206,7 @@ def _view_key(cfg: TrainConfig, view: int) -> int:
 
 
 def _rng(cfg: TrainConfig, tag: int, epoch: int, step: int, view: int) -> np.random.Generator:
-    key = [cfg.seed, tag, epoch, step, _view_key(cfg, view)]
-    return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def _seed(cfg: TrainConfig, tag: int, epoch: int, step: int, view: int) -> int:
-    return int(_rng(cfg, tag, epoch, step, view).integers(0, 2**63 - 1))
+    return stream(cfg.seed, tag, epoch, step, _view_key(cfg, view))
 
 
 def _keeps(
@@ -230,8 +225,7 @@ def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> Traine
         raise InvalidInputError("dataset must carry at least two labeled classes")
     students = []
     for view in (0, 1):
-        key = [cfg.seed, _RNG_INIT, _view_key(cfg, view)]
-        seed = int(np.random.default_rng(np.random.SeedSequence(key)).integers(0, 2**31 - 1))
+        seed = int(stream(cfg.seed, _RNG_INIT, _view_key(cfg, view)).integers(0, 2**31 - 1))
         students.append(init_student(dims[view], cfg.hidden, classes, cfg.dropout, seed))
     teacher = init_strategy(
         cfg.tau_init,
@@ -306,7 +300,9 @@ def assemble_step(
     ``rows`` are the (labeled, unlabeled, validation) rows. ``mc_seed(view)``
     and ``attack_rng(view)`` give each view's MC seed and attack stream, and
     ``keeps(tag, view, n)`` the dropout keeps of one (view, term) on n rows,
-    None in evaluation mode. Each is called only when its term runs.
+    None in evaluation mode. Each is called only when its term runs, and
+    each must give a fresh draw per (purpose, view), so the order of the
+    calls does not matter.
     """
     lab_rows, unl_rows, val_rows = rows
     s = students
@@ -319,28 +315,21 @@ def assemble_step(
 
     tau, lam_u, lam_adv = cfg.weights(teacher.mapped())
 
-    # One dropout-free hidden layer per view on the unlabeled batch serves the
-    # MC passes, the attack's first objective and the teacher's soft gate.
-    layers = [None, None]
-    if cfg.unsup_enabled or cfg.adv_enabled:
-        layers = [hidden_layer(s[view], views_u[view]) for view in (0, 1)]
-
-    # (1)-(3) MC dropout, per-sample MI, cross-view filtering.
-    stats = [None, None]
+    layers, stats, gates, x_adv = [None, None], [None, None], [None, None], [None, None]
     accepted = [np.array([], dtype=np.int64)] * 2
     mask_rates = [0.0, 0.0]
-    gates = [None, None]
-    if cfg.unsup_enabled:
-        for view in (0, 1):
+    for view in (0, 1):
+        # One dropout-free hidden layer on the unlabeled batch serves the MC
+        # passes, the attack's first objective and the teacher's soft gate.
+        if cfg.unsup_enabled or cfg.adv_enabled:
+            layers[view] = hidden_layer(s[view], views_u[view])
+        # (1)-(3) MC dropout, per-sample MI, filtering.
+        if cfg.unsup_enabled:
             probs = mc_forward_batch(s[view], layers[view], cfg.mc_passes, mc_seed(view))
             stats[view] = batch_statistics(probs)
-        for view in (0, 1):
             accepted[view], mask_rates[view], gates[view] = _apply_filter(cfg, stats[view], tau)
-
-    # (4) embedding attacks and the adversarial inputs.
-    x_adv = [None, None]
-    if cfg.adv_enabled:
-        for view in (0, 1):
+        # (4) the embedding attack and the adversarial inputs.
+        if cfg.adv_enabled:
             delta = pgd_perturb_batch(s[view], layers[view], cfg.perturb, attack_rng(view))
             x_adv[view] = views_u[view] + delta
 
@@ -419,64 +408,61 @@ def train_step(
     s = state.students
     parts = assemble_step(
         s, state.teacher, cfg, ds, rows,
-        mc_seed=lambda view: _seed(cfg, _RNG_MC, epoch, step, view),
+        mc_seed=lambda view: int(_rng(cfg, _RNG_MC, epoch, step, view).integers(0, 2**63 - 1)),
         attack_rng=lambda view: _rng(cfg, _RNG_PERTURB, epoch, step, view),
         keeps=lambda tag, view, n: _keeps(cfg, tag, epoch, step, view, n),
     )
     tau, lam_u, lam_adv = parts.mapped
     loss_sup, loss_unsup, loss_adv = parts.losses
-    n_u = unl_rows.size
-    p_mac = [s[0].d_in * s[0].d_h + s[0].d_h * s[0].n_classes,
-             s[1].d_in * s[1].d_h + s[1].d_h * s[1].n_classes]
-    n_mc = cfg.mc_passes * n_u if cfg.unsup_enabled else 0
-    n_attack = cfg.perturb.steps * n_u if cfg.adv_enabled else 0
-    counters = StepCounters(
-        student_train_passes=2, mi_passes_per_view=n_mc, perturb_passes_per_view=n_attack)
-    for view in (0, 1):
-        # Labeled rows, the accepted rows (none without the unsup term) and the attacked rows.
-        train_rows = lab_rows.size + parts.accepted[1 - view].size + (n_u if cfg.adv_enabled else 0)
-        counters.flops += p_mac[view] * (2 * n_mc + 6 * n_attack + 6 * train_rows)
-
     loss_total = loss_sup + lam_u * loss_unsup + lam_adv * loss_adv
     if not math.isfinite(loss_total):
         raise NonFiniteError("loss_total", epoch, step)
 
-    # (7a) meta-gradient from the pre-step students (default ordering). One
-    # cosine rate drives it and both SGD steps.
+    # (6) student updates, then (7) the teacher's meta-update, taken at the
+    # pre-step students or, under meta_after_step, the post-step ones. One
+    # cosine rate drives all three.
     lr_now = cosine_lr(cfg.lr, state.step, state.total_steps)
-    teacher_due = (
-        cfg.teacher_enabled and cfg.unsup_enabled and state.step % cfg.teacher_update_every == 0
-    )
-    meta_g = np.zeros(3)
-    if teacher_due and not cfg.meta_after_step:
-        meta_g = meta_grad(state.teacher, s, parts.meta_batches, lr_now)
-
-    # (6) student updates.
     new_students, new_velocities = zip(*(
         sgd_step(s[v], parts.grads[v], state.velocities[v], lr_now, cfg.momentum,
                  cfg.weight_norm_bound)
         for v in (0, 1)
     ))
-
-    # (7b) teacher update, after the students per the loop ordering.
+    due = cfg.teacher_enabled and cfg.unsup_enabled and state.step % cfg.teacher_update_every == 0
+    meta_g = np.zeros(3)
     new_teacher = state.teacher
-    if teacher_due:
-        if cfg.meta_after_step:
-            meta_g = meta_grad(state.teacher, new_students, parts.meta_batches, lr_now)
+    if due:
+        meta_g = meta_grad(state.teacher, new_students if cfg.meta_after_step else s,
+                           parts.meta_batches, lr_now)
         if not np.isfinite(meta_g).all():
             raise NonFiniteError("meta-gradient", epoch, step)
         new_teacher = teacher_step(state.teacher, meta_g)
-        counters.validation_passes = 1
-        for view in (0, 1):
-            counters.flops += 2 * 6 * p_mac[view] * n_u + 6 * p_mac[view] * val_rows.size
 
+    # Analytic FLOPs. A student pass over one row costs p_mac multiply-adds:
+    # 2 p_mac FLOPs forward only (the MC passes), 6 p_mac forward and backward
+    # (the attack steps; the labeled, accepted and attacked training rows; the
+    # meta-update's two unlabeled passes and its validation pass).
+    n_l, n_u, n_v = lab_rows.size, unl_rows.size, val_rows.size
+    n_mc = cfg.mc_passes * n_u if cfg.unsup_enabled else 0
+    n_attack = cfg.perturb.steps * n_u if cfg.adv_enabled else 0
+    n_adv = n_u if cfg.adv_enabled else 0
+    p_mac = [p.d_in * p.d_h + p.d_h * p.n_classes for p in s]
+    flops = sum(
+        p_mac[v] * (2 * n_mc + 6 * n_attack + 6 * (n_l + parts.accepted[1 - v].size + n_adv)
+                    + due * (12 * n_u + 6 * n_v))
+        for v in (0, 1)
+    )
     # Reference cost: a supervised step over the same data budget, counting
     # each consumed unlabeled row twice (the two-pass convention of standard
     # SSL baselines). For a supervised-only configuration this is the step's
     # own cost, so the ratio is exactly 1.
     n_u_used = n_u if (cfg.unsup_enabled or cfg.adv_enabled) else 0
-    counters.baseline_flops = sum(
-        6 * p_mac[v] * (lab_rows.size + 2 * n_u_used) for v in (0, 1)
+    counters = StepCounters(
+        student_train_passes=2,
+        mi_passes_per_view=n_mc,
+        perturb_passes_per_view=n_attack,
+        validation_passes=int(due),
+        flops=float(flops),
+        baseline_flops=sum(6 * p_mac[v] * (n_l + 2 * n_u_used) for v in (0, 1)),
     )
 
     stats, accepted = parts.stats, parts.accepted
@@ -640,7 +626,6 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
     total_steps = max(cfg.epochs * steps_per_epoch, 1)
     state = init_state(cfg, ds, total_steps)
     trace: list[tuple[float, float, float]] = []  # the teacher's mapped triple per epoch
-    scores: list[float] = []
     epoch_rows: list[dict] = []
     step_reports: list[StepReport] = []
     stop_reason = "epochs_exhausted" if cfg.epochs > 0 else "no_epochs"
@@ -652,8 +637,6 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
             step_reports.append(report)
         epoch_steps = step_reports[-steps_per_epoch:]
         trace.append(state.teacher.mapped())
-        if len(trace) >= 2:
-            scores.append(stability_score(trace[-cfg.stability_window:]))
         val_metrics = evaluate(state.students, ds, VALIDATION)
         tau, lam_u, lam_adv = cfg.weights(trace[-1])
         epoch_rows.append(
@@ -670,10 +653,14 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
                 "impurity": _nanmean([_nanmean(r.impurity) for r in epoch_steps]),
                 "mean_entropy": _nanmean([r.mean_entropy for r in epoch_steps]),
                 "agreement": _nanmean([r.agreement for r in epoch_steps]),
-                "stability_score": scores[-1] if scores else float("nan"),
+                "stability_score": stability_score(trace[-cfg.stability_window:])
+                if len(trace) >= 2 else float("nan"),
             }
         )
-        if cfg.stability_stop and should_stop(scores, cfg.stop_epsilon, cfg.stop_patience):
+        # Epoch 0 has no stability score.
+        if cfg.stability_stop and should_stop(
+            [row["stability_score"] for row in epoch_rows[1:]], cfg.stop_epsilon, cfg.stop_patience
+        ):
             stop_reason = "teacher_stability"
             break
         if cfg.ea_stop and converged(
@@ -812,9 +799,9 @@ def report_payload(report: TrainingReport, ds: TwoViewDataset | None = None) -> 
         "epochs_run": len(report.epoch_rows),
         "total_steps": report.total_steps,
         "final_eval": report.final_eval,
-        "final_strategy": dict(
-            zip(("tau_mi", "lambda_u", "lambda_adv"), report.teacher.mapped())
-        ),
+        "final_strategy": dict(zip(
+            ("tau_mi", "lambda_u", "lambda_adv"), report.config.weights(report.teacher.mapped())
+        )),
         "cost": cost_summary(report.step_reports, report.config)
         if report.step_reports
         else {},

@@ -22,7 +22,7 @@ from .data import LABELED, UNLABELED, VALIDATION, TwoViewDataset
 from .engine import TrainConfig, _apply_filter, assemble_step, evaluate, run_training
 from .errors import InvalidInputError
 from .generator import PerturbConfig, fixed_point_residual, pgd_perturb_batch
-from .numerics import entropy_rows, softmax_rows
+from .numerics import entropy_rows, softmax_rows, stream
 from .student import StudentParams, forward_batch, loss_and_grads, mc_forward_batch
 from .teacher import TeacherStrategy, meta_grad
 from .uncertainty import batch_statistics
@@ -83,15 +83,6 @@ def nash_residual(game, profile: GameProfile) -> tuple[float, float, float]:
 # The trained game: payoffs measured on a dataset, students retrained.
 
 
-def _attack_rng(probe_seed: int, view: int) -> np.random.Generator:
-    """Dropout-mask stream for an attack on one view's probe (drawn only at gamma > 0).
-
-    A fresh stream per call keeps every payoff and residual a pure function
-    of its arguments.
-    """
-    return np.random.default_rng(np.random.SeedSequence([probe_seed, view]))
-
-
 def probe_rows(ds: TwoViewDataset, probe_size: int, probe_seed: int) -> np.ndarray:
     """The probe batch: the first ``probe_size`` unlabeled rows of a seeded
     permutation, sorted."""
@@ -134,7 +125,9 @@ class TrainedTriadicGame:
     Each payoff combines ingredients that the game computes once and keeps
     for its lifetime, keyed only on what they depend on: the validation
     accuracy and the probe MC statistics on the students, the mean attacked
-    entropy per view on the students and the attack config.
+    entropy per view on the students and the attack config. An attack at
+    gamma > 0 draws its masks from a fresh ``stream(probe_seed, view)``, so
+    every payoff and residual is a pure function of its arguments.
     """
 
     def __init__(
@@ -188,7 +181,7 @@ class TrainedTriadicGame:
         def compute():
             out = []
             for view, x in enumerate(self.ds.views(self.probe_rows)):
-                delta = pgd_perturb_batch(s[view], x, g, _attack_rng(self.probe_seed, view))
+                delta = pgd_perturb_batch(s[view], x, g, stream(self.probe_seed, view))
                 logits, _ = forward_batch(s[view], x + delta)
                 out.append(float(entropy_rows(softmax_rows(logits)).mean()))
             return out
@@ -315,7 +308,7 @@ def stackelberg_residual(
     parts = assemble_step(
         students, teacher, cfg, ds, (lab, probe, val),
         mc_seed=lambda view: probe_seed + view,
-        attack_rng=lambda view: _attack_rng(probe_seed, view),
+        attack_rng=lambda view: stream(probe_seed, view),
         keeps=lambda tag, view, n: None,
     )
     student_res = max(g.inf_norm() for g in parts.grads)
@@ -333,7 +326,7 @@ def stackelberg_residual(
     gen_res = 0.0
     for view, x in enumerate(ds.views(probe)):
         layer = parts.layers[view] if parts.layers[view] is not None else x
-        delta = pgd_perturb_batch(students[view], layer, attack, _attack_rng(probe_seed, view))
+        delta = pgd_perturb_batch(students[view], layer, attack, stream(probe_seed, view))
         gen_res += float(fixed_point_residual(students[view], x, delta, attack).mean())
     return StackelbergResiduals(
         teacher=teacher_res, students=student_res, generator=gen_res / 2.0

@@ -39,8 +39,8 @@ class PerturbConfig:
     gamma: float = setting(
         "perturb.gamma", 0.0, "disagreement weight in the attack objective", ">= 0")
     steps: int = setting("perturb.steps", 1, "attack steps; 1 = single-step sign attack", ">= 1")
-    step_size: float | None = setting(
-        "perturb.step_size", None, "attack step size, 0 = epsilon", ">= 0 (0 = epsilon)")
+    step_size: float = setting(
+        "perturb.step_size", 0.0, "attack step size, 0 = epsilon", ">= 0 (0 = epsilon)")
     mi_passes: int = setting(
         "perturb.mi_passes", 5, "MC passes inside the attack when gamma > 0", ">= 1")
 
@@ -48,12 +48,10 @@ class PerturbConfig:
         check_fields(self)
         if self.gamma > 0 and self.mi_passes < 2:
             raise BoundError("{0} must be >= 2 when {1} > 0", "mi_passes", "gamma")
-        if self.step_size == 0:
-            object.__setattr__(self, "step_size", None)
 
     @property
     def effective_step(self) -> float:
-        return self.epsilon if self.step_size is None else self.step_size
+        return self.step_size or self.epsilon
 
 
 def project_linf(delta: np.ndarray, epsilon: float) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Row-wise probability kernels and the finite-difference gradient oracle.
+"""Row-wise probability kernels, keyed random streams and the finite-difference
+gradient oracle.
 
 All quantities are float64 and all logarithms are natural, so entropies are
 reported in nats. The row kernels (``row_max``, ``softmax_rows``,
@@ -16,6 +17,11 @@ from .errors import InvalidInputError, OracleFailureError
 # Floor applied inside logs of probabilities. Keeps -log(p) finite on
 # saturated softmax outputs without perturbing well-conditioned values.
 PROB_FLOOR = 1e-12
+
+
+def stream(*key: int) -> np.random.Generator:
+    """The random stream of one key of ints: ``default_rng(SeedSequence(key))``."""
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def row_max(z: np.ndarray) -> np.ndarray:

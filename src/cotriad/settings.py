@@ -59,9 +59,8 @@ def declare(key: str, default, help: str, bound: str | None = None) -> Setting:
 
 
 def setting(key: str, default, help: str, bound: str | None = None):
-    """The dataclass field that config key ``key`` sets; a None default is 0.0 in the file."""
-    decl = declare(key, 0.0 if default is None else default, help, bound)
-    return field(default=default, metadata={"setting": decl})
+    """The dataclass field that config key ``key`` sets."""
+    return field(default=default, metadata={"setting": declare(key, default, help, bound)})
 
 
 def settings_of(cls) -> dict[str, Setting]:

@@ -262,7 +262,7 @@ def mc_forward_batch(
     n = layer.x.shape[0]
     # One pass at a time: the same stream as one (n_passes, n, d_h) draw,
     # with a float64 scratch of one pass instead of all of them.
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = np.random.default_rng(seed)
     keeps = (draw_keeps(rng, (n, params.d_h), params.dropout_rate) for _ in range(n_passes))
     probs = np.empty((n_passes, n, params.n_classes))
     for k, keep in enumerate(keeps):
@@ -368,11 +368,11 @@ def weighted_ce_grads(
     y: np.ndarray,
     weights: np.ndarray,
     keep: np.ndarray | None = None,
-) -> tuple[list[float], list[Gradients]]:
-    """Unnormalized weighted cross-entropy sums and their gradients.
+) -> list[Gradients]:
+    """Gradients of unnormalized weighted cross-entropy sums.
 
-    ``weights`` is (m, n): one row of per-sample weights per returned pair
-    (sum_i weights[r, i] * CE_i, its gradient). All rows share one forward
+    ``weights`` is (m, n): one row of per-sample weights per returned
+    gradient, that of sum_i weights[r, i] * CE_i. All rows share one forward
     pass; callers own the normalization. This is the building block for
     soft-gated losses and their threshold derivative.
     """
@@ -385,12 +385,8 @@ def weighted_ce_grads(
     if rows.ndim != 2 or rows.shape[1] != n:
         raise InvalidInputError(f"weights shape {rows.shape} is not (m, {n})")
     logits, cache = forward_batch(params, layer, keep)
-    probs = softmax_rows(logits)
-    nll = -np.log(np.maximum(probs[np.arange(n), yv], PROB_FLOOR))
-    dce = _ce_dlogits(probs, yv)
-    losses = [float((w * nll).sum()) for w in rows]
-    grads = [_backward(params, cache, dce * w[:, None]) for w in rows]
-    return losses, grads
+    dce = _ce_dlogits(softmax_rows(logits), yv)
+    return [_backward(params, cache, dce * w[:, None]) for w in rows]
 
 
 def input_entropy_grad(

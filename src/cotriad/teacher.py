@@ -154,32 +154,32 @@ def _adv_grad(params: StudentParams, batch: MetaBatch) -> Gradients:
     return grads
 
 
-def soft_unsup_loss_and_grads(
+def soft_unsup_grads(
     params: StudentParams,
     batch: MetaBatch,
     mi_threshold: float,
     temperature: float,
-) -> tuple[float, Gradients, Gradients]:
-    """Gate-weighted cross-view loss, its gradients, and their threshold derivative.
+) -> tuple[Gradients, Gradients]:
+    """Gradients of the gate-weighted cross-view loss and their threshold derivative.
 
     The loss is the masked expectation over the unlabeled batch,
     (1/n) * sum_i gate_i * CE_i, matching the hard loss's normalization; with
     a = d gate / d threshold the derivative of the gradient in the threshold
     is simply the a-weighted CE gradient, so no per-sample storage is needed.
-    Returns (loss, grads, d_grads_d_threshold).
+    Returns (grads, d_grads_d_threshold).
     """
     n = batch.pseudo_from_other.shape[0]
     sign = batch.gate_sign
     w = soft_gate(sign * batch.mi_from_other, sign * mi_threshold, temperature)
     a = -sign * w * (1.0 - w) / temperature
-    (loss_w, _), (grads_w, grads_a) = weighted_ce_grads(
+    grads_w, grads_a = weighted_ce_grads(
         params,
         batch.x_unsup,
         batch.pseudo_from_other,
         np.stack([w / n, a / n]),
         batch.keep_unsup,
     )
-    return loss_w, grads_w, grads_a
+    return grads_w, grads_a
 
 
 def _unroll(
@@ -195,7 +195,7 @@ def _unroll(
     B is None when the batch has no adversarial term.
     """
     tau, lu, la = mapped
-    _, g_unsup, dA_dtau = soft_unsup_loss_and_grads(params, batch, tau, temperature)
+    g_unsup, dA_dtau = soft_unsup_grads(params, batch, tau, temperature)
     step = lu * g_unsup.vector
     g_adv = None
     if batch.x_adv is not None:

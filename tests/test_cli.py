@@ -1,13 +1,15 @@
 """Config grammar, override precedence, subcommands, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cotriad.cli import main
@@ -42,8 +44,9 @@ def _outside(decl) -> list:
     return [float(num) if op == ">" else below(float(num))]
 
 
-def _inside(decl):
-    """A strategy for values that keep a key's declared bound."""
+def _inside(decl, cap=None):
+    """A strategy for values that keep a key's declared bound, at most ``cap``
+    where the bound has no upper end."""
     spec, kind = decl.bound, _entry_type(decl)
     if spec is None:
         entry = st.booleans() if kind is bool else st.text("abc_/.", max_size=6)
@@ -55,9 +58,9 @@ def _inside(decl):
     else:
         op, num = spec.split()[:2]
         if kind is int:
-            entry = st.integers(int(num) + (op == ">"), int(num) + 600)
+            entry = st.integers(int(num) + (op == ">"), cap or int(num) + 600)
         else:
-            entry = st.floats(float(num), 1e6, exclude_min=op == ">")
+            entry = st.floats(float(num), cap or 1e6, exclude_min=op == ">")
     return st.lists(entry, max_size=3) if isinstance(decl.default, list) else entry
 
 
@@ -608,3 +611,91 @@ class TestCommands:
         out2 = tmp_path / "rerun"
         assert main(["train", "--config", str(echo_cfg), "--out", str(out2)]) == 0
         assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+# The sweep's task: TINY with 74 unlabeled rows, a 1-epoch retraining and a
+# 32-row probe, so that all four commands take well under a second.
+SWEEP_CFG = """
+data.n = 150
+data.classes = 3
+data.d1 = 6
+data.d2 = 6
+data.view_noise = 0.4
+data.n_labeled = 30
+data.n_validation = 6
+data.n_test = 40
+data.seed = 5
+train.epochs = 1
+train.labeled_batch = 8
+train.mu = 3
+train.hidden = 8
+train.mc_passes = 3
+train.seeds = 1
+perturb.epsilon = 0.2
+game.budget_epochs = 1
+game.probe_size = 32
+"""
+
+# Upper caps on the keys that set how much work a run does; every other
+# value is drawn from its key's whole declared bound.
+SWEEP_CAPS = {
+    "data.n": 150, "data.classes": 4, "data.d1": 8, "data.d2": 8, "data.n_labeled": 40,
+    "data.n_validation": 8, "data.n_test": 60, "train.epochs": 2, "train.steps_per_epoch": 3,
+    "train.labeled_batch": 16, "train.mu": 4, "train.mc_passes": 4, "train.hidden": 8,
+    "perturb.steps": 3, "perturb.mi_passes": 4, "eval.attack_steps": 3,
+    "game.budget_epochs": 2, "game.probe_size": 64,
+}
+
+# Files mode reads files from disk; the files-mode tests of TestCommands
+# cover its keys.
+SWEPT_KEYS = sorted(set(SCHEMA) - {"data.source", "data.view1", "data.view2", "data.labels"})
+
+SWEEP_OVERRIDES = st.lists(st.sampled_from(SWEPT_KEYS), max_size=6, unique=True).flatmap(
+    lambda keys: st.tuples(*(
+        _inside(SCHEMA[k], SWEEP_CAPS.get(k)).map(lambda v, k=k: (k, _text(v))) for k in keys
+    ))
+)
+
+
+def _ran(code: int, err: str) -> bool:
+    """True for exit 0, False for a run that stopped on a non-finite value
+    and said so in one error line; anything else fails the test."""
+    if code == 1 and err.startswith("error: non-finite ") and err.count("\n") == 1:
+        return False
+    assert code == 0, err
+    return True
+
+
+class TestConfigSweep:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(overrides=SWEEP_OVERRIDES)
+    @example(overrides=(("perturb.gamma", "0.5"), ("perturb.steps", "2")))
+    def test_every_drawn_config_runs_or_fails_at_parse_time(self, tmp_path_factory, overrides):
+        # train -> equilibrium -> eval -> cost. A config error comes from
+        # train and names a drawn key.
+        root = tmp_path_factory.mktemp("sweep")
+        cfg, run = root / "sweep.cfg", root / "run"
+        cfg.write_text(SWEEP_CFG)
+        flags = [tok for key, value in overrides for tok in (f"--{key}", value)]
+
+        def run_cli(argv):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                return main(argv), err.getvalue()
+
+        code, err = run_cli(["train", "--config", str(cfg), "--out", str(run)] + flags)
+        if code == 2:
+            assert err.startswith("config error:"), err
+            assert any(key in err for key, _ in overrides), err
+            return
+        if not _ran(code, err):
+            return
+        seed = json.loads((run / "report.json").read_text())["seeds"][0]
+        model = run / f"model_seed{seed}.trcm"
+        for argv in (
+            ["equilibrium", "--run", str(run)],
+            ["eval", "--model", str(model), "--config", str(cfg)] + flags,
+            ["cost", "--config", str(cfg)] + flags,
+        ):
+            if not _ran(*run_cli(argv)):
+                return

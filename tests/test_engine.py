@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from cotriad.data import (
     TEST,
     UNLABELED,
+    VALIDATION,
     gen_synthetic_two_view,
     split_by_counts,
 )
 from cotriad.engine import (
+    StepCounters,
     TrainConfig,
     bin_error_histogram,
     converged,
@@ -357,6 +359,15 @@ class TestReportBytes:
         engine_module.dump_json(path, engine_module.report_payload(rep, ds))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.REPORT_JSON
 
+    @pytest.mark.parametrize("off", ["unsup_enabled", "adv_enabled"])
+    def test_final_strategy_gives_a_disabled_term_weight_zero(self, off):
+        # As the epoch rows and strategy_trace.csv do.
+        rep = run_training(small_cfg(epochs=1, **{off: False}), small_task())
+        payload = engine_module.report_payload(rep)
+        final, last = payload["final_strategy"], payload["epochs"][-1]
+        assert final == {key: last[key] for key in ("tau_mi", "lambda_u", "lambda_adv")}
+        assert final["lambda_u" if off == "unsup_enabled" else "lambda_adv"] == 0.0
+
 
 def _filter_and_gate_oracle(cfg, stats, tau):
     """The separate filter and soft-gate inputs that ``_apply_filter``
@@ -591,6 +602,27 @@ class TestBinErrorHistogram:
             bin_error_histogram(rep.students, ds, bins=1)
 
 
+def _site_by_site_counters(cfg, ds, n_u, accepted, due) -> StepCounters:
+    """Oracle: one step's counters with the FLOPs accumulated in float at
+    three sites: the training passes per view, the meta-update's passes per
+    view when it is due, and the supervised reference."""
+    dims = (ds.view1.shape[1], ds.view2.shape[1])
+    p_mac = [d * cfg.hidden + cfg.hidden * ds.n_classes for d in dims]
+    n_l, n_v = cfg.labeled_batch, ds.indices(VALIDATION).size
+    n_mc = cfg.mc_passes * n_u if cfg.unsup_enabled else 0
+    n_attack = cfg.perturb.steps * n_u if cfg.adv_enabled else 0
+    flops = 0.0
+    for v in (0, 1):
+        train_rows = n_l + accepted[1 - v] + (n_u if cfg.adv_enabled else 0)
+        flops += p_mac[v] * (2 * n_mc + 6 * n_attack + 6 * train_rows)
+    if due:
+        for v in (0, 1):
+            flops += 2 * 6 * p_mac[v] * n_u + 6 * p_mac[v] * n_v
+    n_u_used = n_u if (cfg.unsup_enabled or cfg.adv_enabled) else 0
+    baseline = sum(6 * p_mac[v] * (n_l + 2 * n_u_used) for v in (0, 1))
+    return StepCounters(2, n_mc, n_attack, int(due), flops, baseline)
+
+
 class TestCostCounters:
     def test_counters_match_formula(self):
         ds = small_task()
@@ -607,6 +639,34 @@ class TestCostCounters:
             assert r.counters.mi_passes_per_view == cfg.mc_passes * n_u
             assert r.counters.perturb_passes_per_view == cfg.perturb.steps * n_u
             assert r.counters.validation_passes == 1
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(teacher_update_every=3), dict(adv_enabled=False), dict(unsup_enabled=False)],
+        ids=["update_every_3", "adv_off", "unsup_off"],
+    )
+    def test_counters_match_a_site_by_site_oracle(self, kw):
+        ds = small_task()
+        cfg = small_cfg(**kw)
+        rep = run_training(cfg, ds)
+        n_unl = ds.indices(UNLABELED).size
+        batch = cfg.labeled_batch * cfg.unlabeled_ratio
+        sizes = [min(batch, n_unl - i * batch) for i in range((n_unl + batch - 1) // batch)]
+        sizes = sizes * cfg.epochs
+        assert len(rep.step_reports) == len(sizes)
+        expected = []
+        for k, (r, n_u) in enumerate(zip(rep.step_reports, sizes)):
+            due = cfg.teacher_enabled and cfg.unsup_enabled and k % cfg.teacher_update_every == 0
+            expected.append(_site_by_site_counters(cfg, ds, n_u, r.accepted, due))
+            assert r.counters == expected[-1], k
+            assert type(r.counters.flops) is float
+        if "teacher_update_every" in kw:
+            assert {c.validation_passes for c in expected} == {0, 1}
+        # Each total keeps the type of the oracle's total.
+        totals = cost_summary(rep.step_reports, cfg)["totals"]
+        for f in dataclasses.fields(StepCounters):
+            want = sum((getattr(c, f.name) for c in expected), f.default)
+            assert (totals[f.name], type(totals[f.name])) == (want, type(want)), f.name
 
     def test_supervised_only_ratio_is_one(self):
         ds = small_task()

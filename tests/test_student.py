@@ -305,16 +305,13 @@ class TestGradients:
         x = rng.normal(size=(5, 3))
         y = rng.integers(0, 3, size=5)
         w = rng.random(5)
-        (loss,), (grads,) = weighted_ce_grads(params, x, y, w[None, :])
+        (grads,) = weighted_ce_grads(params, x, y, w[None, :])
         with pytest.raises(InvalidInputError):
             weighted_ce_grads(params, x, y, w)
-        acc = 0.0
         vec = np.zeros_like(params.vector)
         for i in range(5):
-            li, gi = loss_and_grads(params, x[i : i + 1], y[i : i + 1], "ce")
-            acc += w[i] * li
+            _, gi = loss_and_grads(params, x[i : i + 1], y[i : i + 1], "ce")
             vec += w[i] * gi.vector
-        assert loss == pytest.approx(acc, rel=1e-12)
         np.testing.assert_allclose(grads.vector, vec, rtol=1e-10, atol=1e-12)
 
     def test_input_entropy_grad_matches_finite_differences(self):

@@ -35,6 +35,7 @@ from .data import (
 from .errors import BoundError, FormatError, InvalidInputError, NonFiniteError
 from .generator import PerturbConfig, pgd_perturb_batch
 from .numerics import entropy_rows, softmax_rows, stream
+from .parallel import per_view
 from .settings import check_fields, setting
 from .student import (
     Gradients,
@@ -106,7 +107,8 @@ class TrainConfig:
         "teacher.lambda_adv_init", 0.5, "initial adversarial weight", "(0, 1)")
     eta_teacher: float = setting("teacher.eta_t", 0.01, "teacher meta learning rate", ">= 0")
     gate_temperature: float = setting(
-        "teacher.temperature", 0.01, "soft acceptance gate temperature", "> 0")
+        "teacher.temperature", 0.01, "soft acceptance gate temperature",
+        ">= 2.2250738585072014e-308 (the smallest normal float)")
     teacher_update_every: int = setting(
         "teacher.update_every", 1, "meta-update period in steps", ">= 1")
     meta_after_step: bool = setting(
@@ -302,36 +304,48 @@ def assemble_step(
     ``keeps(tag, view, n)`` the dropout keeps of one (view, term) on n rows,
     None in evaluation mode. Each is called only when its term runs, and
     each must give a fresh draw per (purpose, view), so the order of the
-    calls does not matter.
+    calls does not matter; under a multi-step attack, view 1's ``mc_seed``
+    and ``attack_rng`` calls run on the worker thread of ``per_view``.
     """
     lab_rows, unl_rows, val_rows = rows
     s = students
     views_l = ds.views(lab_rows)
     y_l = ds.labels[lab_rows]
-    views_u = ds.views(unl_rows)
-    views_v = ds.views(val_rows)
-    y_v = ds.labels[val_rows]
     n_u = unl_rows.size
 
     tau, lam_u, lam_adv = cfg.weights(teacher.mapped())
 
-    layers, stats, gates, x_adv = [None, None], [None, None], [None, None], [None, None]
-    accepted = [np.array([], dtype=np.int64)] * 2
-    mask_rates = [0.0, 0.0]
-    for view in (0, 1):
+    # Gather only the rows a term reads.
+    if cfg.unsup_enabled or cfg.adv_enabled:
+        views_u = ds.views(unl_rows)
+    if cfg.unsup_enabled:
+        views_v = ds.views(val_rows)
+        y_v = ds.labels[val_rows]
+
+    def generator_block(view: int):
+        layer = view_stats = gate = view_x_adv = None
+        view_accepted, mask_rate = np.array([], dtype=np.int64), 0.0
         # One dropout-free hidden layer on the unlabeled batch serves the MC
         # passes, the attack's first objective and the teacher's soft gate.
         if cfg.unsup_enabled or cfg.adv_enabled:
-            layers[view] = hidden_layer(s[view], views_u[view])
+            layer = hidden_layer(s[view], views_u[view])
         # (1)-(3) MC dropout, per-sample MI, filtering.
         if cfg.unsup_enabled:
-            probs = mc_forward_batch(s[view], layers[view], cfg.mc_passes, mc_seed(view))
-            stats[view] = batch_statistics(probs)
-            accepted[view], mask_rates[view], gates[view] = _apply_filter(cfg, stats[view], tau)
+            probs = mc_forward_batch(s[view], layer, cfg.mc_passes, mc_seed(view))
+            view_stats = batch_statistics(probs)
+            view_accepted, mask_rate, gate = _apply_filter(cfg, view_stats, tau)
         # (4) the embedding attack and the adversarial inputs.
         if cfg.adv_enabled:
-            delta = pgd_perturb_batch(s[view], layers[view], cfg.perturb, attack_rng(view))
-            x_adv[view] = views_u[view] + delta
+            delta = pgd_perturb_batch(s[view], layer, cfg.perturb, attack_rng(view))
+            view_x_adv = views_u[view] + delta
+        return layer, view_stats, view_accepted, mask_rate, gate, view_x_adv
+
+    # The views' blocks share no data. A multi-step attack is long enough to
+    # repay the hand-off of view 1's block to a worker thread; a single-step
+    # one is not.
+    threaded = cfg.adv_enabled and cfg.perturb.steps > 1
+    layers, stats, accepted, mask_rates, gates, x_adv = map(
+        list, zip(*per_view(generator_block, threaded)))
 
     # (5) loss assembly. Dropout keeps are drawn per (view, term); the unsup
     # keeps cover the whole unlabeled batch so the teacher's soft path sees

@@ -218,7 +218,9 @@ BAD_VALUES = [
     ("train.eta", "0", "train.eta must be > 0"),
     ("train.epochs", "-1", "train.epochs must be >= 0"),
     ("train.mu", "0", "train.mu must be >= 1"),
-    ("teacher.temperature", "0", "teacher.temperature must be > 0"),
+    ("teacher.temperature", "0", "teacher.temperature must be >= 2.2250738585072014e-308"),
+    # The gate's threshold derivative w(1 - w) / temperature overflows below.
+    ("teacher.temperature", "5e-324", "teacher.temperature must be >= 2.2250738585072014e-308"),
     ("stop.window", "1", "stop.window must be >= 2"),
     ("stop.ea_window", "0", "stop.ea_window must be >= 1"),
     ("eval.attack_steps", "0", "eval.attack_steps must be >= 1"),

@@ -5,6 +5,7 @@ import hashlib
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from cotriad.engine import (
     save_model,
 )
 from cotriad import engine as engine_module
+from cotriad import parallel
 from cotriad.errors import FormatError, InvalidInputError, NonFiniteError
 from cotriad.game import stackelberg_residual
 from cotriad.generator import PerturbConfig
@@ -314,6 +316,19 @@ class TestGoldenDigest:
         """The same run with one change; recorded as GOLDEN was."""
         changes, digest = self.VARIANTS[name]
         assert self._digest(self._run(**changes)[2]) == digest
+
+    @pytest.mark.parametrize("name", ["gamma_mi_attack", "pgd10_frozen"])
+    def test_threaded_generator_blocks_equal_the_sequential_ones(self, name):
+        """A multi-step attack runs view 1's generator block on the worker
+        thread; with one usable CPU both views run in the caller."""
+        reports = []
+        for cpus in (1, 2):
+            with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
+                reports.append(self._run(**self.VARIANTS[name][0])[2])
+        sequential, threaded = reports
+        for a, b in zip(sequential.students, threaded.students):
+            assert np.array_equal(a.vector, b.vector)
+        assert np.array_equal(sequential.teacher.z, threaded.teacher.z)
 
     def test_base_run_robust_accuracy_is_unchanged(self, base_run):
         assert base_run[2].final_eval["pgd_robust_accuracy"] == self.ROBUST_ACCURACY

@@ -2,7 +2,7 @@
 
 Subcommands: train, eval, equilibrium, gradcheck, synth-data, cost. Exit
 codes: 0 success, 1 check failure or a diverged (non-finite) run, 2
-configuration or usage error. Any
+configuration or usage error, or a path that cannot be used. Any
 ``--section.key value`` pair after a subcommand overrides the config file.
 """
 
@@ -240,13 +240,15 @@ def main(argv: list[str] | None = None) -> int:
     # commands without config access refuse them.
     if args.command in ("gradcheck",) and extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.command == "gradcheck" and args.instances < 1:
+        parser.error(f"argument --instances: must be >= 1, got {args.instances}")
     args.overrides = list(extra)
     try:
         # A diverging run overflows before the non-finite guard sees it; the
         # guard's one error line reports it, so numpy's warnings stay silent.
         with np.errstate(over="ignore", invalid="ignore"):
             return _HANDLERS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, InvalidInputError, NonFiniteError) as exc:

@@ -584,15 +584,13 @@ def eval_attack_config(cfg: TrainConfig) -> PerturbConfig:
 def bin_error_histogram(
     students: tuple[StudentParams, StudentParams],
     ds: TwoViewDataset,
-    bins: int = 5,
 ) -> list[dict]:
-    """Pseudo-label mismatch rates across equal-width confidence bins.
+    """Pseudo-label mismatch rates across five equal-width confidence bins.
 
     Uses the unlabeled rows' private labels; a bin with no samples reports a
     None rate rather than zero.
     """
-    if bins < 2:
-        raise InvalidInputError("need at least 2 bins")
+    bins = 5
     rows = ds.indices(UNLABELED)
     rows = rows[ds.labels[rows] >= 0]
     if rows.size == 0:
@@ -804,7 +802,7 @@ def write_csv(path, rows: list[dict], columns: list[str]) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def report_payload(report: TrainingReport, ds: TwoViewDataset | None = None) -> dict:
+def report_payload(report: TrainingReport, ds: TwoViewDataset) -> dict:
     """JSON-ready summary of one run. Contains no wall-clock fields so that
     identical (config, seed) runs serialize bit-identically."""
     payload = {
@@ -821,8 +819,8 @@ def report_payload(report: TrainingReport, ds: TwoViewDataset | None = None) -> 
         else {},
         "epochs": report.epoch_rows,
     }
-    if ds is not None and np.any(ds.labels[ds.indices(UNLABELED)] >= 0):
-        payload["confidence_bins"] = bin_error_histogram(report.students, ds, bins=5)
+    if np.any(ds.labels[ds.indices(UNLABELED)] >= 0):
+        payload["confidence_bins"] = bin_error_histogram(report.students, ds)
     return payload
 
 

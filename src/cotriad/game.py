@@ -83,13 +83,18 @@ def nash_residual(game, profile: GameProfile) -> tuple[float, float, float]:
 # The trained game: payoffs measured on a dataset, students retrained.
 
 
-def probe_rows(ds: TwoViewDataset, probe_size: int, probe_seed: int) -> np.ndarray:
-    """The probe batch: the first ``probe_size`` unlabeled rows of a seeded
-    permutation, sorted."""
+# The seed of every probe draw: the probe permutation, the MC passes and the
+# attack streams of the payoffs and of the Stackelberg residuals.
+PROBE_SEED = 0
+
+
+def probe_rows(ds: TwoViewDataset, probe_size: int) -> np.ndarray:
+    """The probe batch: the first ``probe_size`` unlabeled rows of a
+    permutation seeded by ``PROBE_SEED``, sorted."""
     unl = ds.indices(UNLABELED)
     if unl.size == 0:
         raise InvalidInputError("need unlabeled probe rows")
-    return np.sort(np.random.default_rng(probe_seed).permutation(unl)[:probe_size])
+    return np.sort(np.random.default_rng(PROBE_SEED).permutation(unl)[:probe_size])
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ class TrainedTriadicGame:
     for its lifetime, keyed only on what they depend on: the validation
     accuracy and the probe MC statistics on the students, the mean attacked
     entropy per view on the students and the attack config. An attack at
-    gamma > 0 draws its masks from a fresh ``stream(probe_seed, view)``, so
+    gamma > 0 draws its masks from a fresh ``stream(PROBE_SEED, view)``, so
     every payoff and residual is a pure function of its arguments.
     """
 
@@ -138,7 +143,6 @@ class TrainedTriadicGame:
         generator_points: list[PerturbConfig] | None = None,
         budgets: list[StudentBudget] | None = None,
         probe_size: int = 256,
-        probe_seed: int = 0,
     ):
         self.ds = ds
         self.base_cfg = base_cfg
@@ -147,8 +151,7 @@ class TrainedTriadicGame:
         self.budgets = list(budgets or [StudentBudget(epochs=base_cfg.epochs, seed=base_cfg.seed)])
         if any(lam_u + lam_adv > 1.0 + 1e-12 for _, lam_u, lam_adv in self.teacher_points):
             raise InvalidInputError("teacher grid point violates the weight simplex")
-        self.probe_rows = probe_rows(ds, probe_size, probe_seed)
-        self.probe_seed = probe_seed
+        self.probe_rows = probe_rows(ds, probe_size)
         # Payoff ingredients by what they depend on: students by identity
         # (StudentParams is an immutable value), attack configs by value.
         self._ingredients: dict = {}
@@ -168,7 +171,7 @@ class TrainedTriadicGame:
         def compute():
             passes = self.base_cfg.mc_passes
             return [
-                batch_statistics(mc_forward_batch(s[view], x, passes, seed=self.probe_seed + view))
+                batch_statistics(mc_forward_batch(s[view], x, passes, seed=PROBE_SEED + view))
                 for view, x in enumerate(self.ds.views(self.probe_rows))
             ]
 
@@ -181,7 +184,7 @@ class TrainedTriadicGame:
         def compute():
             out = []
             for view, x in enumerate(self.ds.views(self.probe_rows)):
-                delta = pgd_perturb_batch(s[view], x, g, stream(self.probe_seed, view))
+                delta = pgd_perturb_batch(s[view], x, g, stream(PROBE_SEED, view))
                 logits, _ = forward_batch(s[view], x + delta)
                 out.append(float(entropy_rows(softmax_rows(logits)).mean()))
             return out
@@ -287,8 +290,6 @@ def stackelberg_residual(
     ds: TwoViewDataset,
     cfg: TrainConfig,
     probe_size: int = 256,
-    probe_seed: int = 0,
-    diag_attack: PerturbConfig | None = None,
 ) -> StackelbergResiduals:
     """The three stationarity gaps at the final state of a run.
 
@@ -304,11 +305,11 @@ def stackelberg_residual(
     lab, val = ds.indices(LABELED), ds.indices(VALIDATION)
     if lab.size == 0 or val.size == 0:
         raise InvalidInputError("need labeled and validation rows")
-    probe = probe_rows(ds, probe_size, probe_seed)
+    probe = probe_rows(ds, probe_size)
     parts = assemble_step(
         students, teacher, cfg, ds, (lab, probe, val),
-        mc_seed=lambda view: probe_seed + view,
-        attack_rng=lambda view: stream(probe_seed, view),
+        mc_seed=lambda view: PROBE_SEED + view,
+        attack_rng=lambda view: stream(PROBE_SEED, view),
         keeps=lambda tag, view, n: None,
     )
     student_res = max(g.inf_norm() for g in parts.grads)
@@ -317,7 +318,7 @@ def stackelberg_residual(
         teacher_res = float(np.abs(meta_grad(teacher, students, parts.meta_batches, cfg.lr)).max())
 
     # Generator stationarity: long diagnostic ascent, small relative step.
-    attack = diag_attack or PerturbConfig(
+    attack = PerturbConfig(
         epsilon=cfg.perturb.epsilon,
         gamma=0.0,
         steps=50,
@@ -326,7 +327,7 @@ def stackelberg_residual(
     gen_res = 0.0
     for view, x in enumerate(ds.views(probe)):
         layer = parts.layers[view] if parts.layers[view] is not None else x
-        delta = pgd_perturb_batch(students[view], layer, attack, stream(probe_seed, view))
+        delta = pgd_perturb_batch(students[view], layer, attack, stream(PROBE_SEED, view))
         gen_res += float(fixed_point_residual(students[view], x, delta, attack).mean())
     return StackelbergResiduals(
         teacher=teacher_res, students=student_res, generator=gen_res / 2.0

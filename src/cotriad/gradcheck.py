@@ -4,6 +4,7 @@ Each suite draws toy-sized random instances with seeded RNG, compares the
 analytic gradients against ``numerics.finite_diff_grad``, and reports the
 worst normalized deviation, where a deviation is normalized by
 (atol + rtol * |reference|) so that a result <= 1 means the suite passes.
+A NaN deviation is the worst: it fails its suite.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ def _ratio(analytic: np.ndarray, reference: np.ndarray, rtol: float, atol: float
     return float(np.max(np.abs(analytic - reference) / (atol + rtol * np.abs(reference))))
 
 
-def student_gradient_suite(n_instances: int = 100, seed: int = 0) -> SuiteResult:
+def student_gradient_suite(n_instances: int = 100) -> SuiteResult:
     """Cross-entropy and entropy losses, with and without dropout masks."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rtol, atol = 1e-5, 1e-8
-    worst = 0.0
+    ratios = []
     for trial in range(n_instances):
         dropout = 0.0 if trial % 2 == 0 else 0.4
         params = init_student(**TOY, dropout_rate=dropout, seed=1000 + trial)
@@ -55,15 +56,15 @@ def student_gradient_suite(n_instances: int = 100, seed: int = 0) -> SuiteResult
             return loss
 
         fd = finite_diff_grad(f, params.vector, h=1e-5)
-        worst = max(worst, _ratio(grads.vector, fd, rtol, atol))
-    return SuiteResult("student", n_instances, worst, rtol, atol)
+        ratios.append(_ratio(grads.vector, fd, rtol, atol))
+    return SuiteResult("student", n_instances, float(np.max(ratios)), rtol, atol)
 
 
-def generator_gradient_suite(n_instances: int = 100, seed: int = 1) -> SuiteResult:
+def generator_gradient_suite(n_instances: int = 100) -> SuiteResult:
     """Entropy ascent objective gradients with respect to the embedding."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     rtol, atol = 1e-5, 1e-8
-    worst = 0.0
+    ratios = []
     for trial in range(n_instances):
         params = init_student(**TOY, dropout_rate=0.0, seed=2000 + trial)
         x = rng.normal(size=TOY["d_in"])
@@ -74,8 +75,8 @@ def generator_gradient_suite(n_instances: int = 100, seed: int = 1) -> SuiteResu
             return float(values[0])
 
         fd = finite_diff_grad(f, x, h=1e-6)
-        worst = max(worst, _ratio(grad[0], fd, rtol, atol))
-    return SuiteResult("generator", n_instances, worst, rtol, atol)
+        ratios.append(_ratio(grad[0], fd, rtol, atol))
+    return SuiteResult("generator", n_instances, float(np.max(ratios)), rtol, atol)
 
 
 def _random_meta_instance(seed: int):
@@ -113,13 +114,13 @@ def _random_meta_instance(seed: int):
     return strategy, tuple(students), tuple(batches)
 
 
-def meta_gradient_suite(n_instances: int = 100, seed: int = 2) -> SuiteResult:
+def meta_gradient_suite(n_instances: int = 100) -> SuiteResult:
     """One-step unrolled teacher meta-gradients under frozen stochasticity."""
     rtol, atol = 1e-4, 1e-8
-    worst = 0.0
+    ratios = []
     eta = 0.05
     for trial in range(n_instances):
-        strategy, students, batches = _random_meta_instance(10_000 * seed + trial)
+        strategy, students, batches = _random_meta_instance(20_000 + trial)
         analytic = meta_grad(strategy, students, batches, eta)
         fd = finite_diff_grad(
             lambda z: unrolled_validation_loss(
@@ -128,8 +129,8 @@ def meta_gradient_suite(n_instances: int = 100, seed: int = 2) -> SuiteResult:
             strategy.z,
             h=1e-5,
         )
-        worst = max(worst, _ratio(analytic, fd, rtol, atol))
-    return SuiteResult("meta", n_instances, worst, rtol, atol)
+        ratios.append(_ratio(analytic, fd, rtol, atol))
+    return SuiteResult("meta", n_instances, float(np.max(ratios)), rtol, atol)
 
 
 def run_all(n_instances: int = 100) -> list[SuiteResult]:

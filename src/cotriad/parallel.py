@@ -2,42 +2,33 @@
 
 Each student is attacked on its own frozen view, so within one step the two
 views' generator blocks share no data. ``per_view`` can run view 1's block on
-one lazily started worker thread while view 0's runs in the caller. The
-worker runs each block under a copy of the caller's context, so settings
-held in context variables (``np.errstate``) carry over, and a forked child
-starts its own worker, since the parent's thread does not exist there.
+one worker thread while view 0's runs in the caller. The executor exists
+from import and starts its thread at the first submit. The worker runs each
+block under a copy of the caller's context, so settings held in context
+variables (``np.errstate``) carry over, and a forked child gets a fresh
+executor, since the parent's thread does not exist there.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 
 
-class _Worker:
-    """One worker thread, started by the first ``submit``."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._executor: ThreadPoolExecutor | None = None
-
-    def forget(self) -> None:
-        # In a forked child: the parent's worker thread does not exist there,
-        # and the lock may have been held by a thread that was not copied.
-        self._lock, self._executor = threading.Lock(), None
-
-    def submit(self, fn, *args) -> Future:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(1, thread_name_prefix="cotriad-view")
-            return self._executor.submit(fn, *args)
+_worker = ThreadPoolExecutor(1, thread_name_prefix="cotriad-view")
 
 
-_worker = _Worker()
+def _new_worker_in_child() -> None:
+    # The inherited executor counts the parent's worker as idle, but that
+    # thread does not exist in a forked child: a submit there would wait
+    # forever.
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="cotriad-view")
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_worker.forget)
+    os.register_at_fork(after_in_child=_new_worker_in_child)
 
 
 def usable_cpus() -> int:

@@ -7,11 +7,14 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cotriad import gradcheck
 from cotriad.cli import main
 from cotriad.config import SCHEMA, echo_overrides, parse_config
 from cotriad.engine import TrainConfig
@@ -249,6 +252,22 @@ BAD_VALUES = [
 ]
 
 
+def _nan_like(a):
+    return np.full_like(a, np.nan)
+
+
+# Per gradcheck suite: the function whose analytic gradient it certifies, and
+# that function's output with the gradient replaced by NaN.
+NAN_ANALYTIC = {
+    "student": (
+        "loss_and_grads",
+        lambda out: (out[0], SimpleNamespace(vector=_nan_like(out[1].vector))),
+    ),
+    "generator": ("input_entropy_grad", lambda out: (out[0], _nan_like(out[1]))),
+    "meta": ("meta_grad", _nan_like),
+}
+
+
 @pytest.fixture
 def tiny_cfg(tmp_path):
     p = tmp_path / "tiny.cfg"
@@ -264,6 +283,38 @@ class TestCommands:
 
     def test_gradcheck_exits_zero(self):
         assert main(["gradcheck", "--instances", "3"]) == 0
+
+    @pytest.mark.parametrize("suite", list(NAN_ANALYTIC))
+    def test_gradcheck_fails_a_nan_gradient(self, suite, capsys, monkeypatch):
+        name, spoil = NAN_ANALYTIC[suite]
+        real = getattr(gradcheck, name)
+        monkeypatch.setattr(gradcheck, name, lambda *args: spoil(real(*args)))
+        assert main(["gradcheck", "--instances", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if not line.endswith("... ok")]
+        assert len(lines) == 3 and len(failed) == 1
+        assert failed[0].startswith(f"{suite}: 2 instances, max normalized deviation nan ")
+        assert failed[0].endswith("... FAIL")
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_gradcheck_needs_at_least_one_instance(self, instances, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["gradcheck", "--instances", instances])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert f"--instances: must be >= 1, got {instances}" in err_text
+
+    @pytest.mark.parametrize("argv", [
+        "synth-data --config {cfg} --out {file}",  # an existing file as output directory
+        "train --config {dir} --out {dir}/run",  # a directory as config file
+    ])
+    def test_unusable_path_is_a_config_error(self, argv, tiny_cfg, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(argv.format(cfg=tiny_cfg, file=taken, dir=tmp_path).split()) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
 
     def test_train_writes_artifacts(self, tiny_cfg, tmp_path):
         out = tmp_path / "run"

@@ -377,8 +377,9 @@ class TestReportBytes:
     @pytest.mark.parametrize("off", ["unsup_enabled", "adv_enabled"])
     def test_final_strategy_gives_a_disabled_term_weight_zero(self, off):
         # As the epoch rows and strategy_trace.csv do.
-        rep = run_training(small_cfg(epochs=1, **{off: False}), small_task())
-        payload = engine_module.report_payload(rep)
+        ds = small_task()
+        rep = run_training(small_cfg(epochs=1, **{off: False}), ds)
+        payload = engine_module.report_payload(rep, ds)
         final, last = payload["final_strategy"], payload["epochs"][-1]
         assert final == {key: last[key] for key in ("tau_mi", "lambda_u", "lambda_adv")}
         assert final["lambda_u" if off == "unsup_enabled" else "lambda_adv"] == 0.0
@@ -585,7 +586,7 @@ class TestBinErrorHistogram:
     def test_partition_and_range(self):
         ds = small_task()
         rep = run_training(small_cfg(epochs=1), ds)
-        hist = bin_error_histogram(rep.students, ds, bins=5)
+        hist = bin_error_histogram(rep.students, ds)
         assert len(hist) == 5
         assert sum(b["count"] for b in hist) == ds.indices(UNLABELED).size
         for b in hist:
@@ -598,7 +599,7 @@ class TestBinErrorHistogram:
         # long enough for the students to nail it.
         cfg = small_cfg(epochs=6, unsup_enabled=False, adv_enabled=False, teacher_enabled=False)
         rep = run_training(cfg, ds)
-        hist = bin_error_histogram(rep.students, ds, bins=5)
+        hist = bin_error_histogram(rep.students, ds)
         for b in hist:
             if b["count"]:
                 assert b["mismatch_rate"] == 0.0
@@ -607,14 +608,8 @@ class TestBinErrorHistogram:
         ds = small_task(noise=0.0)
         cfg = small_cfg(epochs=6, unsup_enabled=False, adv_enabled=False, teacher_enabled=False)
         rep = run_training(cfg, ds)
-        hist = bin_error_histogram(rep.students, ds, bins=5)
+        hist = bin_error_histogram(rep.students, ds)
         assert any(b["count"] == 0 and b["mismatch_rate"] is None for b in hist)
-
-    def test_rejects_single_bin(self):
-        ds = small_task()
-        rep = run_training(small_cfg(epochs=1), ds)
-        with pytest.raises(InvalidInputError):
-            bin_error_histogram(rep.students, ds, bins=1)
 
 
 def _site_by_site_counters(cfg, ds, n_u, accepted, due) -> StepCounters:

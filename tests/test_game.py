@@ -532,7 +532,7 @@ class TestStackelbergResiduals:
 
 def probe_filter_oracle(students, ds, cfg, tau, probe_size):
     """MC statistics on each view of the probe and the run's filter of each."""
-    probe = probe_rows(ds, probe_size, 0)
+    probe = probe_rows(ds, probe_size)
     x_u = ds.views(probe)
     stats = [
         batch_statistics(mc_forward_batch(students[v], x_u[v], cfg.mc_passes, seed=v))

@@ -2,13 +2,15 @@
 
 Subcommands: train, eval, equilibrium, gradcheck, synth-data, cost. Exit
 codes: 0 success, 1 check failure or a diverged (non-finite) run, 2
-configuration or usage error, or a path that cannot be used. Any
-``--section.key value`` pair after a subcommand overrides the config file.
+configuration or usage error, or a path that cannot be used. Every config
+key is an option ``--section.key VALUE`` of the subcommands that read a
+config (all but gradcheck), and overrides the config file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, gradcheck
-from .config import echo_overrides, parse_config
+from .config import SCHEMA, echo_overrides, parse_config
 from .data import write_embeddings, write_labels, write_labels_csv, write_matrix_csv
 from .engine import (
     CURVE_COLUMNS,
@@ -41,29 +43,9 @@ from .game import (
 )
 
 
-def _split_overrides(tokens: list[str]) -> list[tuple[str, str]]:
-    """Turn leftover ``--section.key value`` tokens into override pairs."""
-    out = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--") or "." not in tok:
-            raise ConfigError(f"unrecognized argument {tok!r}")
-        if "=" in tok:
-            key, value = tok[2:].split("=", 1)
-            out.append((key, value))
-            i += 1
-            continue
-        if i + 1 >= len(tokens):
-            raise ConfigError(f"flag {tok!r} needs a value")
-        out.append((tok[2:], tokens[i + 1]))
-        i += 2
-    return out
-
-
-def _load(args):
-    overrides = _split_overrides(args.overrides)
-    return parse_config(args.config, overrides)
+def _overrides(args) -> list[tuple[str, str]]:
+    """The config keys given on the command line, in the order given."""
+    return [(key, value) for key, value in vars(args).items() if key in SCHEMA]
 
 
 def _out_dir(path_str: str) -> Path:
@@ -73,7 +55,7 @@ def _out_dir(path_str: str) -> Path:
 
 
 def cmd_train(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config, _overrides(args))
     ds = cfg.build_dataset()
     out = _out_dir(args.out)
     per_seed = []
@@ -100,7 +82,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config, _overrides(args))
     ds = cfg.build_dataset()
     students, _ = load_model(args.model)
     seed0 = cfg["train.seeds"][0]
@@ -117,7 +99,7 @@ def cmd_equilibrium(args) -> int:
     if not report_path.exists():
         raise ConfigError(f"{report_path} not found; point --run at a train output directory")
     stored = json.loads(report_path.read_text(encoding="utf-8"))
-    cfg = parse_config(None, echo_overrides(stored["config"]) + _split_overrides(args.overrides))
+    cfg = parse_config(None, echo_overrides(stored["config"]) + _overrides(args))
     ds = cfg.build_dataset()
     seed = cfg["train.seeds"][0]
     students, teacher = load_model(run_dir / f"model_seed{seed}.trcm")
@@ -160,7 +142,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config, _overrides(args))
     if cfg["data.source"] != "synthetic":
         raise ConfigError("synth-data requires data.source = synthetic")
     ds = cfg.synthetic_dataset()
@@ -180,7 +162,7 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config, _overrides(args))
     ds = cfg.build_dataset()
     seed = cfg["train.seeds"][0]
     probe_cfg = replace(cfg.train_config(seed), epochs=1)
@@ -190,6 +172,17 @@ def cmd_cost(args) -> int:
     return 0
 
 
+def _add_keys(parser: argparse.ArgumentParser) -> None:
+    """Register every config key as an option ``--section.key VALUE`` of ``parser``;
+    the usage line names them by one pattern, so a usage error stays short."""
+    usage = parser.format_usage().removeprefix("usage: ").rstrip()
+    parser.usage = f"{usage} [--section.key VALUE ...]"
+    keys = parser.add_argument_group("config keys", "each overrides the config file")
+    for key, decl in SCHEMA.items():
+        keys.add_argument(f"--{key}", default=argparse.SUPPRESS, metavar="VALUE", help=decl.help)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cotriad",
@@ -197,57 +190,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="run training over the configured seeds")
+    def command(name, handler, help):
+        # No prefix abbreviations: --train.epoch must not set train.epochs.
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
+
+    train = command("train", cmd_train, "run training over the configured seeds")
     train.add_argument("--config", default=None, help="flat key = value config file")
     train.add_argument("--out", required=True, help="output directory")
 
-    ev = sub.add_parser("eval", help="evaluate a saved model container")
+    ev = command("eval", cmd_eval, "evaluate a saved model container")
     ev.add_argument("--model", required=True)
     ev.add_argument("--config", default=None)
     ev.add_argument("--out", default=None)
 
-    eq = sub.add_parser("equilibrium", help="equilibrium diagnostics on a run directory")
+    eq = command("equilibrium", cmd_equilibrium, "equilibrium diagnostics on a run directory")
     eq.add_argument("--run", required=True, help="directory produced by train")
     eq.add_argument("--out", default=None)
 
-    gc = sub.add_parser("gradcheck", help="finite-difference gradient certification")
+    gc = command("gradcheck", cmd_gradcheck, "finite-difference gradient certification")
     gc.add_argument("--instances", type=int, default=100)
 
-    sd = sub.add_parser("synth-data", help="write the synthetic dataset to files")
+    sd = command("synth-data", cmd_synth_data, "write the synthetic dataset to files")
     sd.add_argument("--config", default=None)
     sd.add_argument("--out", required=True)
     sd.add_argument("--format", choices=("binary", "csv"), default="binary")
 
-    cost = sub.add_parser("cost", help="measured per-step cost counters for a config")
+    cost = command("cost", cmd_cost, "measured per-step cost counters for a config")
     cost.add_argument("--config", default=None)
+
+    for p in (train, ev, eq, sd, cost):
+        _add_keys(p)
     return parser
-
-
-_HANDLERS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "equilibrium": cmd_equilibrium,
-    "gradcheck": cmd_gradcheck,
-    "synth-data": cmd_synth_data,
-    "cost": cmd_cost,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    # Leftover tokens are config overrides of the form --section.key value;
-    # commands without config access refuse them.
-    if args.command in ("gradcheck",) and extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = parser.parse_args(argv)
     if args.command == "gradcheck" and args.instances < 1:
         parser.error(f"argument --instances: must be >= 1, got {args.instances}")
-    args.overrides = list(extra)
     try:
         # A diverging run overflows before the non-finite guard sees it; the
         # guard's one error line reports it, so numpy's warnings stay silent.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _HANDLERS[args.command](args)
+            return args.handler(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

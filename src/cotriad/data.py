@@ -17,6 +17,8 @@ generation so every encoding round-trips exactly.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -254,7 +256,11 @@ class BatchIterator:
 
 
 def _read_exact(fh, count: int, path, offset: int) -> bytes:
-    buf = fh.read(count)
+    # A header can claim far more bytes than a regular file holds; reading
+    # only what is left turns that into a truncation, not a huge allocation.
+    info = os.fstat(fh.fileno())
+    left = info.st_size - fh.tell() if stat.S_ISREG(info.st_mode) else count
+    buf = fh.read(min(count, max(left, 0)))
     if len(buf) != count:
         raise FormatError(path, offset + len(buf), f"truncated: wanted {count} bytes")
     return buf
@@ -349,10 +355,14 @@ def read_labels_csv(path) -> np.ndarray:
         header = fh.readline().rstrip("\n")
         if header != "label":
             raise FormatError(path, 0, f"bad header {header!r}")
-        try:
-            return np.array([int(line.strip()) for line in fh if line.strip() != ""], dtype=np.int64)
-        except ValueError as exc:
-            raise FormatError(path, 1, str(exc)) from exc
+        labels = []
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                try:
+                    labels.append(int(line.strip()))
+                except ValueError as exc:
+                    raise FormatError(path, lineno, str(exc)) from exc
+    return np.array(labels, dtype=np.int64)
 
 
 def _sniff(path, magic: bytes, read_binary, read_csv) -> np.ndarray:

@@ -71,9 +71,10 @@ def _objective_and_grad(
     cfg: PerturbConfig,
     keeps: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    values, grad = input_entropy_grad(params, x_pert)
+    layer = hidden_layer(params, x_pert)  # one layer serves both terms
+    values, grad = input_entropy_grad(params, layer)
     if cfg.gamma > 0.0:
-        mi, mi_grad = input_mi_grad(params, x_pert, keeps)
+        mi, mi_grad = input_mi_grad(params, layer, keeps)
         values = values + cfg.gamma * mi
         grad = grad + cfg.gamma * mi_grad
     return values, grad

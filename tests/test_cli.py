@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import struct
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,9 +16,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cotriad import gradcheck
-from cotriad.cli import main
+from cotriad.cli import build_parser, main
 from cotriad.config import SCHEMA, echo_overrides, parse_config
-from cotriad.engine import TrainConfig
+from cotriad.engine import MODEL_MAGIC, MODEL_VERSION, TrainConfig
 from cotriad.errors import ConfigError
 from cotriad.generator import PerturbConfig
 
@@ -629,8 +630,10 @@ class TestCommands:
         out = tmp_path / "run"
         capsys.readouterr()
         flag = ["--train.balanced_labeled", "true"]
-        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + flag) == 2
-        assert "unknown key 'train.balanced_labeled'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--config", str(tiny_cfg), "--out", str(out)] + flag)
+        assert err.value.code == 2
+        assert "--train.balanced_labeled" in capsys.readouterr().err
         assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         report["config"]["train.balanced_labeled"] = False
@@ -638,6 +641,14 @@ class TestCommands:
         capsys.readouterr()
         assert main(["equilibrium", "--run", str(out)]) == 2
         assert "unknown key 'train.balanced_labeled'" in capsys.readouterr().err
+
+    def test_oversized_model_header_is_one_error_line(self, tiny_cfg, tmp_path, capsys):
+        model = tmp_path / "huge.trcm"
+        model.write_bytes(MODEL_MAGIC + struct.pack("<HIIId", MODEL_VERSION, *[2**32 - 1] * 3, 0.0))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--config", str(tiny_cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0], err
 
     def test_cost_command(self, tiny_cfg, capsys):
         assert main(["cost", "--config", str(tiny_cfg)]) == 0
@@ -664,6 +675,78 @@ class TestCommands:
         out2 = tmp_path / "rerun"
         assert main(["train", "--config", str(echo_cfg), "--out", str(out2)]) == 0
         assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+TRAIN = "train --config {cfg} --out {out}"
+# The options each config-reading subcommand requires.
+REQUIRED = {
+    "train": ["--out", "o"],
+    "eval": ["--model", "m"],
+    "equilibrium": ["--run", "r"],
+    "synth-data": ["--out", "o"],
+    "cost": [],
+}
+
+
+class TestCommandLine:
+    def test_every_key_is_an_option_of_the_config_commands_only(self, capsys):
+        parser = build_parser()
+        flags = [tok for key in SCHEMA for tok in (f"--{key}", "1")]
+        for command, required in REQUIRED.items():
+            args = parser.parse_args([command, *required, *flags])
+            assert {key: getattr(args, key) for key in SCHEMA} == dict.fromkeys(SCHEMA, "1")
+            assert SCHEMA.keys().isdisjoint(vars(parser.parse_args([command, *required])))
+        for key in SCHEMA:
+            for argv in (["gradcheck", f"--{key}", "1"], [f"--{key}", "1", "cost"]):
+                with pytest.raises(SystemExit) as err:
+                    parser.parse_args(argv)
+                assert err.value.code == 2
+
+    def test_train_help_names_every_key(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert [key for key in SCHEMA if f"--{key} VALUE" not in out] == []
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # No prefix abbreviations.
+            (f"{TRAIN} --train.epoch 3", "unrecognized arguments: --train.epoch 3"),
+            (f"{TRAIN} --perturb.epsilon -1e-3", "--perturb.epsilon: expected one argument"),
+            (f"{TRAIN} --train.eta", "argument --train.eta: expected one argument"),
+            (f"{TRAIN} --bogus 1", "unrecognized arguments: --bogus 1"),
+            (f"{TRAIN} stray", "unrecognized arguments: stray"),
+            ("gradcheck --train.eta 1", "unrecognized arguments: --train.eta 1"),
+        ],
+    )
+    def test_malformed_command_line_is_a_short_usage_error(
+        self, argv, error, tiny_cfg, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv.format(cfg=tiny_cfg, out=out).split())
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) <= 3 and lines[0].startswith("usage: ") and lines[-1].endswith(error)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, code, error",
+        [
+            (["--train.eta=0.05"], 0, []),
+            (["--perturb.epsilon", "-1"], 2, ["config error: perturb.epsilon must be > 0"]),
+            (["--perturb.epsilon=-1e-3"], 2, ["config error: perturb.epsilon must be > 0"]),
+        ],
+    )
+    def test_key_values_reach_the_config(self, flags, code, error, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out), *flags]) == code
+        assert capsys.readouterr().err.splitlines() == error
+        assert (out / "report.json").exists() == (code == 0)
 
 
 # The sweep's task: TINY with 74 unlabeled rows, a 1-epoch retraining and a

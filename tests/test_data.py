@@ -1,5 +1,6 @@
 """Dataset construction, splits, batching, and serialization round-trips."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +18,17 @@ from cotriad.data import (
     load_embedding_file,
     read_embeddings,
     read_labels,
+    read_labels_csv,
     split_by_counts,
     write_embeddings,
     write_labels,
     write_labels_csv,
     write_matrix_csv,
 )
+from cotriad.engine import MODEL_MAGIC, MODEL_VERSION, load_model
 from cotriad.errors import FormatError, InvalidInputError
+
+HUGE = 2**32 - 1  # the largest dimension a container header can state
 
 
 class TestSyntheticGeneration:
@@ -223,6 +228,27 @@ class TestBinaryFormats:
             read_embeddings(p)
         assert "truncated" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "read, raw",
+        [
+            pytest.param(read_embeddings, b"TRCO" + struct.pack("<HII", 1, HUGE, HUGE), id="trco"),
+            pytest.param(read_labels, b"TRCL" + struct.pack("<HI", 1, HUGE), id="trcl"),
+            pytest.param(
+                load_model,
+                MODEL_MAGIC + struct.pack("<HIIId", MODEL_VERSION, HUGE, HUGE, HUGE, 0.0),
+                id="trcm",
+            ),
+        ],
+    )
+    def test_header_claiming_more_than_the_file_is_truncated(self, tmp_path, read, raw):
+        # The payload counts would overflow a read or ask for 16 GiB.
+        p = tmp_path / "huge"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError) as err:
+            read(p)
+        assert err.value.offset == len(raw)
+        assert "truncated: wanted" in str(err.value)
+
     def test_label_magic_checked(self, tmp_path):
         p = tmp_path / "y.trcl"
         p.write_bytes(b"TRCO" + bytes(8))
@@ -285,6 +311,15 @@ class TestLoadEmbeddingFile:
         from cotriad.data import read_matrix_csv
         with pytest.raises(FormatError):
             read_matrix_csv(p)
+
+    def test_labels_csv_bad_value_cites_line(self, tmp_path):
+        p = tmp_path / "y.csv"
+        p.write_text("label\n0\n\n2\nx\n1\n")
+        with pytest.raises(FormatError) as err:
+            read_labels_csv(p)
+        assert err.value.offset == 5
+        p.write_text("label\n0\n\n2\n")
+        np.testing.assert_array_equal(read_labels_csv(p), [0, 2])
 
     def test_csv_malformed_row_cites_line(self, tmp_path):
         p = tmp_path / "v.csv"

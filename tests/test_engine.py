@@ -16,6 +16,7 @@ from cotriad.data import (
     TEST,
     UNLABELED,
     VALIDATION,
+    BatchIterator,
     gen_synthetic_two_view,
     split_by_counts,
 )
@@ -33,6 +34,7 @@ from cotriad.engine import (
 )
 from cotriad import engine as engine_module
 from cotriad import parallel
+from cotriad import student as student_module
 from cotriad.errors import FormatError, InvalidInputError, NonFiniteError
 from cotriad.game import stackelberg_residual
 from cotriad.generator import PerturbConfig
@@ -268,9 +270,12 @@ class TestGoldenDigest:
     }
 
     @staticmethod
-    def _run(**changes):
+    def _task():
         ds = gen_synthetic_two_view(2540, 4, 16, 16, view_noise=0.6, seed=101)
-        ds = split_by_counts(ds, n_labeled=40, n_validation=4, n_test=500, seed=101)
+        return split_by_counts(ds, n_labeled=40, n_validation=4, n_test=500, seed=101)
+
+    @staticmethod
+    def _cfg(**changes):
         cfg = TrainConfig(
             epochs=2,
             lr=0.1,
@@ -281,7 +286,11 @@ class TestGoldenDigest:
             tau_conf=0.9,
             perturb=PerturbConfig(epsilon=0.25, steps=1),
         )
-        cfg = dataclasses.replace(cfg, **changes)
+        return dataclasses.replace(cfg, **changes)
+
+    @classmethod
+    def _run(cls, **changes):
+        ds, cfg = cls._task(), cls._cfg(**changes)
         rep = run_training(cfg, ds)
         assert rep.total_steps == 10
         return ds, cfg, rep
@@ -344,6 +353,49 @@ class TestGoldenDigest:
         res = stackelberg_residual(rep.students, rep.teacher, ds, cfg)
         assert res.as_dict() == self.STACKELBERG_MI[direction]
 
+
+
+def _layer_builds(ds, cfg) -> tuple[int, int]:
+    """(HiddenLayer builds, distinct (params, input) pairs) of one train_step,
+    the first of ``cfg``'s run on ``ds``; a pair is keyed on its values."""
+    builds = []
+    real_init = student_module.HiddenLayer.__init__
+
+    def counting_init(self, params, x):
+        real_init(self, params, x)
+        builds.append((params.vector.tobytes(), self.x.shape, self.x.tobytes()))
+
+    iterator = BatchIterator(ds, cfg.labeled_batch, cfg.labeled_batch * cfg.unlabeled_ratio,
+                             cfg.seed)
+    state = engine_module.init_state(cfg, ds, total_steps=10)
+    with mock.patch.object(student_module.HiddenLayer, "__init__", counting_init):
+        engine_module.train_step(state, cfg, ds, iterator.next_batch(), 0, 0)
+    return len(builds), len(set(builds))
+
+
+class TestOneHiddenLayerPerPair:
+    """A training step builds the hidden layer of each (params, input) pair
+    once, on the configurations of TestGoldenDigest."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            dict(unsup_enabled=False, adv_enabled=False, teacher_enabled=False),
+            TestGoldenDigest.VARIANTS["gamma_mi_attack"][0],
+        ],
+        ids=["full", "supervised", "gamma_mi_attack"],
+    )
+    def test_one_build_per_pair(self, changes):
+        builds, pairs = _layer_builds(TestGoldenDigest._task(), TestGoldenDigest._cfg(**changes))
+        assert builds == pairs
+
+    def test_multi_step_attack_rebuilds_its_last_candidate(self):
+        # The known exception, one build per view: the adversarial loss
+        # rebuilds the layer of the ascent's last accepted candidate from
+        # x + delta.
+        cfg = TestGoldenDigest._cfg(**TestGoldenDigest.VARIANTS["pgd10_frozen"][0])
+        assert _layer_builds(TestGoldenDigest._task(), cfg) == (27, 25)
 
 class TestReportBytes:
     # sha256 of the report.json written below: both stop rules on, with a

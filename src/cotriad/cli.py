@@ -83,8 +83,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    ds = cfg.build_dataset()
+    # A bad model is reported before any dataset work.
     students, _ = load_model(args.model)
+    ds = cfg.build_dataset()
     seed0 = cfg["train.seeds"][0]
     metrics = evaluate(students, ds, eval_split(ds), eval_attack_config(cfg.train_config(seed0)))
     print(json.dumps(metrics, indent=2, sort_keys=True))

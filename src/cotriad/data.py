@@ -262,7 +262,7 @@ def _read_exact(fh, count: int, path, offset: int) -> bytes:
     left = info.st_size - fh.tell() if stat.S_ISREG(info.st_mode) else count
     buf = fh.read(min(count, max(left, 0)))
     if len(buf) != count:
-        raise FormatError(path, offset + len(buf), f"truncated: wanted {count} bytes")
+        raise FormatError(path, f"truncated: wanted {count} bytes", offset=offset + len(buf))
     return buf
 
 
@@ -282,15 +282,15 @@ def _read_container(path, magic: bytes, header: str) -> tuple[list[int], bytes]:
     with open(path, "rb") as fh:
         found = _read_exact(fh, 4, path, 0)
         if found != magic:
-            raise FormatError(path, 0, f"bad magic {found!r}, expected {magic!r}")
+            raise FormatError(path, f"bad magic {found!r}, expected {magic!r}", offset=0)
         size = struct.calcsize(header)
         version, *shape = struct.unpack(header, _read_exact(fh, size, path, 4))
         if version != FORMAT_VERSION:
-            raise FormatError(path, 4, f"unsupported version {version}")
+            raise FormatError(path, f"unsupported version {version}", offset=4)
         start, count = 4 + size, 4 * math.prod(shape)
         payload = _read_exact(fh, count, path, start)
         if fh.read(1):
-            raise FormatError(path, start + count, "trailing bytes after payload")
+            raise FormatError(path, "trailing bytes after payload", offset=start + count)
     return shape, payload
 
 
@@ -329,16 +329,17 @@ def read_matrix_csv(path) -> np.ndarray:
         header = fh.readline().rstrip("\n")
         cols = header.split(",")
         if cols != [f"f{j}" for j in range(len(cols))]:
-            raise FormatError(path, 0, f"bad header {header!r}")
+            raise FormatError(path, f"bad header {header!r}", line=1)
         rows = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(cols):
-                raise FormatError(path, lineno, f"expected {len(cols)} fields, got {len(parts)}")
+                raise FormatError(
+                    path, f"expected {len(cols)} fields, got {len(parts)}", line=lineno)
             try:
                 rows.append([float(v) for v in parts])
             except ValueError as exc:
-                raise FormatError(path, lineno, str(exc)) from exc
+                raise FormatError(path, str(exc), line=lineno) from exc
     # Route through float32 so CSV and binary encodings agree bit-exactly.
     return np.asarray(rows, dtype=np.float32).astype(np.float64)
 
@@ -354,14 +355,14 @@ def read_labels_csv(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != "label":
-            raise FormatError(path, 0, f"bad header {header!r}")
+            raise FormatError(path, f"bad header {header!r}", line=1)
         labels = []
         for lineno, line in enumerate(fh, start=2):
             if line.strip():
                 try:
                     labels.append(int(line.strip()))
                 except ValueError as exc:
-                    raise FormatError(path, lineno, str(exc)) from exc
+                    raise FormatError(path, str(exc), line=lineno) from exc
     return np.array(labels, dtype=np.int64)
 
 
@@ -385,7 +386,6 @@ def load_embedding_file(path_view1, path_view2, path_labels) -> TwoViewDataset:
     if not (v1.shape[0] == v2.shape[0] == y.shape[0]):
         raise FormatError(
             Path(path_labels),
-            0,
             f"row-count mismatch: {Path(path_view1).name}={v1.shape[0]}, "
             f"{Path(path_view2).name}={v2.shape[0]}, labels={y.shape[0]}",
         )

@@ -6,9 +6,7 @@ mutual information, cross-view filtering through the teacher's threshold
 embedding attacks and the adversarial entropy term, the supervised term, one
 SGD step per student on the weighted total, then the teacher meta-update.
 The meta-gradient is taken through a virtual update of the pre-step
-students by default, reusing the step's adversarial-entropy gradient;
-``meta_after_step`` takes it at the post-step students instead, where that
-gradient is recomputed.
+students, reusing the step's adversarial-entropy gradient.
 
 Every random draw derives from (config seed, purpose tag, epoch, step, view),
 so a run is a pure function of (config, dataset).
@@ -50,6 +48,7 @@ from .student import (
     sgd_step,
 )
 from .teacher import (
+    MIN_TEMPERATURE,
     MetaBatch,
     TeacherStrategy,
     init_strategy,
@@ -108,11 +107,9 @@ class TrainConfig:
     eta_teacher: float = setting("teacher.eta_t", 0.01, "teacher meta learning rate", ">= 0")
     gate_temperature: float = setting(
         "teacher.temperature", 0.01, "soft acceptance gate temperature",
-        ">= 2.2250738585072014e-308 (the smallest normal float)")
+        f">= {MIN_TEMPERATURE!r} (the smallest normal float)")
     teacher_update_every: int = setting(
         "teacher.update_every", 1, "meta-update period in steps", ">= 1")
-    meta_after_step: bool = setting(
-        "teacher.meta_after_step", False, "meta-gradient from post-step students")
     stability_stop: bool = setting("stop.stability_enabled", False, "teacher-stability early stop")
     stop_epsilon: float = setting("stop.epsilon", 1e-4, "stability score threshold", ">= 0")
     stop_patience: int = setting("stop.patience", 5, "consecutive epochs below threshold", ">= 1")
@@ -123,10 +120,7 @@ class TrainConfig:
     ea_window: int = setting("stop.ea_window", 5, "entropy/agreement window", ">= 1")
     eval_attack_steps: int = setting(
         "eval.attack_steps", 10, "robustness evaluation attack steps", ">= 1")
-    eval_attack_step_frac: float = setting(
-        "eval.attack_step_frac", 0.25, "attack step size as a fraction of epsilon", "> 0")
     seed: int = 1
-    tie_view_rng: bool = setting("train.tie_view_rng", False, "share per-view rng substreams")
 
     def __post_init__(self):
         check_fields(self)
@@ -202,13 +196,8 @@ def converged(epoch_rows: list[dict], delta_h: float, delta_a: float, window: in
     return bool(np.all(np.abs(np.diff(h)) < delta_h) and np.all(np.abs(np.diff(a)) < delta_a))
 
 
-def _view_key(cfg: TrainConfig, view: int) -> int:
-    """The view entry of a seed; 0 for both views under ``tie_view_rng``."""
-    return 0 if cfg.tie_view_rng else view
-
-
 def _rng(cfg: TrainConfig, tag: int, epoch: int, step: int, view: int) -> np.random.Generator:
-    return stream(cfg.seed, tag, epoch, step, _view_key(cfg, view))
+    return stream(cfg.seed, tag, epoch, step, view)
 
 
 def _keeps(
@@ -227,7 +216,7 @@ def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> Traine
         raise InvalidInputError("dataset must carry at least two labeled classes")
     students = []
     for view in (0, 1):
-        seed = int(stream(cfg.seed, _RNG_INIT, _view_key(cfg, view)).integers(0, 2**31 - 1))
+        seed = int(stream(cfg.seed, _RNG_INIT, view).integers(0, 2**31 - 1))
         students.append(init_student(dims[view], cfg.hidden, classes, cfg.dropout, seed))
     teacher = init_strategy(
         cfg.tau_init,
@@ -433,8 +422,7 @@ def train_step(
         raise NonFiniteError("loss_total", epoch, step)
 
     # (6) student updates, then (7) the teacher's meta-update, taken at the
-    # pre-step students or, under meta_after_step, the post-step ones. One
-    # cosine rate drives all three.
+    # pre-step students. One cosine rate drives all three.
     lr_now = cosine_lr(cfg.lr, state.step, state.total_steps)
     new_students, new_velocities = zip(*(
         sgd_step(s[v], parts.grads[v], state.velocities[v], lr_now, cfg.momentum,
@@ -445,8 +433,7 @@ def train_step(
     meta_g = np.zeros(3)
     new_teacher = state.teacher
     if due:
-        meta_g = meta_grad(state.teacher, new_students if cfg.meta_after_step else s,
-                           parts.meta_batches, lr_now)
+        meta_g = meta_grad(state.teacher, s, parts.meta_batches, lr_now)
         if not np.isfinite(meta_g).all():
             raise NonFiniteError("meta-gradient", epoch, step)
         new_teacher = teacher_step(state.teacher, meta_g)
@@ -571,14 +558,10 @@ def eval_split(ds: TwoViewDataset) -> int:
 
 
 def eval_attack_config(cfg: TrainConfig) -> PerturbConfig:
-    """The documented robustness attack: PGD at the training budget."""
+    """The documented robustness attack: ``eval.attack_steps`` steps of
+    epsilon / 4 at the training budget epsilon."""
     eps = cfg.perturb.epsilon
-    return PerturbConfig(
-        epsilon=eps,
-        gamma=0.0,
-        steps=cfg.eval_attack_steps,
-        step_size=eps * cfg.eval_attack_step_frac,
-    )
+    return PerturbConfig(epsilon=eps, gamma=0.0, steps=cfg.eval_attack_steps, step_size=eps * 0.25)
 
 
 def bin_error_histogram(
@@ -746,10 +729,10 @@ def load_model(path) -> tuple[tuple[StudentParams, StudentParams], TeacherStrate
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, 0)
         if magic != MODEL_MAGIC:
-            raise FormatError(path, 0, f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
+            raise FormatError(path, f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", offset=0)
         (version,) = struct.unpack("<H", _read_exact(fh, 2, path, 4))
         if version != MODEL_VERSION:
-            raise FormatError(path, 4, f"unsupported version {version}")
+            raise FormatError(path, f"unsupported version {version}", offset=4)
         offset = 6
         students = []
         for _ in range(2):
@@ -765,7 +748,7 @@ def load_model(path) -> tuple[tuple[StudentParams, StudentParams], TeacherStrate
         lr_teacher, temperature = struct.unpack("<dd", _read_exact(fh, 16, path, offset))
         offset += 16
         if fh.read(1):
-            raise FormatError(path, offset, "trailing bytes after payload")
+            raise FormatError(path, "trailing bytes after payload", offset=offset)
     teacher = TeacherStrategy(z=z, lr_teacher=lr_teacher, gate_temperature=temperature)
     return (students[0], students[1]), teacher
 

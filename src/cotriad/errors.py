@@ -34,12 +34,16 @@ class InsufficientHistoryError(ValueError):
 
 
 class FormatError(ValueError):
-    """A data file is malformed. Carries the offending file and byte offset."""
+    """A data file is malformed. Carries the offending file and where: the
+    byte ``offset`` into a binary container or the ``line`` of a CSV file,
+    neither when the fault lies between files."""
 
-    def __init__(self, path, offset, message):
+    def __init__(self, path, message, *, offset=None, line=None):
         self.path = str(path)
         self.offset = offset
-        super().__init__(f"{self.path} @ byte {offset}: {message}")
+        self.line = line
+        where = f" @ byte {offset}" if offset is not None else f" @ line {line}" if line else ""
+        super().__init__(f"{self.path}{where}: {message}")
 
 
 class ConfigError(ValueError):

@@ -19,6 +19,7 @@ for this objective; the virtual update never touches the real students.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,15 @@ from .student import (
     weighted_ce_grads,
 )
 
+# The smallest gate temperature: below the smallest normal float, the soft
+# gate's threshold derivative w(1 - w) / temperature can overflow.
+MIN_TEMPERATURE = sys.float_info.min
+
+
+def _check_temperature(temperature: float) -> None:
+    if not temperature >= MIN_TEMPERATURE:
+        raise InvalidInputError(
+            f"gate temperature must be >= {MIN_TEMPERATURE!r}, got {temperature!r}")
 
 
 def _logit(p: float) -> float:
@@ -54,8 +64,7 @@ class TeacherStrategy:
     gate_temperature: float = 0.01
 
     def __post_init__(self):
-        if self.gate_temperature <= 0:
-            raise InvalidInputError("gate_temperature must be positive")
+        _check_temperature(self.gate_temperature)
 
     def mapped(self) -> tuple[float, float, float]:
         return map_strategy(self.z)
@@ -111,8 +120,7 @@ def soft_gate(mi, threshold: float, temperature: float):
     sigmoid((mi - threshold) / temperature); converges pointwise to the hard
     accept-above filter as temperature -> 0.
     """
-    if temperature <= 0:
-        raise InvalidInputError("temperature must be positive")
+    _check_temperature(temperature)
     return sigmoid((np.asarray(mi, dtype=np.float64) - threshold) / temperature)
 
 
@@ -129,9 +137,9 @@ class MetaBatch:
     ``adv_grad`` optionally carries ``(params, gradient)``: the adversarial
     entropy gradient the caller already took at ``x_adv``/``keep_adv`` with
     those parameters. It is reused only when the meta-gradient is taken at
-    that same ``StudentParams`` object, and recomputed otherwise (e.g. from
-    post-step students). ``x_unsup`` may be the caller's hidden layer on that
-    view, which follows the same rule.
+    that same ``StudentParams`` object, and recomputed for any other.
+    ``x_unsup`` may be the caller's hidden layer on that view, which follows
+    the same rule.
     """
 
     x_unsup: np.ndarray | HiddenLayer  # (n_u, d) view of this student

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from cotriad import gradcheck
 from cotriad.cli import build_parser, main
-from cotriad.config import SCHEMA, echo_overrides, parse_config
+from cotriad.config import SCHEMA, RunConfig, echo_overrides, parse_config
 from cotriad.engine import MODEL_MAGIC, MODEL_VERSION, TrainConfig
 from cotriad.errors import ConfigError
 from cotriad.generator import PerturbConfig
@@ -136,6 +137,11 @@ class TestParseConfig:
     def test_every_key_appears_in_readme(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         assert [key for key in SCHEMA if key not in readme] == []
+        # "Who reads each key" names each key once, and no key that is gone.
+        section = readme.split("\n## Who reads each key\n", 1)[1].split("\n## ", 1)[0]
+        sections = "|".join(sorted({key.split(".")[0] for key in SCHEMA}))
+        named = re.findall(rf"`((?:{sections})\.\w+)`", section)
+        assert sorted(named) == sorted(SCHEMA)
 
     def test_file_values_and_comments(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -228,7 +234,6 @@ BAD_VALUES = [
     ("stop.window", "1", "stop.window must be >= 2"),
     ("stop.ea_window", "0", "stop.ea_window must be >= 1"),
     ("eval.attack_steps", "0", "eval.attack_steps must be >= 1"),
-    ("eval.attack_step_frac", "0", "eval.attack_step_frac must be > 0"),
     ("data.classes", "1", "data.classes must be >= 2"),
     ("data.n", "2", "data.n must be > data.n_labeled + data.n_test"),
     ("data.view_noise", "-1", "data.view_noise must be >= 0"),
@@ -625,22 +630,62 @@ class TestCommands:
         assert not (out / "report.json").exists()
 
     def test_removed_balanced_batch_key_is_unknown(self, tiny_cfg, tmp_path, capsys):
-        # train.balanced_labeled is gone: as a flag, and in the config echo
-        # of a run directory written while it existed.
+        # Each removed key is gone: as a flag, and in the config echo of a
+        # run directory written while it existed.
+        removed = {
+            "train.balanced_labeled": False,
+            "train.tie_view_rng": False,
+            "teacher.meta_after_step": False,
+            "eval.attack_step_frac": 0.25,
+        }
         out = tmp_path / "run"
-        capsys.readouterr()
-        flag = ["--train.balanced_labeled", "true"]
-        with pytest.raises(SystemExit) as err:
-            main(["train", "--config", str(tiny_cfg), "--out", str(out)] + flag)
-        assert err.value.code == 2
-        assert "--train.balanced_labeled" in capsys.readouterr().err
+        for key, value in removed.items():
+            capsys.readouterr()
+            flag = [f"--{key}", str(value)]
+            with pytest.raises(SystemExit) as err:
+                main(["train", "--config", str(tiny_cfg), "--out", str(out)] + flag)
+            assert err.value.code == 2
+            assert f"--{key}" in capsys.readouterr().err
         assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        report["config"]["train.balanced_labeled"] = False
-        (out / "report.json").write_text(json.dumps(report))
+        written = json.loads((out / "report.json").read_text())
+        for key, value in removed.items():
+            report = dict(written, config={**written["config"], key: value})
+            (out / "report.json").write_text(json.dumps(report))
+            capsys.readouterr()
+            assert main(["equilibrium", "--run", str(out)]) == 2
+            assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_eval_reads_the_model_before_building_the_dataset(self, tiny_cfg, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_dataset(self):
+            raise AssertionError("dataset built before the model was read")
+
+        monkeypatch.setattr(RunConfig, "build_dataset", no_dataset)
         capsys.readouterr()
-        assert main(["equilibrium", "--run", str(out)]) == 2
-        assert "unknown key 'train.balanced_labeled'" in capsys.readouterr().err
+        missing = tmp_path / "missing.trcm"
+        assert main(["eval", "--model", str(missing), "--config", str(tiny_cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "missing.trcm" in err[0]
+        malformed = tmp_path / "bad.trcm"
+        malformed.write_bytes(b"XXXX" + bytes(10))
+        assert main(["eval", "--model", str(malformed), "--config", str(tiny_cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {malformed} @ byte 0: bad magic b'XXXX', expected {MODEL_MAGIC!r}"]
+
+    def test_model_with_a_subnormal_temperature_is_one_error_line(
+        self, tiny_cfg, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
+        model = out / "model_seed1.trcm"
+        model.write_bytes(model.read_bytes()[:-8] + struct.pack("<d", 5e-324))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--config", str(tiny_cfg)]) == 1
+        out_err = capsys.readouterr()
+        assert out_err.out == ""
+        assert out_err.err.splitlines() == [
+            "error: gate temperature must be >= 2.2250738585072014e-308, got 5e-324"
+        ]
 
     def test_oversized_model_header_is_one_error_line(self, tiny_cfg, tmp_path, capsys):
         model = tmp_path / "huge.trcm"

@@ -309,15 +309,19 @@ class TestLoadEmbeddingFile:
         p = tmp_path / "v.csv"
         p.write_text("a,b\n1,2\n")
         from cotriad.data import read_matrix_csv
-        with pytest.raises(FormatError):
-            read_matrix_csv(p)
+        for read in (read_matrix_csv, read_labels_csv):
+            with pytest.raises(FormatError) as err:
+                read(p)
+            assert (err.value.line, err.value.offset) == (1, None)
+            assert f"{p} @ line 1: bad header 'a,b'" == str(err.value)
 
     def test_labels_csv_bad_value_cites_line(self, tmp_path):
         p = tmp_path / "y.csv"
         p.write_text("label\n0\n\n2\nx\n1\n")
         with pytest.raises(FormatError) as err:
             read_labels_csv(p)
-        assert err.value.offset == 5
+        assert (err.value.line, err.value.offset) == (5, None)
+        assert f"{p} @ line 5: " in str(err.value)
         p.write_text("label\n0\n\n2\n")
         np.testing.assert_array_equal(read_labels_csv(p), [0, 2])
 
@@ -327,4 +331,5 @@ class TestLoadEmbeddingFile:
         from cotriad.data import read_matrix_csv
         with pytest.raises(FormatError) as err:
             read_matrix_csv(p)
-        assert err.value.offset == 3
+        assert (err.value.line, err.value.offset) == (3, None)
+        assert f"{p} @ line 3: expected 2 fields, got 1" == str(err.value)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cotriad.config import SCHEMA
 from cotriad.errors import InsufficientHistoryError, InvalidInputError
 from cotriad.numerics import finite_diff_grad
 from cotriad.student import (
@@ -17,6 +18,7 @@ from cotriad.student import (
     weighted_ce_grads,
 )
 from cotriad.teacher import (
+    MIN_TEMPERATURE,
     MetaBatch,
     TeacherStrategy,
     init_strategy,
@@ -144,6 +146,22 @@ class TestSoftGate:
         with pytest.raises(InvalidInputError):
             soft_gate(0.1, 0.05, 0.0)
 
+    @pytest.mark.parametrize("temperature", [5e-324, 0.0, -1.0, math.nan])
+    def test_one_temperature_bound_for_gate_strategy_and_config(self, temperature):
+        # The smallest normal float, the bound of teacher.temperature too;
+        # below it the threshold derivative w(1 - w) / temperature overflows.
+        assert MIN_TEMPERATURE == 2.2250738585072014e-308
+        assert SCHEMA["teacher.temperature"].bound.startswith(f">= {MIN_TEMPERATURE!r} ")
+        for reject in (
+            lambda: soft_gate(0.1, 0.05, temperature),
+            lambda: init_strategy(gate_temperature=temperature),
+            lambda: TeacherStrategy(z=np.zeros(3), gate_temperature=temperature),
+        ):
+            with pytest.raises(InvalidInputError, match="gate temperature must be >="):
+                reject()
+        assert TeacherStrategy(z=np.zeros(3), gate_temperature=MIN_TEMPERATURE)
+        assert soft_gate(0.1, 0.05, MIN_TEMPERATURE) == 1.0
+
 
 class TestMetaGradient:
     def test_matches_finite_differences(self):
@@ -250,8 +268,8 @@ class TestMetaGradient:
 
     def test_hidden_layer_as_unsup_input_is_bit_exact(self):
         # A layer built for the meta-gradient's own students is reused; one
-        # built for other params objects (post-step students under
-        # meta_after_step) is rebuilt. Both give the array result.
+        # built for other params objects is rebuilt. Both give the array
+        # result.
         students, batches = random_meta_setup(14, dropout=0.3)
         strategy = TeacherStrategy(z=np.array([logit(0.1), 0.2, -0.4]), gate_temperature=0.05)
         expected = meta_grad(strategy, students, batches, 0.05)

@@ -39,6 +39,7 @@ from .game import (
     StudentBudget,
     TrainedTriadicGame,
     equilibrium_report,
+    nonfinite_quantity,
     stackelberg_residual,
 )
 
@@ -126,7 +127,10 @@ def cmd_equilibrium(args) -> int:
     dump_json(out / "equilibrium_report.json", payload)
     print(json.dumps(payload["nash_residuals"], indent=2, sort_keys=True))
     print(json.dumps(payload["stackelberg_residuals"], indent=2, sort_keys=True))
-    return 0
+    quantity = nonfinite_quantity(payload)
+    if quantity:
+        print(f"error: non-finite {quantity} in the equilibrium report", file=sys.stderr)
+    return 1 if quantity else 0
 
 
 def cmd_gradcheck(args) -> int:

@@ -368,11 +368,10 @@ def assemble_step(
                 loss_unsup += l_u * frac
                 g_total = g_total.plus(g_u, lam_u * frac)
 
-        keep_adv = adv_grad = None
+        g_a = None
         if cfg.adv_enabled:
-            keep_adv = keeps(_RNG_KEEP_ADV, view, n_u)
-            l_a, g_a = loss_and_grads(s[view], x_adv[view], None, "entropy", keep_adv)
-            adv_grad = (s[view], g_a)
+            l_a, g_a = loss_and_grads(
+                s[view], x_adv[view], None, "entropy", keeps(_RNG_KEEP_ADV, view, n_u))
             loss_adv += l_a
             g_total = g_total.plus(g_a, lam_adv)
         grads.append(g_total)
@@ -385,12 +384,10 @@ def assemble_step(
                     pseudo_from_other=stats[other].pseudo_label,
                     mi_from_other=gate_values,
                     keep_unsup=keep_unsup,
-                    x_adv=x_adv[view],
-                    keep_adv=keep_adv,
+                    adv_grad=g_a,
                     x_val=views_v[view],
                     y_val=y_v,
                     gate_sign=gate_sign,
-                    adv_grad=adv_grad,
                 )
             )
 
@@ -741,15 +738,21 @@ def load_model(path) -> tuple[tuple[StudentParams, StudentParams], TeacherStrate
             offset += 20
             count = 8 * (d_in * d_h + d_h + d_h * n_classes + n_classes)
             vector = np.frombuffer(_read_exact(fh, count, path, offset), dtype="<f8").copy()
-            students.append(StudentParams(vector, (d_in, d_h, n_classes), dropout))
+            try:
+                students.append(StudentParams(vector, (d_in, d_h, n_classes), dropout))
+            except InvalidInputError as exc:  # the dropout, the header's last field
+                raise FormatError(path, str(exc), offset=offset - 8) from None
             offset += count
         z = np.frombuffer(_read_exact(fh, 24, path, offset), dtype="<f8").copy()
         offset += 24
         lr_teacher, temperature = struct.unpack("<dd", _read_exact(fh, 16, path, offset))
+        try:
+            teacher = TeacherStrategy(z=z, lr_teacher=lr_teacher, gate_temperature=temperature)
+        except InvalidInputError as exc:
+            raise FormatError(path, str(exc), offset=offset + 8) from None
         offset += 16
         if fh.read(1):
             raise FormatError(path, "trailing bytes after payload", offset=offset)
-    teacher = TeacherStrategy(z=z, lr_teacher=lr_teacher, gate_temperature=temperature)
     return (students[0], students[1]), teacher
 
 

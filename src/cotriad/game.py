@@ -368,8 +368,17 @@ def equilibrium_report(
         "payoffs": {"teacher": rt, "students": rs, "generator": rg},
         "nash_residuals": {"teacher": res_t, "students": res_s, "generator": res_g},
         "tolerance": tolerance,
-        "grid_nash": bool(max(res_t, res_s, res_g) <= tolerance),
     }
     if stackelberg is not None:
         payload["stackelberg_residuals"] = stackelberg.as_dict()
+    # The clamped residuals read 0 at a NaN incumbent, so finiteness is checked first.
+    finite = nonfinite_quantity(payload) is None
+    payload["grid_nash"] = bool(finite and max(res_t, res_s, res_g) <= tolerance)
     return payload
+
+
+def nonfinite_quantity(payload: dict) -> str | None:
+    """The first non-finite payoff or residual of a report, as ``group.role``."""
+    groups = ("payoffs", "nash_residuals", "stackelberg_residuals")
+    bad = (f"{g}.{r}" for g in groups for r, v in payload.get(g, {}).items() if not np.isfinite(v))
+    return next(bad, None)

@@ -95,8 +95,10 @@ def _random_meta_instance(seed: int):
                 pseudo_from_other=rng.integers(0, TOY["n_classes"], size=n_u),
                 mi_from_other=rng.random(n_u) * 0.3,
                 keep_unsup=keep_u,
-                x_adv=x_u + rng.normal(scale=0.2, size=x_u.shape),
-                keep_adv=keep_a,
+                # Noise drawn after the MI values: the draw order fixes every instance.
+                adv_grad=loss_and_grads(
+                    params, x_u + rng.normal(scale=0.2, size=x_u.shape), None, "entropy", keep_a
+                )[1],
                 x_val=rng.normal(size=(n_v, TOY["d_in"])),
                 y_val=rng.integers(0, TOY["n_classes"], size=n_v),
                 gate_sign=1.0 if seed % 3 else -1.0,

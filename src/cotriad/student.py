@@ -70,6 +70,8 @@ class StudentParams(_Flat):
     def __init__(self, vector: np.ndarray, dims: tuple[int, int, int], dropout_rate: float = 0.1):
         super().__init__(vector, dims)
         self.dropout_rate = float(dropout_rate)
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise InvalidInputError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
 
     def __reduce__(self):
         return StudentParams, (self.vector, self.dims, self.dropout_rate)
@@ -124,8 +126,6 @@ def init_student(
     seed: int = 0,
 ) -> StudentParams:
     """He-scaled Gaussian weights, zero biases. Deterministic under seed."""
-    if not 0.0 <= dropout_rate < 1.0:
-        raise InvalidInputError("dropout_rate must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     w1 = rng.standard_normal((d_in, d_h)) * math.sqrt(2.0 / d_in)
     w2 = rng.standard_normal((d_h, n_classes)) * math.sqrt(2.0 / d_h)

@@ -128,38 +128,22 @@ def soft_gate(mi, threshold: float, temperature: float):
 class MetaBatch:
     """Frozen per-step inputs for one student's side of the meta-gradient.
 
-    All stochastic ingredients (dropout keeps, pseudo-labels, perturbed
-    inputs, source-view MI values) are sampled once by the caller, so the
-    unrolled objective is a deterministic function of the strategy vector.
-    ``gate_sign`` selects the acceptance direction the soft gate surrogates:
-    +1 accepts above the threshold, -1 below.
-
-    ``adv_grad`` optionally carries ``(params, gradient)``: the adversarial
-    entropy gradient the caller already took at ``x_adv``/``keep_adv`` with
-    those parameters. It is reused only when the meta-gradient is taken at
-    that same ``StudentParams`` object, and recomputed for any other.
-    ``x_unsup`` may be the caller's hidden layer on that view, which follows
-    the same rule.
+    All stochastic ingredients (dropout keeps, pseudo-labels, the
+    adversarial gradient, source-view MI values) are sampled once by the
+    caller, so the unrolled objective is a deterministic function of the
+    strategy vector. ``gate_sign`` selects the acceptance direction the soft
+    gate surrogates: +1 accepts above the threshold, -1 below. ``x_unsup``
+    may be the caller's hidden layer on that view.
     """
 
     x_unsup: np.ndarray | HiddenLayer  # (n_u, d) view of this student
     pseudo_from_other: np.ndarray  # (n_u,) pseudo-labels from the other view
     mi_from_other: np.ndarray  # (n_u,) MI of the pseudo-label source
     keep_unsup: np.ndarray | None  # dropout keeps for the unsup pass
-    x_adv: np.ndarray | None  # (n_u, d) perturbed inputs, None disables the term
-    keep_adv: np.ndarray | None
+    adv_grad: Gradients | None  # B at the student's own params, None disables the term
     x_val: np.ndarray  # (n_v, d) validation inputs for this view
     y_val: np.ndarray  # (n_v,)
     gate_sign: float = 1.0
-    adv_grad: tuple[StudentParams, Gradients] | None = None
-
-
-def _adv_grad(params: StudentParams, batch: MetaBatch) -> Gradients:
-    """Entropy gradient at the perturbed inputs, reused from the batch if valid."""
-    if batch.adv_grad is not None and batch.adv_grad[0] is params:
-        return batch.adv_grad[1]
-    _, grads = loss_and_grads(params, batch.x_adv, None, "entropy", batch.keep_adv)
-    return grads
 
 
 def soft_unsup_grads(
@@ -196,20 +180,18 @@ def _unroll(
     mapped: tuple[float, float, float],
     temperature: float,
     eta_student: float,
-) -> tuple[StudentParams, Gradients, Gradients, Gradients | None]:
+) -> tuple[StudentParams, Gradients, Gradients]:
     """The virtual update and its ingredients.
 
-    Returns (params', A, dA/dtau, B) with params' = params - eta * (lu*A + la*B);
-    B is None when the batch has no adversarial term.
+    Returns (params', A, dA/dtau) with params' = params - eta * (lu*A + la*B),
+    B being ``batch.adv_grad``.
     """
     tau, lu, la = mapped
     g_unsup, dA_dtau = soft_unsup_grads(params, batch, tau, temperature)
     step = lu * g_unsup.vector
-    g_adv = None
-    if batch.x_adv is not None:
-        g_adv = _adv_grad(params, batch)
-        step = step + la * g_adv.vector
-    return params.with_vector(params.vector - eta_student * step), g_unsup, dA_dtau, g_adv
+    if batch.adv_grad is not None:
+        step = step + la * batch.adv_grad.vector
+    return params.with_vector(params.vector - eta_student * step), g_unsup, dA_dtau
 
 
 def unrolled_validation_loss(
@@ -237,8 +219,9 @@ def meta_grad(
 ) -> np.ndarray:
     """Exact gradient of the unrolled validation loss w.r.t. the raw strategy.
 
-    For each student, with A = grad of the soft unsup loss and B = grad of
-    the adversarial entropy loss at the frozen starting parameters,
+    For each student, with A = grad of the soft unsup loss and B
+    (``batch.adv_grad``) = grad of the adversarial entropy loss at the frozen
+    starting parameters,
 
         params'             = params - eta * (lu * A + la * B)
         d loss / d lu       = -eta * <A, grad_val(params')>
@@ -256,14 +239,14 @@ def meta_grad(
     lu = mapped[1]
     d_mapped = np.zeros(3)
     for params, batch in zip(students, batches):
-        updated, g_unsup, dA_dtau, g_adv = _unroll(
+        updated, g_unsup, dA_dtau = _unroll(
             params, batch, mapped, strategy.gate_temperature, eta_student
         )
         _, g_val = loss_and_grads(updated, batch.x_val, batch.y_val, "ce")
         d_mapped[0] += -eta_student * lu * dA_dtau.dot(g_val)
         d_mapped[1] += -eta_student * g_unsup.dot(g_val)
-        if g_adv is not None:
-            d_mapped[2] += -eta_student * g_adv.dot(g_val)
+        if batch.adv_grad is not None:
+            d_mapped[2] += -eta_student * batch.adv_grad.dot(g_val)
     return map_strategy_jacobian(strategy.z).T @ d_mapped
 
 

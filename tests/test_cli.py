@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cotriad import gradcheck
 from cotriad.cli import build_parser, main
 from cotriad.config import SCHEMA, RunConfig, echo_overrides, parse_config
-from cotriad.engine import MODEL_MAGIC, MODEL_VERSION, TrainConfig
+from cotriad.engine import MODEL_MAGIC, MODEL_VERSION, TrainConfig, load_model, save_model
 from cotriad.errors import ConfigError
 from cotriad.generator import PerturbConfig
 
@@ -263,14 +263,17 @@ def _nan_like(a):
 
 
 # Per gradcheck suite: the function whose analytic gradient it certifies, and
-# that function's output with the gradient replaced by NaN.
+# that function's output, given its arguments, with the gradient replaced by
+# NaN. The meta suite takes its adversarial gradients with loss_and_grads too,
+# without targets: those calls are left alone.
 NAN_ANALYTIC = {
     "student": (
         "loss_and_grads",
-        lambda out: (out[0], SimpleNamespace(vector=_nan_like(out[1].vector))),
+        lambda args, out: out if args[2] is None
+        else (out[0], SimpleNamespace(vector=_nan_like(out[1].vector))),
     ),
-    "generator": ("input_entropy_grad", lambda out: (out[0], _nan_like(out[1]))),
-    "meta": ("meta_grad", _nan_like),
+    "generator": ("input_entropy_grad", lambda args, out: (out[0], _nan_like(out[1]))),
+    "meta": ("meta_grad", lambda args, out: _nan_like(out)),
 }
 
 
@@ -290,11 +293,23 @@ class TestCommands:
     def test_gradcheck_exits_zero(self):
         assert main(["gradcheck", "--instances", "3"]) == 0
 
+    # The printed worst ratios pin every suite's instances and their draw
+    # order.
+    GRADCHECK_STDOUT = [
+        "student: 100 instances, max normalized deviation 0.001755 (rtol 1e-05, atol 1e-08) ... ok",
+        "generator: 100 instances, max normalized deviation 0.007066 (rtol 1e-05, atol 1e-08) ... ok",
+        "meta: 100 instances, max normalized deviation 0.003709 (rtol 0.0001, atol 1e-08) ... ok",
+    ]
+
+    def test_gradcheck_stdout_is_pinned(self, capsys):
+        assert main(["gradcheck", "--instances", "100"]) == 0
+        assert capsys.readouterr().out.splitlines() == self.GRADCHECK_STDOUT
+
     @pytest.mark.parametrize("suite", list(NAN_ANALYTIC))
     def test_gradcheck_fails_a_nan_gradient(self, suite, capsys, monkeypatch):
         name, spoil = NAN_ANALYTIC[suite]
         real = getattr(gradcheck, name)
-        monkeypatch.setattr(gradcheck, name, lambda *args: spoil(real(*args)))
+        monkeypatch.setattr(gradcheck, name, lambda *args: spoil(args, real(*args)))
         assert main(["gradcheck", "--instances", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if not line.endswith("... ok")]
@@ -492,7 +507,6 @@ class TestCommands:
         # One report, one MC estimate and one attack config: the generator
         # grid holds the incumbent's attack, and the students' payoff uses
         # train.mc_passes (3 here), as stackelberg_residual does.
-        from cotriad.engine import load_model
         from cotriad.game import StudentBudget, TrainedTriadicGame
 
         out = tmp_path / "run"
@@ -683,9 +697,54 @@ class TestCommands:
         assert main(["eval", "--model", str(model), "--config", str(tiny_cfg)]) == 1
         out_err = capsys.readouterr()
         assert out_err.out == ""
+        at = model.stat().st_size - 8  # the temperature is the file's last field
         assert out_err.err.splitlines() == [
-            "error: gate temperature must be >= 2.2250738585072014e-308, got 5e-324"
+            f"error: {model} @ byte {at}: "
+            "gate temperature must be >= 2.2250738585072014e-308, got 5e-324"
         ]
+
+    def test_model_with_an_out_of_bounds_dropout_is_one_error_line(
+        self, tiny_cfg, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
+        model = out / "model_seed1.trcm"
+        payload = model.read_bytes()
+        # Each student's header is (d_in, d_h, n_classes, dropout) as <IIId.
+        d_in, d_h, classes, _ = struct.unpack_from("<IIId", payload, 6)
+        second = 6 + 20 + 8 * (d_in * d_h + d_h + d_h * classes + classes)
+        for student, value in ((0, 1.0), (0, math.nan), (0, -0.5), (1, 2.0)):
+            at = (6, second)[student] + 12
+            model.write_bytes(payload[:at] + struct.pack("<d", value) + payload[at + 8:])
+            capsys.readouterr()
+            assert main(["equilibrium", "--run", str(out)]) == 1
+            out_err = capsys.readouterr()
+            assert out_err.out == ""
+            assert out_err.err.splitlines() == [
+                f"error: {model} @ byte {at}: dropout_rate must lie in [0, 1), got {value!r}"
+            ]
+        assert not (out / "equilibrium_report.json").exists()
+
+    def test_non_finite_equilibrium_report_is_no_equilibrium(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
+        model = out / "model_seed1.trcm"
+        students, teacher = load_model(model)
+        save_model(model, (students[0].with_vector(students[0].vector * 1e200), students[1]),
+                   teacher)
+        capsys.readouterr()
+        assert main([
+            "equilibrium", "--run", str(out),
+            "--game.probe_size", "32", "--game.budget_epochs", "1",
+            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
+            "--game.lambda_adv_grid", "0.25",
+        ]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite payoffs.students in the equilibrium report"
+        ]
+        payload = json.loads((out / "equilibrium_report.json").read_text())
+        assert payload["grid_nash"] is False
+        assert math.isnan(payload["payoffs"]["students"])
 
     def test_oversized_model_header_is_one_error_line(self, tiny_cfg, tmp_path, capsys):
         model = tmp_path / "huge.trcm"

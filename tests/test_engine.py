@@ -819,8 +819,9 @@ class TestModelContainer:
         save_model(path, students, init_strategy())
         payload = path.read_bytes()
         path.write_bytes(payload[:-8] + struct.pack("<d", 5e-324))
-        with pytest.raises(InvalidInputError, match="gate temperature must be >="):
+        with pytest.raises(FormatError, match="gate temperature must be >=") as err:
             load_model(path)
+        assert err.value.offset == len(payload) - 8
 
     def test_magic_checked(self, tmp_path):
         p = tmp_path / "model.trcm"

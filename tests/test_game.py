@@ -566,7 +566,7 @@ def residual_oracle(students, teacher, ds, cfg, probe_size):
         students_res = max(students_res, grad.inf_norm())
         batches.append(MetaBatch(
             x_unsup=x_u[view], pseudo_from_other=stats[other].pseudo_label,
-            mi_from_other=gate, keep_unsup=None, x_adv=x_adv, keep_adv=None,
+            mi_from_other=gate, keep_unsup=None, adv_grad=g_adv,
             x_val=x_v[view], y_val=ds.labels[val], gate_sign=sign,
         ))
     teacher_res = float(np.abs(meta_grad(teacher, students, tuple(batches), cfg.lr)).max())

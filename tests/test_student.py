@@ -566,6 +566,14 @@ class TestParamVectorRoundTrip:
         with pytest.raises(InvalidInputError):
             StudentParams(np.zeros(TOY_SIZE + 1), TOY_DIMS)
 
+    @pytest.mark.parametrize("dropout", [1.0, math.nan, -0.5, 2.0])
+    def test_dropout_outside_zero_one_raises(self, dropout):
+        # One check, in the constructor: init_student and load_model reach it.
+        for build in (lambda: StudentParams(np.zeros(TOY_SIZE), TOY_DIMS, dropout),
+                      lambda: toy_params(dropout=dropout)):
+            with pytest.raises(InvalidInputError, match=r"dropout_rate must lie in \[0, 1\)"):
+                build()
+
     @pytest.mark.parametrize("cls", [StudentParams, Gradients])
     def test_pickle_keeps_the_segments_views_of_the_vector(self, cls):
         # Reports come back from worker processes pickled; the segments must

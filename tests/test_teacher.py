@@ -10,7 +10,6 @@ from cotriad.config import SCHEMA
 from cotriad.errors import InsufficientHistoryError, InvalidInputError
 from cotriad.numerics import finite_diff_grad
 from cotriad.student import (
-    Gradients,
     draw_keeps,
     hidden_layer,
     init_student,
@@ -49,20 +48,18 @@ def random_meta_setup(seed, n_unsup=8, n_val=8, with_adv=True, dropout=0.0):
         keep_unsup = (
             draw_keeps(rng, (n_unsup, 4), dropout) if dropout > 0 else None
         )
-        x_adv = x_unsup + rng.normal(scale=0.2, size=x_unsup.shape) if with_adv else None
-        keep_adv = (
-            draw_keeps(rng, (n_unsup, 4), dropout)
-            if (dropout > 0 and with_adv)
-            else None
-        )
+        adv_grad = None
+        if with_adv:
+            x_adv = x_unsup + rng.normal(scale=0.2, size=x_unsup.shape)
+            keep_adv = draw_keeps(rng, (n_unsup, 4), dropout) if dropout > 0 else None
+            _, adv_grad = loss_and_grads(params, x_adv, None, "entropy", keep_adv)
         batches.append(
             MetaBatch(
                 x_unsup=x_unsup,
                 pseudo_from_other=rng.integers(0, 3, size=n_unsup),
                 mi_from_other=rng.random(n_unsup) * 0.3,
                 keep_unsup=keep_unsup,
-                x_adv=x_adv,
-                keep_adv=keep_adv,
+                adv_grad=adv_grad,
                 x_val=rng.normal(size=(n_val, 3)),
                 y_val=rng.integers(0, 3, size=n_val),
             )
@@ -206,8 +203,7 @@ class TestMetaGradient:
                     pseudo_from_other=b.pseudo_from_other,
                     mi_from_other=np.full_like(b.mi_from_other, -100.0),
                     keep_unsup=None,
-                    x_adv=None,
-                    keep_adv=None,
+                    adv_grad=None,
                     x_val=b.x_val,
                     y_val=b.y_val,
                 )
@@ -234,37 +230,6 @@ class TestMetaGradient:
         (grads_a_ref,) = weighted_ce_grads(*args, (a / n)[None], batch.keep_unsup)
         assert_grads_identical(grads_w, grads_w_ref)
         assert_grads_identical(grads_a, grads_a_ref)
-
-    def test_supplied_adversarial_gradient_is_reused_bit_exactly(self):
-        students, batches = random_meta_setup(12, dropout=0.3)
-        strategy = TeacherStrategy(z=np.array([logit(0.1), 0.2, -0.4]), gate_temperature=0.05)
-        supplied = []
-        for params, b in zip(students, batches):
-            _, g_adv = loss_and_grads(params, b.x_adv, None, "entropy", b.keep_adv)
-            supplied.append(dataclasses.replace(b, adv_grad=(params, g_adv)))
-        recomputed = meta_grad(strategy, students, batches, 0.05)
-        reused = meta_grad(strategy, students, tuple(supplied), 0.05)
-        assert np.array_equal(reused, recomputed)
-
-    def test_adversarial_gradient_of_other_params_is_ignored(self):
-        # The carried gradient belongs to one StudentParams object: a bogus
-        # gradient is used when the params match and ignored otherwise, as
-        # for post-step students.
-        students, batches = random_meta_setup(13)
-        strategy = init_strategy(gate_temperature=0.05)
-        recomputed = meta_grad(strategy, students, batches, 0.05)
-
-        def with_zero_adv(owners):
-            return tuple(
-                dataclasses.replace(b, adv_grad=(owner, Gradients.zeros_like(owner)))
-                for owner, b in zip(owners, batches)
-            )
-
-        copies = [p.with_vector(p.vector.copy()) for p in students]
-        ignored = meta_grad(strategy, students, with_zero_adv(copies), 0.05)
-        assert np.array_equal(ignored, recomputed)
-        used = meta_grad(strategy, students, with_zero_adv(students), 0.05)
-        assert used[2] == 0.0 and recomputed[2] != 0.0
 
     def test_hidden_layer_as_unsup_input_is_bit_exact(self):
         # A layer built for the meta-gradient's own students is reused; one
@@ -299,8 +264,7 @@ class TestMetaGradient:
             pseudo_from_other=batches[0].pseudo_from_other,
             mi_from_other=batches[0].mi_from_other,
             keep_unsup=None,
-            x_adv=None,
-            keep_adv=None,
+            adv_grad=None,
             x_val=np.zeros((0, 3)),
             y_val=np.zeros(0, dtype=int),
         )

@@ -22,6 +22,7 @@ from cotriad.config import SCHEMA, RunConfig, echo_overrides, parse_config
 from cotriad.engine import MODEL_MAGIC, MODEL_VERSION, TrainConfig, load_model, save_model
 from cotriad.errors import ConfigError
 from cotriad.generator import PerturbConfig
+from goldens import GOLDENS
 
 
 def _entry_type(decl):
@@ -293,17 +294,17 @@ class TestCommands:
     def test_gradcheck_exits_zero(self):
         assert main(["gradcheck", "--instances", "3"]) == 0
 
-    # The printed worst ratios pin every suite's instances and their draw
-    # order.
-    GRADCHECK_STDOUT = [
-        "student: 100 instances, max normalized deviation 0.001755 (rtol 1e-05, atol 1e-08) ... ok",
-        "generator: 100 instances, max normalized deviation 0.007066 (rtol 1e-05, atol 1e-08) ... ok",
-        "meta: 100 instances, max normalized deviation 0.003709 (rtol 0.0001, atol 1e-08) ... ok",
-    ]
+    @staticmethod
+    def _gradcheck_stdout() -> tuple[int, list[str]]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["gradcheck", "--instances", "100"])
+        return code, out.getvalue().splitlines()
 
-    def test_gradcheck_stdout_is_pinned(self, capsys):
-        assert main(["gradcheck", "--instances", "100"]) == 0
-        assert capsys.readouterr().out.splitlines() == self.GRADCHECK_STDOUT
+    def test_gradcheck_stdout_is_pinned(self):
+        # GRADCHECK_STDOUT, the printed worst ratios, pins every suite's
+        # instances and their draw order.
+        assert self._gradcheck_stdout() == (0, GOLDENS["GRADCHECK_STDOUT"])
 
     @pytest.mark.parametrize("suite", list(NAN_ANALYTIC))
     def test_gradcheck_fails_a_nan_gradient(self, suite, capsys, monkeypatch):

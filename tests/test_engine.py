@@ -41,6 +41,7 @@ from cotriad.game import stackelberg_residual
 from cotriad.generator import PerturbConfig
 from cotriad.student import Gradients, StudentParams, init_student, loss_and_grads, sgd_step
 from cotriad.teacher import TeacherStrategy, init_strategy, stability_score
+from goldens import GOLDENS
 
 
 def small_task(seed=3, n=400, labeled=24, val=4, test=80, classes=3, noise=0.4):
@@ -208,59 +209,35 @@ class TestTrainStepSemantics:
 
 class TestGoldenDigest:
     # sha256 over both students' w1/b1/w2/b2 and the teacher z after the
-    # runs below. GOLDEN was recorded before one-forward-per-step sharing was
-    # introduced; VARIANTS before the shared hidden layer was introduced,
-    # except pgd10_frozen, recorded before the entropy-ascent loop took its
-    # all-accepted fast path.
-    GOLDEN = "6f23cf4d78fe556a6639f2569dea37fb170d6e95b5e7382a8e141308ce5994e3"
+    # runs below. The pinned values live in goldens.json. GOLDEN was
+    # recorded before one-forward-per-step sharing was introduced; VARIANTS
+    # (the same run with one change each) before the shared hidden layer was
+    # introduced, except pgd10_frozen, recorded before the entropy-ascent
+    # loop took its all-accepted fast path.
     VARIANTS = {
         # gamma > 0: the attack's first objective goes through input_mi_grad.
-        "gamma_mi_attack": (
-            dict(
-                perturb=PerturbConfig(
-                    epsilon=0.25, gamma=0.5, steps=3, step_size=0.0625, mi_passes=3
-                )
-            ),
-            "cd64fe5496576f8ff0ac7d161f469a9ef11451323c6085afb9f4a3e25f876d81",
+        "gamma_mi_attack": dict(
+            perturb=PerturbConfig(epsilon=0.25, gamma=0.5, steps=3, step_size=0.0625, mi_passes=3)
         ),
         # gamma = 0 with 10 steps of epsilon / 4 and the teacher off: the
         # training attack is the multi-step loop of the pgd10-frozen
         # benchmark workload.
-        "pgd10_frozen": (
-            dict(
-                perturb=PerturbConfig(epsilon=0.25, steps=10, step_size=0.0625),
-                teacher_enabled=False,
-            ),
-            "a4c678012ef997abc61a71810264f0ad188ee9950b9dee37da072af556e6a1ae",
+        "pgd10_frozen": dict(
+            perturb=PerturbConfig(epsilon=0.25, steps=10, step_size=0.0625),
+            teacher_enabled=False,
         ),
     }
-    # The base run's final robust evaluation (the gamma = 0, 10-step attack
-    # of eval_attack_config), recorded with pgd10_frozen, and its Stackelberg
-    # residuals, whose generator term runs two 50-step ascents. The teacher
-    # and students residuals were recorded when they began to filter with the
-    # run's mi_conf filter like training does (0.0031849040414763086 and
-    # 0.10558377587607312 when they filtered on MI alone).
-    ROBUST_ACCURACY = 0.47
-    STACKELBERG = {
-        "teacher": 0.003211823978247303,
-        "students": 0.09711507591753846,
-        "generator": 0.002345807385885084,
-    }
-    # The residuals of the same run trained and diagnosed with filter.mode =
-    # mi in each direction, where one MI filter served both before and after
-    # the residual began to share the training step's assembly.
-    STACKELBERG_MI = {
-        "below": {
-            "teacher": 0.003140134098654756,
-            "students": 0.11301630727393085,
-            "generator": 0.0022735852130226697,
-        },
-        "above": {
-            "teacher": 0.005432032811238038,
-            "students": 0.12515540904187955,
-            "generator": 0.002271825810964529,
-        },
-    }
+    # ROBUST_ACCURACY is the base run's final robust evaluation (the
+    # gamma = 0, 10-step attack of eval_attack_config), recorded with
+    # pgd10_frozen, and STACKELBERG its Stackelberg residuals, whose
+    # generator term runs two 50-step ascents. The teacher and students
+    # residuals were recorded when they began to filter with the run's
+    # mi_conf filter like training does (0.0031849040414763086 and
+    # 0.10558377587607312 when they filtered on MI alone). STACKELBERG_MI
+    # holds the residuals of the same run trained and diagnosed with
+    # filter.mode = mi in each direction, where one MI filter served both
+    # before and after the residual began to share the training step's
+    # assembly.
 
     @staticmethod
     def _task():
@@ -297,6 +274,11 @@ class TestGoldenDigest:
         h.update(np.ascontiguousarray(rep.teacher.z, dtype=np.float64).tobytes())
         return h.hexdigest()
 
+    @classmethod
+    def _mi_residuals(cls, direction) -> dict:
+        ds, cfg, rep = cls._run(filter_mode="mi", filter_direction=direction)
+        return stackelberg_residual(rep.students, rep.teacher, ds, cfg).as_dict()
+
     @pytest.fixture(scope="class")
     def base_run(self):
         return self._run()
@@ -311,13 +293,12 @@ class TestGoldenDigest:
         build may round matmuls differently and fail this test without any
         change to the code.
         """
-        assert self._digest(base_run[2]) == self.GOLDEN
+        assert self._digest(base_run[2]) == GOLDENS["GOLDEN"]
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_variant_run_digest_is_unchanged(self, name):
         """The same run with one change; recorded as GOLDEN was."""
-        changes, digest = self.VARIANTS[name]
-        assert self._digest(self._run(**changes)[2]) == digest
+        assert self._digest(self._run(**self.VARIANTS[name])[2]) == GOLDENS["VARIANTS"][name]
 
     @pytest.mark.parametrize("name", ["gamma_mi_attack", "pgd10_frozen"])
     def test_threaded_generator_blocks_equal_the_sequential_ones(self, name):
@@ -326,25 +307,23 @@ class TestGoldenDigest:
         reports = []
         for cpus in (1, 2):
             with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
-                reports.append(self._run(**self.VARIANTS[name][0])[2])
+                reports.append(self._run(**self.VARIANTS[name])[2])
         sequential, threaded = reports
         for a, b in zip(sequential.students, threaded.students):
             assert np.array_equal(a.vector, b.vector)
         assert np.array_equal(sequential.teacher.z, threaded.teacher.z)
 
     def test_base_run_robust_accuracy_is_unchanged(self, base_run):
-        assert base_run[2].final_eval["pgd_robust_accuracy"] == self.ROBUST_ACCURACY
+        assert base_run[2].final_eval["pgd_robust_accuracy"] == GOLDENS["ROBUST_ACCURACY"]
 
     def test_base_run_stackelberg_residuals_are_unchanged(self, base_run):
         ds, cfg, rep = base_run
         res = stackelberg_residual(rep.students, rep.teacher, ds, cfg)
-        assert res.as_dict() == self.STACKELBERG
+        assert res.as_dict() == GOLDENS["STACKELBERG"]
 
-    @pytest.mark.parametrize("direction", sorted(STACKELBERG_MI))
+    @pytest.mark.parametrize("direction", ["above", "below"])
     def test_mi_run_stackelberg_residuals_are_unchanged(self, direction):
-        ds, cfg, rep = self._run(filter_mode="mi", filter_direction=direction)
-        res = stackelberg_residual(rep.students, rep.teacher, ds, cfg)
-        assert res.as_dict() == self.STACKELBERG_MI[direction]
+        assert self._mi_residuals(direction) == GOLDENS["STACKELBERG_MI"][direction]
 
 
 
@@ -375,7 +354,7 @@ class TestOneHiddenLayerPerPair:
         [
             {},
             dict(unsup_enabled=False, adv_enabled=False, teacher_enabled=False),
-            TestGoldenDigest.VARIANTS["gamma_mi_attack"][0],
+            TestGoldenDigest.VARIANTS["gamma_mi_attack"],
         ],
         ids=["full", "supervised", "gamma_mi_attack"],
     )
@@ -387,18 +366,17 @@ class TestOneHiddenLayerPerPair:
         # The known exception, one build per view: the adversarial loss
         # rebuilds the layer of the ascent's last accepted candidate from
         # x + delta.
-        cfg = TestGoldenDigest._cfg(**TestGoldenDigest.VARIANTS["pgd10_frozen"][0])
+        cfg = TestGoldenDigest._cfg(**TestGoldenDigest.VARIANTS["pgd10_frozen"])
         assert _layer_builds(TestGoldenDigest._task(), cfg) == (27, 25)
 
 class TestReportBytes:
-    # sha256 of the report.json written below: both stop rules on, with a
+    # REPORT_JSON is the sha256 of the report.json written below: both stop rules on, with a
     # stability window shorter than the run, and a weight-norm ball the
     # students reach. It pins the epoch rows, the stop epoch, the cost block
     # (including the float type of every counter total) and the final
     # evaluation. Recorded as TestGoldenDigest.GOLDEN was.
-    REPORT_JSON = "c1ad9833d212b53f739ac8a49b12456fb6337534e9fc96a83a41b597b7e76564"
-
-    def test_report_json_bytes_are_unchanged(self, tmp_path):
+    @staticmethod
+    def _run():
         ds = small_task()
         cfg = small_cfg(
             epochs=8,
@@ -412,12 +390,19 @@ class TestReportBytes:
             delta_entropy=0.06,
             delta_agreement=0.1,
         )
-        rep = run_training(cfg, ds)
+        return ds, run_training(cfg, ds)
+
+    @staticmethod
+    def _digest(ds, rep, directory) -> str:
+        path = Path(directory) / "report.json"
+        engine_module.dump_json(path, engine_module.report_payload(rep, ds))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_report_json_bytes_are_unchanged(self, tmp_path):
+        ds, rep = self._run()
         assert (rep.stop_reason, len(rep.epoch_rows)) == ("entropy_agreement", 5)
         assert all(np.linalg.norm(p.vector) <= 3.0 for p in rep.students)
-        path = tmp_path / "report.json"
-        engine_module.dump_json(path, engine_module.report_payload(rep, ds))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.REPORT_JSON
+        assert self._digest(ds, rep, tmp_path) == GOLDENS["REPORT_JSON"]
 
     @pytest.mark.parametrize("off", ["unsup_enabled", "adv_enabled"])
     def test_final_strategy_gives_a_disabled_term_weight_zero(self, off):
@@ -763,11 +748,11 @@ class TestModelContainer:
         with pytest.raises(FormatError, match="trailing bytes"):
             load_model(cut)
 
-    # sha256 of the file written below, recorded before the students moved
-    # to one flat parameter vector; it pins the .trcm byte layout.
-    GOLDEN_TRCM = "5c57b2accb3be68fd7ea2b7b04fb061e6b22678d4abdef002ffed80a57bf6b99"
-
-    def test_golden_bytes(self, tmp_path):
+    # GOLDEN_TRCM is the sha256 of the file written below, recorded before
+    # the students moved to one flat parameter vector; it pins the .trcm
+    # byte layout.
+    @staticmethod
+    def _golden_digest(directory) -> str:
         rng = np.random.default_rng(2024)
         students = []
         for view, d_in in enumerate((5, 4)):
@@ -778,9 +763,12 @@ class TestModelContainer:
             p, _ = sgd_step(p, g, Gradients.zeros_like(p), 0.1, 0.9, 0.0)
             students.append(p)
         teacher = init_strategy(0.1, 0.3, 0.4, lr_teacher=0.02, gate_temperature=0.05)
-        path = tmp_path / "m.trcm"
+        path = Path(directory) / "m.trcm"
         save_model(path, tuple(students), teacher)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_TRCM
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_golden_bytes(self, tmp_path):
+        assert self._golden_digest(tmp_path) == GOLDENS["GOLDEN_TRCM"]
 
     @settings(max_examples=40, deadline=None)
     @given(

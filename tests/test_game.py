@@ -32,6 +32,7 @@ from cotriad.generator import PerturbConfig, pgd_perturb_batch
 from cotriad.student import loss_and_grads, mc_forward_batch
 from cotriad.teacher import MetaBatch, map_strategy, meta_grad
 from cotriad.uncertainty import batch_statistics
+from goldens import GOLDENS
 from toy_game import (
     TabularTriadicGame,
     alternating_best_response,
@@ -274,31 +275,32 @@ class TestTrainedGame:
         res = nash_residual(game, GameProfile(rep.teacher.mapped(), rep.students, grid[1]))
         assert res[2] == 0.0
 
-    @pytest.mark.parametrize(
-        "attack, expected",
-        [
-            (None, 0.933615133337578),
-            (
-                PerturbConfig(epsilon=0.2, gamma=0.5, steps=2, step_size=0.1, mi_passes=3),
-                0.8277367381293699,
-            ),
-        ],
-    )
-    def test_generator_payoff_runs_no_mc_pass(self, attack, expected, monkeypatch):
-        # The generator's payoff needs no MC statistics. Expected values were
-        # recorded before the unused MC pass was removed, on the platform
-        # TestGoldenDigest in test_engine.py names.
+    # The run's own attack and one gamma > 0 attack; GENERATOR_PAYOFFS in
+    # goldens.json holds their payoffs.
+    GENERATOR_ATTACKS = {
+        "run_attack": None,
+        "gamma_attack": PerturbConfig(epsilon=0.2, gamma=0.5, steps=2, step_size=0.1, mi_passes=3),
+    }
+
+    @classmethod
+    def _generator_payoff(cls, name) -> float:
         ds = small_task()
         cfg = small_cfg()
         rep = run_training(cfg, ds)
         game = TrainedTriadicGame(ds, cfg, probe_size=64)
+        attack = cls.GENERATOR_ATTACKS[name] or cfg.perturb
+        return game.payoff_generator(rep.teacher.mapped(), rep.students, attack)
 
+    @pytest.mark.parametrize("name", list(GENERATOR_ATTACKS))
+    def test_generator_payoff_runs_no_mc_pass(self, name, monkeypatch):
+        # The generator's payoff needs no MC statistics. The pinned values
+        # were recorded before the unused MC pass was removed, on the
+        # platform TestGoldenDigest in test_engine.py names.
         def no_mc(*args, **kwargs):
             raise AssertionError("payoff_generator ran an MC pass")
 
         monkeypatch.setattr(game_module, "mc_forward_batch", no_mc)
-        payoff = game.payoff_generator(rep.teacher.mapped(), rep.students, attack or cfg.perturb)
-        assert payoff == expected
+        assert self._generator_payoff(name) == GOLDENS["GENERATOR_PAYOFFS"][name]
 
     def test_default_teacher_grid_satisfies_simplex(self):
         for tau, lam_u, lam_adv in default_teacher_grid():
@@ -328,24 +330,17 @@ class TestTrainedGame:
 class TestPayoffCache:
     """Each payoff ingredient is computed once per game and key."""
 
-    # sha256 of the sorted-key JSON of equilibrium_report (with Stackelberg
-    # residuals) for the game below, and payoff_students at STUDENT_POINTS x
-    # the generator grid, on the platform TestGoldenDigest in test_engine.py
+    # REPORT_DIGEST is the sha256 of the sorted-key JSON of
+    # equilibrium_report (with Stackelberg residuals) for the game below,
+    # and STUDENT_PAYOFFS is payoff_students at STUDENT_POINTS x the
+    # generator grid, both on the platform TestGoldenDigest in test_engine.py
     # names. The payoffs were recorded before the ingredients were cached,
     # when the game's MC passes were its own argument (default 5), so they
     # are checked on a 5-pass config. The digest was recorded when the game
     # began to read them from the run's config (3 passes here); the parent
     # code gave the same digest when passed the run's 3.
-    REPORT_DIGEST = "8146224e6a2b70ef763fa0bd05f78aed0dd59f9e23da9d331bcc33fe90c05783"
     STUDENT_POINTS = [
         (0.05, 0.0, 0.0), (0.05, 0.5, 0.0), (0.05, 0.0, 0.5), (0.2, 0.25, 0.5), (0.01, 0.75, 0.25)
-    ]
-    STUDENT_PAYOFFS = [
-        0.0, 0.0,
-        0.43376935049409215, 0.43376935049409215,
-        0.933615133337578, 0.8277367381293699,
-        1.2756629791285374, 1.1697845839203294,
-        0.8041694805067241, 0.7512302829026201,
     ]
 
     @staticmethod
@@ -392,19 +387,25 @@ class TestPayoffCache:
             "pgd", game_module.pgd_perturb_batch, lambda p, x, g, *rest: (id(p), g)))
         return calls
 
-    def test_report_and_student_payoffs_are_unchanged(self):
-        ds, cfg, rep, grid = self._setup()
-        game = self._game(ds, cfg, grid)
+    @classmethod
+    def _pinned(cls) -> tuple[str, list[float]]:
+        """The report digest and the student payoffs, as computed now."""
+        ds, cfg, rep, grid = cls._setup()
+        game = cls._game(ds, cfg, grid)
         profile = GameProfile(rep.teacher.mapped(), rep.students, cfg.perturb)
         res = stackelberg_residual(rep.students, rep.teacher, ds, cfg, probe_size=64)
         payload = equilibrium_report(game, profile, 1e-2, res)
-        blob = json.dumps(payload, sort_keys=True).encode()
-        assert hashlib.sha256(blob).hexdigest() == self.REPORT_DIGEST
-        game = self._game(ds, dataclasses.replace(cfg, mc_passes=5), grid)
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        game = cls._game(ds, dataclasses.replace(cfg, mc_passes=5), grid)
         payoffs = [
-            game.payoff_students(t, rep.students, g) for t in self.STUDENT_POINTS for g in grid
+            game.payoff_students(t, rep.students, g) for t in cls.STUDENT_POINTS for g in grid
         ]
-        assert payoffs == self.STUDENT_PAYOFFS
+        return digest, payoffs
+
+    def test_report_and_student_payoffs_are_unchanged(self):
+        digest, payoffs = self._pinned()
+        assert digest == GOLDENS["REPORT_DIGEST"]
+        assert payoffs == GOLDENS["STUDENT_PAYOFFS"]
 
     def test_one_computation_per_key_during_a_report(self, monkeypatch):
         ds, cfg, rep, grid = self._setup()
@@ -479,7 +480,7 @@ class TestPayoffCache:
 
         monkeypatch.setattr(game_module, "mc_forward_batch", no_mc)
         t = self.STUDENT_POINTS[2]
-        assert game.payoff_students(t, rep.students, grid[0]) == self.STUDENT_PAYOFFS[4]
+        assert game.payoff_students(t, rep.students, grid[0]) == GOLDENS["STUDENT_PAYOFFS"][4]
 
     def test_students_payoff_of_an_adv_off_run_has_no_adv_term(self):
         # Like its retraining, a run trained without the adversarial term

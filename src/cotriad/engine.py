@@ -291,8 +291,8 @@ def assemble_step(
     ``rows`` are the (labeled, unlabeled, validation) rows. ``mc_seed(view)``
     and ``attack_rng(view)`` give each view's MC seed and attack stream, and
     ``keeps(tag, view, n)`` the dropout keeps of one (view, term) on n rows,
-    None in evaluation mode. Each is called only when its term runs, and
-    each must give a fresh draw per (purpose, view), so the order of the
+    None in evaluation mode. Each is called only when its term draws from it
+    (``attack_rng`` only for an attack at gamma > 0), and each must give a fresh draw per (purpose, view), so the order of the
     calls does not matter; under a multi-step attack, view 1's ``mc_seed``
     and ``attack_rng`` calls run on the worker thread of ``per_view``.
     """
@@ -325,7 +325,8 @@ def assemble_step(
             view_accepted, mask_rate, gate = _apply_filter(cfg, view_stats, tau)
         # (4) the embedding attack and the adversarial inputs.
         if cfg.adv_enabled:
-            delta = pgd_perturb_batch(s[view], layer, cfg.perturb, attack_rng(view))
+            rng = attack_rng(view) if cfg.perturb.gamma > 0.0 else None
+            delta = pgd_perturb_batch(s[view], layer, cfg.perturb, rng)
             view_x_adv = views_u[view] + delta
         return layer, view_stats, view_accepted, mask_rate, gate, view_x_adv
 

@@ -184,7 +184,8 @@ class TrainedTriadicGame:
         def compute():
             out = []
             for view, x in enumerate(self.ds.views(self.probe_rows)):
-                delta = pgd_perturb_batch(s[view], x, g, stream(PROBE_SEED, view))
+                rng = stream(PROBE_SEED, view) if g.gamma > 0.0 else None
+                delta = pgd_perturb_batch(s[view], x, g, rng)
                 logits, _ = forward_batch(s[view], x + delta)
                 out.append(float(entropy_rows(softmax_rows(logits)).mean()))
             return out
@@ -327,7 +328,7 @@ def stackelberg_residual(
     gen_res = 0.0
     for view, x in enumerate(ds.views(probe)):
         layer = parts.layers[view] if parts.layers[view] is not None else x
-        delta = pgd_perturb_batch(students[view], layer, attack, stream(PROBE_SEED, view))
+        delta = pgd_perturb_batch(students[view], layer, attack)
         gen_res += float(fixed_point_residual(students[view], x, delta, attack).mean())
     return StackelbergResiduals(
         teacher=teacher_res, students=student_res, generator=gen_res / 2.0

@@ -345,6 +345,29 @@ def _layer_builds(ds, cfg) -> tuple[int, int]:
     return len(builds), len(set(builds))
 
 
+@pytest.mark.parametrize(
+    "changes, streams",
+    [({}, 0), (TestGoldenDigest.VARIANTS["gamma_mi_attack"], 2)],
+    ids=["gamma_zero", "gamma_mi_attack"],
+)
+def test_only_an_attack_at_positive_gamma_builds_its_stream(changes, streams):
+    # A gamma = 0 attack draws nothing, so its step builds no attack stream.
+    ds, cfg = TestGoldenDigest._task(), TestGoldenDigest._cfg(**changes)
+    tags = []
+    real_rng = engine_module._rng
+
+    def counting_rng(cfg, tag, *key):
+        tags.append(tag)
+        return real_rng(cfg, tag, *key)
+
+    iterator = BatchIterator(ds, cfg.labeled_batch, cfg.labeled_batch * cfg.unlabeled_ratio,
+                             cfg.seed)
+    state = engine_module.init_state(cfg, ds, total_steps=10)
+    with mock.patch.object(engine_module, "_rng", counting_rng):
+        engine_module.train_step(state, cfg, ds, iterator.next_batch(), 0, 0)
+    assert tags.count(engine_module._RNG_PERTURB) == streams
+
+
 class TestOneHiddenLayerPerPair:
     """A training step builds the hidden layer of each (params, input) pair
     once, on the configurations of TestGoldenDigest."""

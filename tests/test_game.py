@@ -523,6 +523,20 @@ class TestStackelbergResiduals:
         assert res.teacher == 0.0
         assert res.students > 0.0 and res.generator >= 0.0
 
+    def test_gamma_zero_attacks_build_no_stream(self, monkeypatch):
+        # Only an attack at gamma > 0 draws its dropout masks from a stream.
+        ds = small_task()
+        cfg = small_cfg(epochs=1)
+        rep = run_training(cfg, ds)
+
+        def no_stream(*key):
+            raise AssertionError(f"built the stream {key}")
+
+        monkeypatch.setattr(game_module, "stream", no_stream)
+        stackelberg_residual(rep.students, rep.teacher, ds, cfg, probe_size=64)
+        game = TrainedTriadicGame(ds, cfg, probe_size=64)
+        game.payoff_generator(rep.teacher.mapped(), rep.students, cfg.perturb)
+
     def test_eta_zero_run_reports_meta_gradient_magnitude(self):
         ds = small_task()
         cfg = small_cfg(eta_teacher=0.0, epochs=2)

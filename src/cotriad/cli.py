@@ -102,9 +102,10 @@ def cmd_equilibrium(args) -> int:
         raise ConfigError(f"{report_path} not found; point --run at a train output directory")
     stored = json.loads(report_path.read_text(encoding="utf-8"))
     cfg = parse_config(None, echo_overrides(stored["config"]) + _overrides(args))
-    ds = cfg.build_dataset()
     seed = cfg["train.seeds"][0]
+    # A bad model is reported before any dataset work.
     students, teacher = load_model(run_dir / f"model_seed{seed}.trcm")
+    ds = cfg.build_dataset()
     train_cfg = cfg.train_config(seed)
     eps_grid = cfg["game.epsilon_grid"] or [cfg["perturb.epsilon"]]
     # The run's own attack at each budget, so the incumbent is on its grid;

@@ -744,14 +744,15 @@ def load_model(path) -> tuple[tuple[StudentParams, StudentParams], TeacherStrate
             except InvalidInputError as exc:  # the dropout, the header's last field
                 raise FormatError(path, str(exc), offset=offset - 8) from None
             offset += count
+        # The teacher is z (3 doubles), the learning rate, the temperature.
         z = np.frombuffer(_read_exact(fh, 24, path, offset), dtype="<f8").copy()
-        offset += 24
-        lr_teacher, temperature = struct.unpack("<dd", _read_exact(fh, 16, path, offset))
+        lr_teacher, temperature = struct.unpack("<dd", _read_exact(fh, 16, path, offset + 24))
         try:
             teacher = TeacherStrategy(z=z, lr_teacher=lr_teacher, gate_temperature=temperature)
-        except InvalidInputError as exc:
-            raise FormatError(path, str(exc), offset=offset + 8) from None
-        offset += 16
+        except BoundError as exc:
+            at = {"strategy vector": 0, "teacher learning rate": 24, "gate temperature": 32}
+            raise FormatError(path, str(exc), offset=offset + at[exc.names[0]]) from None
+        offset += 40
         if fh.read(1):
             raise FormatError(path, "trailing bytes after payload", offset=offset)
     return (students[0], students[1]), teacher

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .errors import InsufficientHistoryError, InvalidInputError
+from .errors import BoundError, InsufficientHistoryError, InvalidInputError
 from .student import (
     Gradients,
     HiddenLayer,
@@ -41,8 +41,8 @@ MIN_TEMPERATURE = sys.float_info.min
 
 def _check_temperature(temperature: float) -> None:
     if not temperature >= MIN_TEMPERATURE:
-        raise InvalidInputError(
-            f"gate temperature must be >= {MIN_TEMPERATURE!r}, got {temperature!r}")
+        raise BoundError(
+            f"{{0}} must be >= {MIN_TEMPERATURE!r}, got {temperature!r}", "gate temperature")
 
 
 def _logit(p: float) -> float:
@@ -57,13 +57,20 @@ def sigmoid(v):
 
 @dataclass(frozen=True)
 class TeacherStrategy:
-    """Raw strategy vector plus its update hyperparameters."""
+    """Raw strategy vector plus its update hyperparameters. A field out of
+    bounds raises ``BoundError`` naming it: "strategy vector", "teacher
+    learning rate" or "gate temperature"."""
 
     z: np.ndarray  # (3,) raw values behind (mi_threshold, unsup_weight, adv_weight)
     lr_teacher: float = 0.01
     gate_temperature: float = 0.01
 
     def __post_init__(self):
+        z = np.asarray(self.z, dtype=np.float64)
+        if z.shape != (3,) or not np.isfinite(z).all():
+            raise BoundError("{0} must be a finite 3-vector", "strategy vector")
+        if not self.lr_teacher >= 0.0:
+            raise BoundError(f"{{0}} must be >= 0, got {self.lr_teacher!r}", "teacher learning rate")
         _check_temperature(self.gate_temperature)
 
     def mapped(self) -> tuple[float, float, float]:

@@ -687,6 +687,47 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {malformed} @ byte 0: bad magic b'XXXX', expected {MODEL_MAGIC!r}"]
 
+    def test_equilibrium_reads_the_model_before_building_the_dataset(
+        self, tiny_cfg, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
+        model = out / "model_seed1.trcm"
+        model.write_bytes(b"XXXX" + model.read_bytes()[4:])
+
+        def no_dataset(self):
+            raise AssertionError("dataset built before the model was read")
+
+        monkeypatch.setattr(RunConfig, "build_dataset", no_dataset)
+        capsys.readouterr()
+        assert main(["equilibrium", "--run", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {model} @ byte 0: bad magic b'XXXX', expected {MODEL_MAGIC!r}"]
+
+    def test_model_with_a_broken_teacher_is_one_error_line(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
+        model = out / "model_seed1.trcm"
+        payload = model.read_bytes()
+        size = len(payload)
+        # The teacher is the file's last 40 bytes: z (3 doubles), the
+        # learning rate, the temperature. A bad z entry is reported at z.
+        cases = [
+            (size - 40, math.nan, size - 40, "strategy vector must be a finite 3-vector"),
+            (size - 24, math.inf, size - 40, "strategy vector must be a finite 3-vector"),
+            (size - 16, -5.0, size - 16, "teacher learning rate must be >= 0, got -5.0"),
+            (size - 16, math.nan, size - 16, "teacher learning rate must be >= 0, got nan"),
+            (size - 8, math.nan, size - 8,
+             "gate temperature must be >= 2.2250738585072014e-308, got nan"),
+        ]
+        for at, value, reported, message in cases:
+            model.write_bytes(payload[:at] + struct.pack("<d", value) + payload[at + 8:])
+            capsys.readouterr()
+            assert main(["eval", "--model", str(model), "--config", str(tiny_cfg)]) == 1
+            out_err = capsys.readouterr()
+            assert out_err.out == ""
+            assert out_err.err.splitlines() == [f"error: {model} @ byte {reported}: {message}"]
+
     def test_model_with_a_subnormal_temperature_is_one_error_line(
         self, tiny_cfg, tmp_path, capsys
     ):

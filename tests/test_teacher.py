@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cotriad.config import SCHEMA
-from cotriad.errors import InsufficientHistoryError, InvalidInputError
+from cotriad.errors import BoundError, InsufficientHistoryError, InvalidInputError
 from cotriad.numerics import finite_diff_grad
 from cotriad.student import (
     draw_keeps,
@@ -158,6 +158,24 @@ class TestSoftGate:
                 reject()
         assert TeacherStrategy(z=np.zeros(3), gate_temperature=MIN_TEMPERATURE)
         assert soft_gate(0.1, 0.05, MIN_TEMPERATURE) == 1.0
+
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            (dict(z=np.array([0.0, math.nan, 0.0])), "strategy vector"),
+            (dict(z=np.array([0.0, 0.0, -math.inf])), "strategy vector"),
+            (dict(z=np.zeros(2)), "strategy vector"),
+            (dict(z=np.zeros(3), lr_teacher=-1e-300), "teacher learning rate"),
+            (dict(z=np.zeros(3), lr_teacher=math.nan), "teacher learning rate"),
+            (dict(z=np.zeros(3), gate_temperature=0.0), "gate temperature"),
+        ],
+    )
+    def test_strategy_names_the_field_out_of_bounds(self, fields, name):
+        with pytest.raises(BoundError) as err:
+            TeacherStrategy(**fields)
+        assert err.value.names == (name,)
+        assert TeacherStrategy(z=np.zeros(3), lr_teacher=0.0)
 
 
 class TestMetaGradient:

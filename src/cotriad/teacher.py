@@ -23,7 +23,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import BoundError, InsufficientHistoryError, InvalidInputError
 from .student import (
@@ -52,7 +51,10 @@ def _logit(p: float) -> float:
 
 
 def sigmoid(v):
-    return expit(np.asarray(v, dtype=np.float64))
+    """1 / (1 + exp(-v)), elementwise, in a form that cannot overflow."""
+    v = np.asarray(v, dtype=np.float64)
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)

@@ -294,8 +294,8 @@ class TestTrainedGame:
     @pytest.mark.parametrize("name", list(GENERATOR_ATTACKS))
     def test_generator_payoff_runs_no_mc_pass(self, name, monkeypatch):
         # The generator's payoff needs no MC statistics. The pinned values
-        # were recorded before the unused MC pass was removed, on the
-        # platform TestGoldenDigest in test_engine.py names.
+        # were recorded on the platform TestGoldenDigest in test_engine.py
+        # names.
         def no_mc(*args, **kwargs):
             raise AssertionError("payoff_generator ran an MC pass")
 
@@ -334,11 +334,8 @@ class TestPayoffCache:
     # equilibrium_report (with Stackelberg residuals) for the game below,
     # and STUDENT_PAYOFFS is payoff_students at STUDENT_POINTS x the
     # generator grid, both on the platform TestGoldenDigest in test_engine.py
-    # names. The payoffs were recorded before the ingredients were cached,
-    # when the game's MC passes were its own argument (default 5), so they
-    # are checked on a 5-pass config. The digest was recorded when the game
-    # began to read them from the run's config (3 passes here); the parent
-    # code gave the same digest when passed the run's 3.
+    # names. The digest is taken with the run's own 3 MC passes, the
+    # payoffs on a 5-pass config.
     STUDENT_POINTS = [
         (0.05, 0.0, 0.0), (0.05, 0.5, 0.0), (0.05, 0.0, 0.5), (0.2, 0.25, 0.5), (0.01, 0.75, 0.25)
     ]

@@ -1,4 +1,10 @@
-"""The package's public names: ``cotriad.__all__`` lists only what exists."""
+"""The package's public names: ``cotriad.__all__`` lists only what exists;
+and what importing it loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import cotriad
 
@@ -12,3 +18,10 @@ def test_star_import_succeeds():
     namespace: dict = {}
     exec("from cotriad import *", namespace)
     assert set(cotriad.__all__) <= namespace.keys()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(cotriad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cotriad; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.special import erf
-
 from cotriad import student
 from cotriad.errors import InvalidInputError
 from cotriad.numerics import PROB_FLOOR, entropy_rows, finite_diff_grad, softmax_rows
@@ -82,13 +80,26 @@ class TestForward:
             forward_batch(toy_params(), np.zeros((1, 5)))
 
     def test_gelu_sanity(self):
-        # Exact Gaussian-CDF form: gelu(0) = 0, gelu(x) -> x for large x.
+        # Tanh form: gelu(0) = 0, gelu(x) -> x for large x.
         assert gelu(np.array([0.0]))[0] == 0.0
         assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-12)
 
-    def test_cached_erf_is_bit_identical(self):
+    def test_tanh_form_is_close_to_the_exact_gelu(self):
+        # The exact GELU is u Phi(u) = 0.5 u (1 + erf(u / sqrt 2)).
+        u = np.linspace(-8.0, 8.0, 16001)
+        exact = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in u])
+        assert np.abs(gelu(u) - exact).max() <= 5e-4
+
+    def test_gelu_prime_matches_a_central_difference(self):
+        u = np.linspace(-8.0, 8.0, 4001)
+        h = 1e-6
+        central = (gelu(u + h) - gelu(u - h)) / (2.0 * h)
+        assert np.abs(gelu_prime(u) - central).max() <= 1e-8
+
+    def test_cached_tanh_is_bit_identical(self):
         # The hidden layer takes the activation and its derivative from one
-        # erf(pre / sqrt 2); sharing it must round exactly like recomputing.
+        # 1 + tanh(.) of the pre-activation; sharing it must round exactly
+        # like recomputing.
         params = init_student(16, 32, 4, dropout_rate=0.3, seed=4)
         x = np.random.default_rng(4).normal(size=(64, 16))
         _, cache = forward_batch(params, x)
@@ -213,7 +224,7 @@ class TestHiddenLayer:
         assert np.array_equal(layer.x, x)
         assert np.array_equal(layer.act, gelu(pre))
         assert np.array_equal(layer.dact, gelu_prime(pre))
-        assert not hasattr(layer, "pre") and not hasattr(layer, "erf_pre")
+        assert not hasattr(layer, "pre") and not hasattr(layer, "one_plus_tanh")
 
     def test_rejects_wrong_input_dim(self):
         with pytest.raises(InvalidInputError):
@@ -349,30 +360,39 @@ class TestGradients:
             loss_and_grads(toy_params(), np.zeros((0, 3)), np.zeros(0, dtype=int), "ce")
 
 
-# The kernels the entropy ascent used before they were rewritten in place.
-# Each new kernel must equal its oracle bit for bit.
+# The tanh-form GELU written out, and the kernels the entropy ascent used
+# before they were rewritten in place. Each kernel must equal its oracle bit
+# for bit.
 
 
-def _gelu_oracle(u, erf_u=None):
-    if erf_u is None:
-        erf_u = erf(u * (1.0 / math.sqrt(2.0)))
-    return u * 0.5 * (1.0 + erf_u)
+_K = math.sqrt(2.0 / math.pi)
+_K3 = _K * 0.044715
 
 
-def _gelu_prime_oracle(u, erf_u=None):
-    if erf_u is None:
-        erf_u = erf(u * (1.0 / math.sqrt(2.0)))
-    phi = np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
-    return 0.5 * (1.0 + erf_u) + u * phi
+def _one_plus_tanh_oracle(u):
+    return 1.0 + np.tanh(u * (_K + _K3 * (u * u)))
+
+
+def _gelu_oracle(u, one_plus_tanh=None):
+    if one_plus_tanh is None:
+        one_plus_tanh = _one_plus_tanh_oracle(u)
+    return u * 0.5 * one_plus_tanh
+
+
+def _gelu_prime_oracle(u, one_plus_tanh=None):
+    # 0.5 (T + u d/du[inner] (1 - tanh^2)) with T = 1 + tanh(inner), written
+    # 1 - tanh^2 = (2 - T) T.
+    t = _one_plus_tanh_oracle(u) if one_plus_tanh is None else one_plus_tanh
+    return 0.5 * (t + u * (_K + 3.0 * _K3 * (u * u)) * ((2.0 - t) * t))
 
 
 def _hidden_layer_oracle_init(self, params, x):
     pre = x @ params.w1 + params.b1
-    erf_pre = erf(pre * (1.0 / math.sqrt(2.0)))
+    one_plus_tanh = _one_plus_tanh_oracle(pre)
     self.params = params
     self.x = x
-    self.act = _gelu_oracle(pre, erf_pre)
-    self.dact = _gelu_prime_oracle(pre, erf_pre)
+    self.act = _gelu_oracle(pre, one_plus_tanh)
+    self.dact = _gelu_prime_oracle(pre, one_plus_tanh)
 
 
 def _softmax_rows_oracle(z, out=None):
@@ -400,9 +420,9 @@ def _backward_to_pre_oracle(params, cache, dlogits):
 def _input_entropy_grad_oracle(params, x):
     """The evaluation-mode objective written out, one temporary per step."""
     pre = x @ params.w1 + params.b1
-    erf_pre = erf(pre * (1.0 / math.sqrt(2.0)))
-    act = _gelu_oracle(pre, erf_pre)
-    dact = _gelu_prime_oracle(pre, erf_pre)
+    one_plus_tanh = _one_plus_tanh_oracle(pre)
+    act = _gelu_oracle(pre, one_plus_tanh)
+    dact = _gelu_prime_oracle(pre, one_plus_tanh)
     logits = act @ params.w2 + params.b2
     h, dlogits = _entropy_dlogits_oracle(_softmax_rows_oracle(logits))
     return h, ((dlogits @ params.w2.T) * dact) @ params.w1.T
@@ -455,12 +475,12 @@ class TestEntropyAscentKernelsAgainstOracles:
         u[rng.random(n) < 0.1] = 0.0
         u[rng.random(n) < 0.05] = 5e-324  # subnormal
         u[rng.random(n) < 0.05] = np.nan
-        e = erf(u * (1.0 / math.sqrt(2.0)))
         with np.errstate(over="ignore", invalid="ignore"):
+            t = _one_plus_tanh_oracle(u)
             assert same_bits(gelu(u), _gelu_oracle(u))
-            assert same_bits(gelu(u, 1.0 + e), _gelu_oracle(u, e))
+            assert same_bits(gelu(u, t), _gelu_oracle(u, t))
             assert same_bits(gelu_prime(u), _gelu_prime_oracle(u))
-            assert same_bits(gelu_prime(u, 1.0 + e), _gelu_prime_oracle(u, e))
+            assert same_bits(gelu_prime(u, t), _gelu_prime_oracle(u, t))
 
     @settings(max_examples=80, deadline=None)
     @given(case=hard_cases)

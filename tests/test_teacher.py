@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cotriad.teacher import (
     teacher_step,
     unrolled_validation_loss,
 )
+from same_bits import same_bits
 
 
 def logit(p):
@@ -118,6 +120,14 @@ class TestMapStrategy:
             map_strategy(np.array([0.0, 0.0]))
         with pytest.raises(InvalidInputError):
             map_strategy(np.array([np.nan, 0.0, 0.0]))
+
+
+def test_sigmoid_saturates_without_a_warning():
+    v = np.array([1e3, -1e3, math.inf, -math.inf, math.nan, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = sigmoid(v)
+    assert same_bits(s, np.array([1.0, 0.0, 1.0, 0.0, math.nan, 0.5]))
 
 
 class TestSoftGate:

@@ -292,9 +292,10 @@ def assemble_step(
     and ``attack_rng(view)`` give each view's MC seed and attack stream, and
     ``keeps(tag, view, n)`` the dropout keeps of one (view, term) on n rows,
     None in evaluation mode. Each is called only when its term draws from it
-    (``attack_rng`` only for an attack at gamma > 0), and each must give a fresh draw per (purpose, view), so the order of the
-    calls does not matter; under a multi-step attack, view 1's ``mc_seed``
-    and ``attack_rng`` calls run on the worker thread of ``per_view``.
+    (``attack_rng`` only for an attack at gamma > 0), and each must give a
+    fresh draw per (purpose, view), so the order of the calls does not
+    matter; under a multi-step attack, view 1's ``mc_seed`` and
+    ``attack_rng`` calls run on the worker thread of ``per_view``.
     """
     lab_rows, unl_rows, val_rows = rows
     s = students

@@ -50,6 +50,13 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+def _strategy_vector(z) -> np.ndarray:
+    zv = np.asarray(z, dtype=np.float64)
+    if zv.shape != (3,) or not np.isfinite(zv).all():
+        raise BoundError("{0} must be a finite 3-vector", "strategy vector")
+    return zv
+
+
 def sigmoid(v):
     """1 / (1 + exp(-v)), elementwise, in a form that cannot overflow."""
     v = np.asarray(v, dtype=np.float64)
@@ -68,9 +75,7 @@ class TeacherStrategy:
     gate_temperature: float = 0.01
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.float64)
-        if z.shape != (3,) or not np.isfinite(z).all():
-            raise BoundError("{0} must be a finite 3-vector", "strategy vector")
+        _strategy_vector(self.z)
         if not self.lr_teacher >= 0.0:
             raise BoundError(f"{{0}} must be >= 0, got {self.lr_teacher!r}", "teacher learning rate")
         _check_temperature(self.gate_temperature)
@@ -93,10 +98,7 @@ def init_strategy(
 
 def map_strategy(z: np.ndarray) -> tuple[float, float, float]:
     """(mi_threshold, unsup_weight, adv_weight) under box and simplex constraints."""
-    zv = np.asarray(z, dtype=np.float64)
-    if zv.shape != (3,) or not np.all(np.isfinite(zv)):
-        raise InvalidInputError("strategy vector must be a finite 3-vector")
-    s = sigmoid(zv)
+    s = sigmoid(_strategy_vector(z))
     tau, lu, la = float(s[0]), float(s[1]), float(s[2])
     total = lu + la
     if total > 1.0:

@@ -48,6 +48,7 @@ from .student import (
     sgd_step,
 )
 from .teacher import (
+    MIN_LR_TEACHER,
     MIN_TEMPERATURE,
     MetaBatch,
     TeacherStrategy,
@@ -104,7 +105,8 @@ class TrainConfig:
         "teacher.lambda_u_init", 0.5, "initial unsupervised weight", "(0, 1)")
     lambda_adv_init: float = setting(
         "teacher.lambda_adv_init", 0.5, "initial adversarial weight", "(0, 1)")
-    eta_teacher: float = setting("teacher.eta_t", 0.01, "teacher meta learning rate", ">= 0")
+    eta_teacher: float = setting(
+        "teacher.eta_t", 0.01, "teacher meta learning rate", f">= {MIN_LR_TEACHER}")
     gate_temperature: float = setting(
         "teacher.temperature", 0.01, "soft acceptance gate temperature",
         f">= {MIN_TEMPERATURE!r} (the smallest normal float)")
@@ -292,9 +294,9 @@ def assemble_step(
     and ``attack_rng(view)`` give each view's MC seed and attack stream, and
     ``keeps(tag, view, n)`` the dropout keeps of one (view, term) on n rows,
     None in evaluation mode. Each is called only when its term draws from it
-    (``attack_rng`` only for an attack at gamma > 0), and each must give a
-    fresh draw per (purpose, view), so the order of the calls does not
-    matter; under a multi-step attack, view 1's ``mc_seed`` and
+    (``pgd_perturb_batch`` calls ``attack_rng`` only at gamma > 0), and each
+    must give a fresh draw per (purpose, view), so the order of the calls
+    does not matter; under a multi-step attack, view 1's ``mc_seed`` and
     ``attack_rng`` calls run on the worker thread of ``per_view``.
     """
     lab_rows, unl_rows, val_rows = rows
@@ -326,8 +328,7 @@ def assemble_step(
             view_accepted, mask_rate, gate = _apply_filter(cfg, view_stats, tau)
         # (4) the embedding attack and the adversarial inputs.
         if cfg.adv_enabled:
-            rng = attack_rng(view) if cfg.perturb.gamma > 0.0 else None
-            delta = pgd_perturb_batch(s[view], layer, cfg.perturb, rng)
+            delta = pgd_perturb_batch(s[view], layer, cfg.perturb, lambda: attack_rng(view))
             view_x_adv = views_u[view] + delta
         return layer, view_stats, view_accepted, mask_rate, gate, view_x_adv
 

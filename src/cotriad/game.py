@@ -184,8 +184,7 @@ class TrainedTriadicGame:
         def compute():
             out = []
             for view, x in enumerate(self.ds.views(self.probe_rows)):
-                rng = stream(PROBE_SEED, view) if g.gamma > 0.0 else None
-                delta = pgd_perturb_batch(s[view], x, g, rng)
+                delta = pgd_perturb_batch(s[view], x, g, lambda: stream(PROBE_SEED, view))
                 logits, _ = forward_batch(s[view], x + delta)
                 out.append(float(entropy_rows(softmax_rows(logits)).mean()))
             return out

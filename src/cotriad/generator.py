@@ -14,6 +14,7 @@ dropout masks are frozen once per ascent step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -84,28 +85,35 @@ def pgd_perturb_batch(
     params: StudentParams,
     x: np.ndarray | HiddenLayer,
     cfg: PerturbConfig,
-    rng: np.random.Generator | None = None,
+    stream: Callable[[], np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Attack every row of a batch and return the perturbation delta.
 
-    Rows are independent of each other. The first objective is evaluated at
-    ``x`` itself, so a hidden layer of ``params`` on ``x`` is reused. A single
-    step is the classic sign move, delta = P_eps(step_size * sign(grad)) with
-    sign(0) = 0. Multi-step ascent applies raw projected gradient steps with a
-    per-sample monotone safeguard: a candidate that lowers the objective is
-    rejected and that sample's step is halved, so each iteration still costs
-    exactly one objective-and-gradient evaluation. ``fixed_point_residual``
+    Rows are independent of each other. An attack at gamma > 0 calls
+    ``stream()`` once for the generator of its dropout masks; at gamma = 0
+    nothing draws, so ``stream`` is never called and may be None. The first
+    objective is evaluated at ``x`` itself, so a hidden layer of ``params``
+    on ``x`` is reused. A single step is the classic sign move,
+    delta = P_eps(step_size * sign(grad)) with sign(0) = 0. Multi-step ascent
+    applies raw projected gradient steps with a per-sample monotone safeguard:
+    a candidate that lowers the objective is rejected and that sample's step
+    is halved, so each iteration still costs exactly one
+    objective-and-gradient evaluation. ``fixed_point_residual``
     measures how far the result is from a fixed point of the ascent map.
     """
     layer = hidden_layer(params, x)
     x = layer.x
     n = x.shape[0]
 
+    rng = None
+    if cfg.gamma > 0.0:
+        if stream is None:
+            raise InvalidInputError("gamma > 0 requires a stream for the dropout masks")
+        rng = stream()
+
     def draw():
-        if cfg.gamma <= 0.0:
-            return None
         if rng is None:
-            raise InvalidInputError("gamma > 0 requires an rng for the dropout masks")
+            return None
         return draw_keeps(rng, (cfg.mi_passes, n, params.d_h), params.dropout_rate)
 
     keeps = draw()

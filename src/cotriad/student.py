@@ -452,21 +452,41 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * t / max(total_steps, 1)))
 
 
+def _square_parts(x: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the exact sum of the squares of ``x``.
+
+    Dekker's split writes each entry as hi + lo with 26 significant bits
+    each, so hi^2, 2 hi lo and lo^2 are exact products.
+    """
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    lo = x - hi
+    return np.concatenate((hi * hi, 2.0 * hi * lo, lo * lo)).tolist()
+
+
 def project_weight_norm(params: StudentParams, bound: float) -> StudentParams:
-    """Radial projection onto the ball of L2 norm <= bound over all weights."""
-    # Squares are summed per segment, in layout order: one sum over the whole
-    # vector may round differently and move the run digest.
-    norm = math.sqrt(
-        float(
-            np.sum(params.w1**2)
-            + np.sum(params.b1**2)
-            + np.sum(params.w2**2)
-            + np.sum(params.b2**2)
-        )
-    )
-    if norm <= bound:
+    """Radial projection onto the ball of L2 norm <= bound over all weights.
+
+    The test against the ball is exact: ``math.fsum`` rounds the exact sum of
+    the squares minus bound^2 once, so its sign is right. The scale
+    bound / norm and each product round, which can leave the result an ulp
+    outside; the scale then steps down one float at a time until it is in.
+    """
+    v = params.vector
+    # In any summation order v . v rounds by less than n 2^-53 of itself, so
+    # well inside the ball the rounded sum decides without the exact one.
+    if float(v @ v) < (1.0 - (v.size + 2) * 2.0**-52) * (bound * bound):
         return params
-    return params.with_vector((bound / norm) * params.vector)
+    squares = _square_parts(v)
+    limit = [-p for p in _square_parts(np.array([bound], dtype=np.float64))]
+    if not math.fsum(squares + limit) > 0.0:
+        return params
+    scale = bound / math.sqrt(math.fsum(squares))
+    new = scale * v
+    while math.fsum(_square_parts(new) + limit) > 0.0:
+        scale = math.nextafter(scale, 0.0)
+        new = scale * v
+    return params.with_vector(new)
 
 
 def sgd_step(

@@ -36,12 +36,13 @@ from .student import (
 # The smallest gate temperature: below the smallest normal float, the soft
 # gate's threshold derivative w(1 - w) / temperature can overflow.
 MIN_TEMPERATURE = sys.float_info.min
+# The smallest teacher learning rate; 0 freezes the strategy.
+MIN_LR_TEACHER = 0
 
 
-def _check_temperature(temperature: float) -> None:
-    if not temperature >= MIN_TEMPERATURE:
-        raise BoundError(
-            f"{{0}} must be >= {MIN_TEMPERATURE!r}, got {temperature!r}", "gate temperature")
+def _check_at_least(value: float, low: float, name: str) -> None:
+    if not value >= low:
+        raise BoundError(f"{{0}} must be >= {low!r}, got {value!r}", name)
 
 
 def _logit(p: float) -> float:
@@ -76,9 +77,8 @@ class TeacherStrategy:
 
     def __post_init__(self):
         _strategy_vector(self.z)
-        if not self.lr_teacher >= 0.0:
-            raise BoundError(f"{{0}} must be >= 0, got {self.lr_teacher!r}", "teacher learning rate")
-        _check_temperature(self.gate_temperature)
+        _check_at_least(self.lr_teacher, MIN_LR_TEACHER, "teacher learning rate")
+        _check_at_least(self.gate_temperature, MIN_TEMPERATURE, "gate temperature")
 
     def mapped(self) -> tuple[float, float, float]:
         return map_strategy(self.z)
@@ -131,7 +131,7 @@ def soft_gate(mi, threshold: float, temperature: float):
     sigmoid((mi - threshold) / temperature); converges pointwise to the hard
     accept-above filter as temperature -> 0.
     """
-    _check_temperature(temperature)
+    _check_at_least(temperature, MIN_TEMPERATURE, "gate temperature")
     return sigmoid((np.asarray(mi, dtype=np.float64) - threshold) / temperature)
 
 

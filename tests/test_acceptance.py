@@ -222,7 +222,7 @@ class TestCriterion3Perturbations:
             ]:
                 params = init_student(6, 8, 3, dropout_rate=0.3, seed=attacks)
                 x = rng.normal(size=(n, 6))
-                delta = pgd_perturb_batch(params, x, cfg, np.random.default_rng(8))
+                delta = pgd_perturb_batch(params, x, cfg, lambda: np.random.default_rng(8))
                 assert np.abs(delta).max() <= cfg.epsilon + 1e-12
                 attacks += n
             assert attacks == 10_000

@@ -566,7 +566,7 @@ def residual_oracle(students, teacher, ds, cfg, probe_size):
     for view in (0, 1):
         other = 1 - view
         rng = np.random.default_rng(np.random.SeedSequence([0, view]))
-        x_adv = x_u[view] + pgd_perturb_batch(students[view], x_u[view], cfg.perturb, rng)
+        x_adv = x_u[view] + pgd_perturb_batch(students[view], x_u[view], cfg.perturb, lambda: rng)
         accepted, _, (gate, sign) = filtered[other]
         _, grad = loss_and_grads(students[view], x_l[view], ds.labels[lab], "ce")
         if accepted.size:

@@ -103,8 +103,8 @@ class TestObjective:
         params = toy_params(dropout=0.3)
         x = np.array([[0.2, -0.4, 1.0, 0.3]])
         cfg = PerturbConfig(epsilon=1.0, gamma=0.5, mi_passes=5)
-        d1 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(7))
-        d2 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(7))
+        d1 = pgd_perturb_batch(params, x, cfg, lambda: np.random.default_rng(7))
+        d2 = pgd_perturb_batch(params, x, cfg, lambda: np.random.default_rng(7))
         np.testing.assert_array_equal(d1, d2)
         # Recompute from parts with the same frozen masks: a single step
         # draws one set and takes the sign of the composed gradient at x.
@@ -112,6 +112,18 @@ class TestObjective:
         _, g_h = input_entropy_grad(params, x)
         _, g_mi = input_mi_grad(params, x, keeps)
         np.testing.assert_array_equal(d1, project_linf(np.sign(g_h + 0.5 * g_mi), 1.0))
+
+    @pytest.mark.parametrize("gamma, calls", [(0.0, 0), (0.5, 1)])
+    def test_stream_is_built_once_and_only_at_positive_gamma(self, gamma, calls):
+        built = []
+
+        def stream():
+            built.append(1)
+            return np.random.default_rng(3)
+
+        cfg = PerturbConfig(epsilon=0.5, gamma=gamma, steps=3, step_size=0.1, mi_passes=3)
+        pgd_perturb_batch(toy_params(dropout=0.2), np.ones((2, 4)), cfg, stream)
+        assert len(built) == calls
 
     def test_gamma_requires_rng(self):
         with pytest.raises(InvalidInputError):
@@ -210,8 +222,8 @@ class TestPgd:
         params = toy_params(seed=10, dropout=0.3)
         x = np.random.default_rng(11).normal(size=(6, 4))
         cfg = PerturbConfig(epsilon=0.5, gamma=0.3, steps=3, step_size=0.1, mi_passes=4)
-        d1 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(5))
-        d2 = pgd_perturb_batch(params, x, cfg, np.random.default_rng(5))
+        d1 = pgd_perturb_batch(params, x, cfg, lambda: np.random.default_rng(5))
+        d2 = pgd_perturb_batch(params, x, cfg, lambda: np.random.default_rng(5))
         np.testing.assert_array_equal(d1, d2)
         assert np.abs(d1).max() <= 0.5 + 1e-12
 
@@ -270,7 +282,7 @@ class TestPgdAgainstOracle:
     @staticmethod
     def _check(params, x, cfg, seed):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = pgd_perturb_batch(params, x, cfg, np.random.default_rng(seed))
+            got = pgd_perturb_batch(params, x, cfg, lambda: np.random.default_rng(seed))
             want, rejecting = _pgd_oracle(params, x, cfg, np.random.default_rng(seed))
         assert same_bits(got, want)
         return rejecting

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def _layer_cases():
             p,
             x,
             PerturbConfig(epsilon=0.3, gamma=0.5, steps=2, step_size=0.1, mi_passes=3),
-            np.random.default_rng(25),
+            lambda: np.random.default_rng(25),
         ),
     }
     return [pytest.param(call, id=name) for name, call in cases.items()]
@@ -571,6 +572,25 @@ class TestOptimizer:
         loose = project_weight_norm(params, 1e6)
         np.testing.assert_array_equal(loose.w1, params.w1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e3),
+        bound=st.floats(1e-2, 1e2),
+    )
+    def test_weight_norm_projection_never_leaves_the_ball(self, seed, scale, bound):
+        # Summed in exact rationals. Scaling by bound / norm alone lands an
+        # ulp outside the ball for about one vector in three.
+        vector = scale * np.random.default_rng(seed).normal(size=TOY_SIZE)
+        params = StudentParams(vector, TOY_DIMS)
+        out = project_weight_norm(params, bound).vector
+        exact = sum(Fraction(float(v)) ** 2 for v in out)
+        assert exact <= Fraction(bound) ** 2
+        if sum(Fraction(float(v)) ** 2 for v in vector) > Fraction(bound) ** 2:
+            assert np.linalg.norm(out) == pytest.approx(bound, rel=1e-14)
+        else:
+            assert out is params.vector
+
 
 class TestParamVectorRoundTrip:
     def test_round_trip(self):
@@ -660,9 +680,16 @@ class TestFlatLayoutProperties:
         vel = [momentum * v + g for v, g in zip(_segments(velocity), _segments(grads))]
         expected = [p - lr * v for p, v in zip(_segments(params), vel)]
         if bound > 0:
-            norm = math.sqrt(float(sum(np.sum(a**2) for a in expected)))
-            if norm > bound:
-                expected = [(bound / norm) * a for a in expected]
+            # The projection's rule in exact rationals: the correctly rounded
+            # norm sets the scale, which steps down until the result is in.
+            def square_norm(arrays):
+                return sum(Fraction(float(v)) ** 2 for a in arrays for v in a.ravel())
+
+            if square_norm(expected) > Fraction(bound) ** 2:
+                scale = bound / math.sqrt(float(square_norm(expected)))
+                while square_norm(scale * a for a in expected) > Fraction(bound) ** 2:
+                    scale = math.nextafter(scale, 0.0)
+                expected = [scale * a for a in expected]
         for got, want in zip(_segments(new), expected):
             assert np.array_equal(got, want)
         for got, want in zip(_segments(new_velocity), vel):

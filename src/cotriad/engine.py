@@ -36,7 +36,6 @@ from .numerics import entropy_rows, softmax_rows, stream
 from .parallel import per_view
 from .settings import check_fields, setting
 from .student import (
-    Gradients,
     StudentParams,
     cosine_lr,
     draw_keeps,
@@ -178,7 +177,7 @@ class TrainerState:
     the step count that drives the cosine rate and the teacher's period."""
 
     students: tuple[StudentParams, StudentParams]
-    velocities: tuple[Gradients, Gradients]
+    velocities: tuple[np.ndarray, np.ndarray]
     teacher: TeacherStrategy
     total_steps: int
     step: int = 0
@@ -227,7 +226,7 @@ def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> Traine
         lr_teacher=cfg.eta_teacher,
         gate_temperature=cfg.gate_temperature,
     )
-    velocities = tuple(Gradients.zeros_like(p) for p in students)
+    velocities = tuple(np.zeros_like(p.vector) for p in students)
     return TrainerState(tuple(students), velocities, teacher, total_steps)
 
 
@@ -343,7 +342,7 @@ def assemble_step(
     # keeps cover the whole unlabeled batch so the teacher's soft path sees
     # the identical masks.
     loss_sup = loss_unsup = loss_adv = 0.0
-    grads: list[Gradients] = []
+    grads: list[np.ndarray] = []
     meta_batches = []
     for view in (0, 1):
         other = 1 - view
@@ -369,14 +368,14 @@ def assemble_step(
                 )
                 frac = acc.size / n_u
                 loss_unsup += l_u * frac
-                g_total = g_total.plus(g_u, lam_u * frac)
+                g_total = g_total + lam_u * frac * g_u
 
         g_a = None
         if cfg.adv_enabled:
             l_a, g_a = loss_and_grads(
                 s[view], x_adv[view], None, "entropy", keeps(_RNG_KEEP_ADV, view, n_u))
             loss_adv += l_a
-            g_total = g_total.plus(g_a, lam_adv)
+            g_total = g_total + lam_adv * g_a
         grads.append(g_total)
 
         if cfg.unsup_enabled:

@@ -312,7 +312,7 @@ def stackelberg_residual(
         attack_rng=lambda view: stream(PROBE_SEED, view),
         keeps=lambda tag, view, n: None,
     )
-    student_res = max(g.inf_norm() for g in parts.grads)
+    student_res = max(float(np.abs(g).max()) for g in parts.grads)
     teacher_res = 0.0
     if parts.meta_batches:
         teacher_res = float(np.abs(meta_grad(teacher, students, parts.meta_batches, cfg.lr)).max())

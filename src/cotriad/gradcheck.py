@@ -56,7 +56,7 @@ def student_gradient_suite(n_instances: int = 100) -> SuiteResult:
             return loss
 
         fd = finite_diff_grad(f, params.vector, h=1e-5)
-        ratios.append(_ratio(grads.vector, fd, rtol, atol))
+        ratios.append(_ratio(grads, fd, rtol, atol))
     return SuiteResult("student", n_instances, float(np.max(ratios)), rtol, atol)
 
 

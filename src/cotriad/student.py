@@ -14,6 +14,8 @@ with the tanh form of the GELU (Hendrycks & Gimpel, arXiv:1606.08415)
 which is within 5e-4 of the exact u Phi(u) and needs no special function.
 Evaluation mode (``keep=None``) is a pure function of the parameters. All
 gradients are analytic and certified against ``numerics.finite_diff_grad``.
+A parameter gradient is a plain float64 vector in the layout of
+``StudentParams.vector``; ``segment_dot`` is the inner product of two.
 
 Every function that takes an input ``x`` also takes a ``HiddenLayer`` in its
 place, so a caller that probes one student on one input several times builds
@@ -35,51 +37,44 @@ _K = math.sqrt(2.0 / math.pi)
 _K3 = _K * 0.044715
 
 
-class _Flat:
-    """One float64 vector laid out ``w1 | b1 | w2 | b2``, each row-major.
-
-    This is a student's byte order in the ``.trcm`` payload. ``w1``, ``b1``,
-    ``w2`` and ``b2`` are views into ``vector``, built once here.
-    """
-
-    __slots__ = ("vector", "dims", "w1", "b1", "w2", "b2")
-
-    def __init__(self, vector: np.ndarray, dims: tuple[int, int, int]):
-        d_in, d_h, c = dims
-        a = d_in * d_h
-        b = a + d_h
-        e = b + d_h * c
-        v = np.ascontiguousarray(vector, dtype=np.float64)
-        if v.shape != (e + c,):
-            raise InvalidInputError(f"vector shape {v.shape} does not match dims {dims}")
-        self.vector = v
-        self.dims = (d_in, d_h, c)
-        self.w1 = v[:a].reshape(d_in, d_h)
-        self.b1 = v[a:b]
-        self.w2 = v[b:e].reshape(d_h, c)
-        self.b2 = v[e:]
-
-    def __reduce__(self):
-        # Rebuilt from the vector, so the four segments stay views into it.
-        return type(self), (self.vector, self.dims)
+def _segments(vector: np.ndarray, dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """The views ``w1``, ``b1``, ``w2``, ``b2`` into a vector in the student
+    layout ``w1 | b1 | w2 | b2``, each row-major."""
+    d_in, d_h, c = dims
+    a = d_in * d_h
+    b = a + d_h
+    e = b + d_h * c
+    return vector[:a].reshape(d_in, d_h), vector[a:b], vector[b:e].reshape(d_h, c), vector[e:]
 
 
-class StudentParams(_Flat):
+class StudentParams:
     """Weights of one student, ``dims = (d_in, d_h, n_classes)``.
+
+    ``vector`` is one float64 vector in the student layout, which is also a
+    student's byte order in the ``.trcm`` payload; ``w1``, ``b1``, ``w2`` and
+    ``b2`` are views into it, built once here. Gradients and SGD velocities
+    are plain vectors in the same layout.
 
     Treated as an immutable value: updates build a new object from a new
     vector, so caches keyed on the object stay valid.
     """
 
-    __slots__ = ("dropout_rate",)
+    __slots__ = ("vector", "dims", "w1", "b1", "w2", "b2", "dropout_rate")
 
     def __init__(self, vector: np.ndarray, dims: tuple[int, int, int], dropout_rate: float = 0.1):
-        super().__init__(vector, dims)
+        d_in, d_h, c = dims
+        v = np.ascontiguousarray(vector, dtype=np.float64)
+        if v.shape != ((d_in + 1) * d_h + (d_h + 1) * c,):
+            raise InvalidInputError(f"vector shape {v.shape} does not match dims {dims}")
+        self.vector = v
+        self.dims = (d_in, d_h, c)
+        self.w1, self.b1, self.w2, self.b2 = _segments(v, self.dims)
         self.dropout_rate = float(dropout_rate)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidInputError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
 
     def __reduce__(self):
+        # Rebuilt from the vector, so the four segments stay views into it.
         return StudentParams, (self.vector, self.dims, self.dropout_rate)
 
     @property
@@ -99,29 +94,14 @@ class StudentParams(_Flat):
         return StudentParams(vector, self.dims, self.dropout_rate)
 
 
-class Gradients(_Flat):
-    """Parameter-shaped gradient with the arithmetic the loop needs."""
+def segment_dot(dims: tuple[int, int, int], u: np.ndarray, v: np.ndarray) -> float:
+    """<u, v> for two vectors in the student layout of ``dims``.
 
-    __slots__ = ()
-
-    @staticmethod
-    def zeros_like(params: StudentParams) -> "Gradients":
-        return Gradients(np.zeros_like(params.vector), params.dims)
-
-    def plus(self, other: "Gradients", scale: float = 1.0) -> "Gradients":
-        return Gradients(self.vector + scale * other.vector, self.dims)
-
-    def dot(self, other: "Gradients") -> float:
-        # Summed per segment: one vdot over the whole vector rounds differently.
-        return float(
-            np.vdot(self.w1, other.w1)
-            + np.vdot(self.b1, other.b1)
-            + np.vdot(self.w2, other.w2)
-            + np.vdot(self.b2, other.b2)
-        )
-
-    def inf_norm(self) -> float:
-        return float(np.abs(self.vector).max())
+    Summed per segment in the order w1, b1, w2, b2: one vdot over the whole
+    vector rounds differently, and the teacher's meta-gradient is this sum.
+    """
+    w1, b1, w2, b2 = (np.vdot(a, b) for a, b in zip(_segments(u, dims), _segments(v, dims)))
+    return float(w1 + b1 + w2 + b2)
 
 
 def init_student(
@@ -282,13 +262,13 @@ def mc_forward_batch(
     return probs
 
 
-def _backward(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> Gradients:
+def _backward(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> np.ndarray:
     dw2 = cache.hidden.T @ dlogits
     db2 = dlogits.sum(axis=0)
     dpre = _backward_to_pre(params, cache, dlogits)
     dw1 = cache.layer.x.T @ dpre
     db1 = dpre.sum(axis=0)
-    return Gradients(np.concatenate((dw1.ravel(), db1, dw2.ravel(), db2)), params.dims)
+    return np.concatenate((dw1.ravel(), db1, dw2.ravel(), db2))
 
 
 def _backward_to_pre(params: StudentParams, cache: _Cache, dlogits: np.ndarray) -> np.ndarray:
@@ -343,7 +323,7 @@ def loss_and_grads(
     y: np.ndarray | None,
     kind: str = "ce",
     keep: np.ndarray | None = None,
-) -> tuple[float, Gradients]:
+) -> tuple[float, np.ndarray]:
     """Mean batch loss and its analytic parameter gradients.
 
     ``kind="ce"`` is cross-entropy against hard labels ``y``; ``kind="entropy"``
@@ -379,7 +359,7 @@ def weighted_ce_grads(
     y: np.ndarray,
     weights: np.ndarray,
     keep: np.ndarray | None = None,
-) -> list[Gradients]:
+) -> list[np.ndarray]:
     """Gradients of unnormalized weighted cross-entropy sums.
 
     ``weights`` is (m, n): one row of per-sample weights per returned
@@ -491,16 +471,16 @@ def project_weight_norm(params: StudentParams, bound: float) -> StudentParams:
 
 def sgd_step(
     params: StudentParams,
-    grads: Gradients,
-    velocity: Gradients,
+    grad: np.ndarray,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
     weight_norm_bound: float,
-) -> tuple[StudentParams, Gradients]:
+) -> tuple[StudentParams, np.ndarray]:
     """One momentum step at rate ``lr``, then the projection onto the
     weight-norm ball when ``weight_norm_bound > 0``; returns (params, velocity)."""
-    vel = Gradients(momentum * velocity.vector + grads.vector, grads.dims)
-    new = params.with_vector(params.vector - lr * vel.vector)
+    vel = momentum * velocity + grad
+    new = params.with_vector(params.vector - lr * vel)
     if weight_norm_bound > 0:
         new = project_weight_norm(new, weight_norm_bound)
     return new, vel

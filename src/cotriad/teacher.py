@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import BoundError, InsufficientHistoryError, InvalidInputError
 from .student import (
-    Gradients,
     HiddenLayer,
     StudentParams,
     loss_and_grads,
+    segment_dot,
     weighted_ce_grads,
 )
 
@@ -151,7 +151,7 @@ class MetaBatch:
     pseudo_from_other: np.ndarray  # (n_u,) pseudo-labels from the other view
     mi_from_other: np.ndarray  # (n_u,) MI of the pseudo-label source
     keep_unsup: np.ndarray | None  # dropout keeps for the unsup pass
-    adv_grad: Gradients | None  # B at the student's own params, None disables the term
+    adv_grad: np.ndarray | None  # B at the student's own params, None disables the term
     x_val: np.ndarray  # (n_v, d) validation inputs for this view
     y_val: np.ndarray  # (n_v,)
     gate_sign: float = 1.0
@@ -162,7 +162,7 @@ def soft_unsup_grads(
     batch: MetaBatch,
     mi_threshold: float,
     temperature: float,
-) -> tuple[Gradients, Gradients]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the gate-weighted cross-view loss and their threshold derivative.
 
     The loss is the masked expectation over the unlabeled batch,
@@ -191,7 +191,7 @@ def _unroll(
     mapped: tuple[float, float, float],
     temperature: float,
     eta_student: float,
-) -> tuple[StudentParams, Gradients, Gradients]:
+) -> tuple[StudentParams, np.ndarray, np.ndarray]:
     """The virtual update and its ingredients.
 
     Returns (params', A, dA/dtau) with params' = params - eta * (lu*A + la*B),
@@ -199,9 +199,9 @@ def _unroll(
     """
     tau, lu, la = mapped
     g_unsup, dA_dtau = soft_unsup_grads(params, batch, tau, temperature)
-    step = lu * g_unsup.vector
+    step = lu * g_unsup
     if batch.adv_grad is not None:
-        step = step + la * batch.adv_grad.vector
+        step = step + la * batch.adv_grad
     return params.with_vector(params.vector - eta_student * step), g_unsup, dA_dtau
 
 
@@ -254,10 +254,10 @@ def meta_grad(
             params, batch, mapped, strategy.gate_temperature, eta_student
         )
         _, g_val = loss_and_grads(updated, batch.x_val, batch.y_val, "ce")
-        d_mapped[0] += -eta_student * lu * dA_dtau.dot(g_val)
-        d_mapped[1] += -eta_student * g_unsup.dot(g_val)
+        d_mapped[0] += -eta_student * lu * segment_dot(params.dims, dA_dtau, g_val)
+        d_mapped[1] += -eta_student * segment_dot(params.dims, g_unsup, g_val)
         if batch.adv_grad is not None:
-            d_mapped[2] += -eta_student * batch.adv_grad.dot(g_val)
+            d_mapped[2] += -eta_student * segment_dot(params.dims, batch.adv_grad, g_val)
     return map_strategy_jacobian(strategy.z).T @ d_mapped
 
 

@@ -39,7 +39,7 @@ from cotriad import student as student_module
 from cotriad.errors import FormatError, InvalidInputError, NonFiniteError
 from cotriad.game import stackelberg_residual
 from cotriad.generator import PerturbConfig
-from cotriad.student import Gradients, StudentParams, init_student, loss_and_grads, sgd_step
+from cotriad.student import StudentParams, init_student, loss_and_grads, sgd_step
 from cotriad.teacher import TeacherStrategy, init_strategy, stability_score
 from goldens import GOLDENS
 
@@ -778,7 +778,7 @@ class TestModelContainer:
             x = rng.normal(size=(8, d_in))
             y = rng.integers(0, 3, size=8)
             _, g = loss_and_grads(p, x, y, "ce")
-            p, _ = sgd_step(p, g, Gradients.zeros_like(p), 0.1, 0.9, 0.0)
+            p, _ = sgd_step(p, g, np.zeros_like(p.vector), 0.1, 0.9, 0.0)
             students.append(p)
         teacher = init_strategy(0.1, 0.3, 0.4, lr_teacher=0.02, gate_temperature=0.05)
         path = Path(directory) / "m.trcm"

@@ -572,10 +572,10 @@ def residual_oracle(students, teacher, ds, cfg, probe_size):
         if accepted.size:
             pseudo = stats[other].pseudo_label[accepted]
             _, g_u = loss_and_grads(students[view], x_u[view][accepted], pseudo, "ce")
-            grad = grad.plus(g_u, lam_u * (accepted.size / probe.size))
+            grad = grad + lam_u * (accepted.size / probe.size) * g_u
         _, g_adv = loss_and_grads(students[view], x_adv, None, "entropy")
-        grad = grad.plus(g_adv, lam_adv)
-        students_res = max(students_res, grad.inf_norm())
+        grad = grad + lam_adv * g_adv
+        students_res = max(students_res, float(np.abs(grad).max()))
         batches.append(MetaBatch(
             x_unsup=x_u[view], pseudo_from_other=stats[other].pseudo_label,
             mi_from_other=gate, keep_unsup=None, adv_grad=g_adv,

@@ -13,7 +13,6 @@ from cotriad import student
 from cotriad.errors import InvalidInputError
 from cotriad.numerics import PROB_FLOOR, entropy_rows, finite_diff_grad, softmax_rows
 from cotriad.student import (
-    Gradients,
     StudentParams,
     cosine_lr,
     draw_keeps,
@@ -27,6 +26,7 @@ from cotriad.student import (
     loss_and_grads,
     mc_forward_batch,
     project_weight_norm,
+    segment_dot,
     sgd_step,
     weighted_ce_grads,
 )
@@ -181,8 +181,6 @@ def _assert_same(a, b):
         assert type(a) is type(b) and len(a) == len(b)
         for u, v in zip(a, b):
             _assert_same(u, v)
-    elif isinstance(a, Gradients):
-        assert np.array_equal(a.vector, b.vector)
     else:
         assert np.array_equal(a, b)
 
@@ -263,7 +261,7 @@ class TestGradients:
                 return loss
 
             fd = finite_diff_grad(f, params.vector, h=1e-5)
-            np.testing.assert_allclose(grads.vector, fd, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-8)
 
     def test_entropy_grads_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -277,7 +275,7 @@ class TestGradients:
                 return loss
 
             fd = finite_diff_grad(f, params.vector, h=1e-5)
-            np.testing.assert_allclose(grads.vector, fd, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-8)
 
     def test_grads_with_dropout_masks_match_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -292,7 +290,7 @@ class TestGradients:
             return loss
 
         fd = finite_diff_grad(f, params.vector, h=1e-5)
-        np.testing.assert_allclose(grads.vector, fd, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-8)
 
     def test_zero_net_uniform_output_ce_gradient_closed_form(self):
         # With uniform output, d loss / d b2[y] = 1/C - 1 per sample.
@@ -300,7 +298,7 @@ class TestGradients:
         x = np.array([[0.5, -0.5, 1.0], [1.0, 2.0, -1.0]])
         y = np.array([1, 1])
         _, grads = loss_and_grads(params, x, y, "ce")
-        assert grads.b2[1] == pytest.approx(1 / 3 - 1.0, abs=1e-12)
+        assert params.with_vector(grads).b2[1] == pytest.approx(1 / 3 - 1.0, abs=1e-12)
 
     def test_entropy_gradient_vanishes_at_saturation(self):
         params = toy_params(dropout=0.0)
@@ -309,7 +307,7 @@ class TestGradients:
         )
         x = np.random.default_rng(1).normal(size=(4, 3))
         _, grads = loss_and_grads(big, x, None, "entropy")
-        assert grads.inf_norm() < 1e-8
+        assert np.abs(grads).max() < 1e-8
 
     def test_weighted_ce_matches_manual_sum(self):
         rng = np.random.default_rng(3)
@@ -323,8 +321,8 @@ class TestGradients:
         vec = np.zeros_like(params.vector)
         for i in range(5):
             _, gi = loss_and_grads(params, x[i : i + 1], y[i : i + 1], "ce")
-            vec += w[i] * gi.vector
-        np.testing.assert_allclose(grads.vector, vec, rtol=1e-10, atol=1e-12)
+            vec += w[i] * gi
+        np.testing.assert_allclose(grads, vec, rtol=1e-10, atol=1e-12)
 
     def test_input_entropy_grad_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -540,13 +538,13 @@ class TestEntropyAscentKernelsAgainstOracles:
         assert math.isnan(ce)
         assert np.isnan(dx[bad]).all() and np.isfinite(dx[~bad]).all()
         assert np.isnan(h[bad]).all() and np.isfinite(h[~bad]).all()
-        assert np.isnan(g_ent.vector).any()
+        assert np.isnan(g_ent).any()
 
 
 class TestOptimizer:
     def test_no_momentum_zero_grads_is_identity(self):
         params = toy_params()
-        zeros = Gradients.zeros_like(params)
+        zeros = np.zeros_like(params.vector)
         new, _ = sgd_step(params, zeros, zeros, 0.1, 0.0, 0.0)
         np.testing.assert_array_equal(new.w1, params.w1)
         np.testing.assert_array_equal(new.b2, params.b2)
@@ -558,8 +556,8 @@ class TestOptimizer:
 
     def test_momentum_accumulates(self):
         params = zero_params()
-        g = Gradients(np.ones(TOY_SIZE), TOY_DIMS)
-        p1, vel = sgd_step(params, g, Gradients.zeros_like(params), 1.0, 0.9, 0.0)
+        g = np.ones(TOY_SIZE)
+        p1, vel = sgd_step(params, g, np.zeros(TOY_SIZE), 1.0, 0.9, 0.0)
         assert p1.w1[0, 0] == pytest.approx(-1.0)
         p2, vel = sgd_step(p1, g, vel, 1.0, 0.9, 0.0)
         # velocity = 0.9 * 1 + 1 = 1.9 at the second step.
@@ -614,21 +612,18 @@ class TestParamVectorRoundTrip:
             with pytest.raises(InvalidInputError, match=r"dropout_rate must lie in \[0, 1\)"):
                 build()
 
-    @pytest.mark.parametrize("cls", [StudentParams, Gradients])
-    def test_pickle_keeps_the_segments_views_of_the_vector(self, cls):
+    def test_pickle_keeps_the_segments_views_of_the_vector(self):
         # Reports come back from worker processes pickled; the segments must
-        # stay views into the vector, as _Flat builds them.
+        # stay views into the vector, as the constructor builds them.
         params = toy_params(seed=12)
-        flat = params if cls is StudentParams else Gradients(params.vector.copy(), params.dims)
-        back = pickle.loads(pickle.dumps(flat))
-        assert type(back) is cls and back.dims == flat.dims
-        np.testing.assert_array_equal(back.vector, flat.vector)
+        back = pickle.loads(pickle.dumps(params))
+        assert type(back) is StudentParams and back.dims == params.dims
+        np.testing.assert_array_equal(back.vector, params.vector)
         for name in ("w1", "b1", "w2", "b2"):
             segment = getattr(back, name)
-            np.testing.assert_array_equal(segment, getattr(flat, name))
+            np.testing.assert_array_equal(segment, getattr(params, name))
             assert np.shares_memory(segment, back.vector)
-        if cls is StudentParams:
-            assert back.dropout_rate == flat.dropout_rate
+        assert back.dropout_rate == params.dropout_rate
 
 
 dims_strategy = st.tuples(
@@ -636,14 +631,17 @@ dims_strategy = st.tuples(
 )
 
 
-def _random_flat(rng, dims, cls=Gradients):
+def _random_vector(rng, dims):
     d_in, d_h, c = dims
-    return cls(rng.normal(size=d_in * d_h + d_h + d_h * c + c), dims)
+    return rng.normal(size=d_in * d_h + d_h + d_h * c + c)
 
 
-def _segments(flat):
-    """Standalone copies of the four arrays, sharing no memory."""
-    return [a.copy() for a in (flat.w1, flat.b1, flat.w2, flat.b2)]
+def _segments(vector, dims):
+    """Standalone copies of the four segments w1, b1, w2, b2 of a vector in
+    the student layout, flattened and sharing no memory."""
+    d_in, d_h, c = dims
+    ends = np.cumsum([d_in * d_h, d_h, d_h * c])
+    return [a.copy() for a in np.split(vector, ends)]
 
 
 class TestFlatLayoutProperties:
@@ -651,7 +649,7 @@ class TestFlatLayoutProperties:
     @given(dims=dims_strategy, seed=st.integers(0, 2**32 - 1))
     def test_views_share_the_one_buffer(self, dims, seed):
         d_in, d_h, c = dims
-        params = _random_flat(np.random.default_rng(seed), dims, StudentParams)
+        params = StudentParams(_random_vector(np.random.default_rng(seed), dims), dims)
         shapes = [(d_in, d_h), (d_h,), (d_h, c), (c,)]
         views = [params.w1, params.b1, params.w2, params.b2]
         for view, shape in zip(views, shapes):
@@ -671,14 +669,14 @@ class TestFlatLayoutProperties:
     )
     def test_sgd_step_matches_per_array_oracle(self, dims, seed, momentum, bound, step):
         rng = np.random.default_rng(seed)
-        params = _random_flat(rng, dims, StudentParams)
-        velocity = _random_flat(rng, dims)
-        grads = _random_flat(rng, dims)
+        params = StudentParams(_random_vector(rng, dims), dims)
+        velocity = _random_vector(rng, dims)
+        grad = _random_vector(rng, dims)
         lr = cosine_lr(0.1, step, 10)
-        new, new_velocity = sgd_step(params, grads, velocity, lr, momentum, bound)
+        new, new_velocity = sgd_step(params, grad, velocity, lr, momentum, bound)
 
-        vel = [momentum * v + g for v, g in zip(_segments(velocity), _segments(grads))]
-        expected = [p - lr * v for p, v in zip(_segments(params), vel)]
+        vel = [momentum * v + g for v, g in zip(_segments(velocity, dims), _segments(grad, dims))]
+        expected = [p - lr * v for p, v in zip(_segments(params.vector, dims), vel)]
         if bound > 0:
             # The projection's rule in exact rationals: the correctly rounded
             # norm sets the scale, which steps down until the result is in.
@@ -690,15 +688,30 @@ class TestFlatLayoutProperties:
                 while square_norm(scale * a for a in expected) > Fraction(bound) ** 2:
                     scale = math.nextafter(scale, 0.0)
                 expected = [scale * a for a in expected]
-        for got, want in zip(_segments(new), expected):
+        for got, want in zip(_segments(new.vector, dims), expected):
             assert np.array_equal(got, want)
-        for got, want in zip(_segments(new_velocity), vel):
+        for got, want in zip(_segments(new_velocity, dims), vel):
             assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(dims=dims_strategy, seed=st.integers(0, 2**32 - 1))
     def test_dot_is_the_sum_of_segment_dots(self, dims, seed):
         rng = np.random.default_rng(seed)
-        a, b = _random_flat(rng, dims), _random_flat(rng, dims)
-        expected = sum(np.vdot(u, v) for u, v in zip(_segments(a), _segments(b)))
-        assert a.dot(b) == float(expected)
+        a, b = _random_vector(rng, dims), _random_vector(rng, dims)
+        expected = sum(np.vdot(u, v) for u, v in zip(_segments(a, dims), _segments(b, dims)))
+        assert segment_dot(dims, a, b) == float(expected)
+
+    def test_dot_is_not_one_vdot_over_the_whole_vector(self):
+        # The teacher's pinned meta-gradient is the per-segment sum. At the
+        # acceptance dims one vdot over the whole vector rounds differently
+        # for most random pairs, so a change to it would move the digest.
+        dims = (16, 32, 4)
+        rng = np.random.default_rng(0)
+        pairs = [(_random_vector(rng, dims), _random_vector(rng, dims)) for _ in range(20)]
+        whole_differs = 0
+        for a, b in pairs:
+            parts = [np.vdot(u, v) for u, v in zip(_segments(a, dims), _segments(b, dims))]
+            got = segment_dot(dims, a, b)
+            assert got == float(parts[0] + parts[1] + parts[2] + parts[3])
+            whole_differs += got != float(np.vdot(a, b))
+        assert whole_differs > 0

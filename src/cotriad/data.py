@@ -133,7 +133,8 @@ def _stratified_take(
     total: int,
     min_per_class: int = 0,
 ) -> np.ndarray:
-    """Pick ``total`` indices from ``pool`` proportionally per class.
+    """Pick ``total`` indices from ``pool`` proportionally per class, with at
+    least ``min_per_class`` of each.
 
     Largest-remainder rounding keeps per-class counts within 1 of
     proportional. Selection within a class is a seeded shuffle.
@@ -160,6 +161,15 @@ def _stratified_take(
         i += 1
         if i == len(fractions) and used < total:
             i = 0
+    # The minimum can push the quotas past total: the classes above it give
+    # the excess back, smallest remainder first.
+    i = len(fractions) - 1
+    while used > total:
+        c = fractions[i][1]
+        if quotas[c] > min_per_class:
+            quotas[c] -= 1
+            used -= 1
+        i = (i - 1) % len(fractions)
     chosen = []
     for c in classes:
         members = per_class[c].copy()

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cotriad.data import (
     LABELED,
@@ -29,6 +31,26 @@ from cotriad.engine import MODEL_MAGIC, MODEL_VERSION, load_model
 from cotriad.errors import FormatError, InvalidInputError
 
 HUGE = 2**32 - 1  # the largest dimension a container header can state
+
+
+def _dataset_with_counts(counts) -> TwoViewDataset:
+    """A dataset whose class c has ``counts[c]`` labeled rows, in class order."""
+    labels = np.repeat(np.arange(len(counts)), counts).astype(np.int64)
+    n = labels.size
+    return TwoViewDataset(
+        view1=np.zeros((n, 2)), view2=np.zeros((n, 2)),
+        labels=labels, split=np.full(n, UNLABELED, dtype=np.int8),
+    )
+
+
+def _assert_split_counts(out, n_labeled, n_validation, n_test):
+    assert (out.split == VALIDATION).sum() == n_validation
+    assert (out.split == LABELED).sum() == n_labeled - n_validation
+    assert (out.split == TEST).sum() == n_test
+    # Every class of the labeled budget has a validation row.
+    budget = np.isin(out.split, [LABELED, VALIDATION])
+    val_classes = set(out.labels[out.split == VALIDATION].tolist())
+    assert val_classes == set(out.labels[budget].tolist())
 
 
 class TestSyntheticGeneration:
@@ -113,6 +135,29 @@ class TestSplits:
         )
         with pytest.raises(InvalidInputError):
             split_by_counts(broken, 50, 4, 0, seed=1)
+
+    def test_class_minimum_does_not_overshoot_the_validation_budget(self):
+        # 14/2/2/2 labeled rows: proportional quotas are 2/0/0/0, the minimum
+        # of one row per class lifts them to 2/1/1/1, one past the budget.
+        ds = _dataset_with_counts([70, 10, 10, 10])
+        out = split_by_counts(ds, n_labeled=20, n_validation=4, n_test=10, seed=0)
+        _assert_split_counts(out, 20, 4, 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 60), min_size=2, max_size=6),
+        data=st.data(),
+    )
+    def test_split_counts_hold_on_imbalanced_classes(self, counts, data):
+        total = sum(counts)
+        classes = len(counts)
+        assume(total > classes)
+        n_validation = data.draw(st.integers(classes, total - 1))
+        n_labeled = data.draw(st.integers(n_validation + 1, total))
+        n_test = data.draw(st.integers(0, total - n_labeled))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        out = split_by_counts(_dataset_with_counts(counts), n_labeled, n_validation, n_test, seed)
+        _assert_split_counts(out, n_labeled, n_validation, n_test)
 
     def test_no_leakage_between_validation_and_training(self):
         ds = gen_synthetic_two_view(500, 4, 4, 4, 0.3, seed=4)

@@ -306,7 +306,12 @@ def _read_container(path, magic: bytes, header: str) -> tuple[list[int], bytes]:
 
 def read_embeddings(path) -> np.ndarray:
     (n, d), payload = _read_container(path, EMBEDDING_MAGIC, "<HII")
-    return np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
+    x = np.frombuffer(payload, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        offset = 4 + struct.calcsize("<HII") + 4 * int(bad[0])
+        raise FormatError(path, f"value {float(x[bad[0]])!r} is not finite in float32", offset=offset)
+    return x.reshape(n, d).astype(np.float64)
 
 
 def write_labels(path, labels: np.ndarray) -> None:
@@ -350,8 +355,15 @@ def read_matrix_csv(path) -> np.ndarray:
                 rows.append([float(v) for v in parts])
             except ValueError as exc:
                 raise FormatError(path, str(exc), line=lineno) from exc
-    # Route through float32 so CSV and binary encodings agree bit-exactly.
-    return np.asarray(rows, dtype=np.float32).astype(np.float64)
+    # Route through float32 so CSV and binary encodings agree bit-exactly; a
+    # value past float32's range is caught as the inf it rounds to.
+    with np.errstate(over="ignore"):
+        x = np.asarray(rows, dtype=np.float32)
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        i, j = bad[0]
+        raise FormatError(path, f"value {rows[i][j]!r} is not finite in float32", line=int(i) + 2)
+    return x.astype(np.float64)
 
 
 def write_labels_csv(path, labels: np.ndarray) -> None:

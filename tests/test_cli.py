@@ -427,6 +427,47 @@ class TestCommands:
         assert f"line {line}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @staticmethod
+    def _train_on_files(tiny_cfg, files, ext, label_ext, out):
+        return main([
+            "train", "--config", str(tiny_cfg), "--out", str(out), "--data.source", "files",
+            "--data.view1", str(files / f"view1.{ext}"), "--data.view2", str(files / f"view2.{ext}"),
+            "--data.labels", str(files / f"labels.{label_ext}"),
+        ])
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("1e39", "1e+39")])
+    def test_non_finite_csv_value_names_its_line(self, tiny_cfg, tmp_path, capsys, value, shown):
+        # 1e39 is finite in float64 but overflows float32, as every value is read.
+        files = tmp_path / "files"
+        assert main(["synth-data", "--config", str(tiny_cfg), "--out", str(files),
+                     "--format", "csv"]) == 0
+        view1 = files / "view1.csv"
+        lines = view1.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[2] = value
+        lines[4] = ",".join(fields)
+        view1.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self._train_on_files(tiny_cfg, files, "csv", "csv", tmp_path / "o") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {view1} @ line 5: value {shown} is not finite in float32"
+        ]
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_non_finite_binary_value_names_its_byte(self, tiny_cfg, tmp_path, capsys):
+        files = tmp_path / "files"
+        assert main(["synth-data", "--config", str(tiny_cfg), "--out", str(files)]) == 0
+        view2 = files / "view2.trco"
+        raw = bytearray(view2.read_bytes())
+        at = 14 + 4 * 7  # the 8th float32 after the 14-byte header
+        raw[at:at + 4] = struct.pack("<f", float("-inf"))
+        view2.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert self._train_on_files(tiny_cfg, files, "trco", "trcl", tmp_path / "o") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {view2} @ byte {at}: value -inf is not finite in float32"
+        ]
+
     def test_synth_data_csv_matches_binary(self, tiny_cfg, tmp_path):
         b = tmp_path / "bin"
         c = tmp_path / "csv"

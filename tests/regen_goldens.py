@@ -5,6 +5,9 @@ Run from the repository root after a change that moves rounding on purpose:
     python tests/regen_goldens.py           # print the changed values
     python tests/regen_goldens.py --write   # and rewrite goldens.json
 
+Without ``--write`` it exits 1 when any value moved, so "no pin moved" is
+its exit status.
+
 The printed table is Markdown, for the change's entry in CHANGES.md. Each
 value comes from the helper that its checking test calls, so a rewritten
 file passes those tests on this platform. The tier-1 suite never runs this
@@ -85,7 +88,7 @@ def main(argv=None) -> int:
     if args.write:
         PATH.write_text(json.dumps(new, indent=2) + "\n")
         print(f"wrote {PATH}")
-    return 0
+    return 1 if rows and not args.write else 0
 
 
 if __name__ == "__main__":

@@ -52,8 +52,7 @@ class StudentParams:
 
     ``vector`` is one float64 vector in the student layout, which is also a
     student's byte order in the ``.trcm`` payload; ``w1``, ``b1``, ``w2`` and
-    ``b2`` are views into it, built once here. Gradients and SGD velocities
-    are plain vectors in the same layout.
+    ``b2`` are views into it, built once here.
 
     Treated as an immutable value: updates build a new object from a new
     vector, so caches keyed on the object stay valid.

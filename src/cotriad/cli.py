@@ -55,6 +55,18 @@ def _out_dir(path_str: str) -> Path:
     return out
 
 
+def _check_fits(path, students, ds) -> None:
+    """A ``FormatError`` naming the model at ``path`` unless each student
+    takes its view's width and the model has a class for every label."""
+    for i, (p, x) in enumerate(zip(students, (ds.view1, ds.view2))):
+        if p.d_in != x.shape[1]:
+            raise FormatError(path, f"student {i} takes {p.d_in} inputs, "
+                              f"but its view has {x.shape[1]} columns")
+    if students[0].n_classes < ds.n_classes:
+        raise FormatError(path, f"the model has {students[0].n_classes} classes, "
+                          f"but the dataset's labels need {ds.n_classes}")
+
+
 def cmd_train(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     ds = cfg.build_dataset()
@@ -87,6 +99,7 @@ def cmd_eval(args) -> int:
     # A bad model is reported before any dataset work.
     students, _ = load_model(args.model)
     ds = cfg.build_dataset()
+    _check_fits(args.model, students, ds)
     seed0 = cfg["train.seeds"][0]
     metrics = evaluate(students, ds, eval_split(ds), eval_attack_config(cfg.train_config(seed0)))
     print(json.dumps(metrics, indent=2, sort_keys=True))
@@ -104,8 +117,10 @@ def cmd_equilibrium(args) -> int:
     cfg = parse_config(None, echo_overrides(stored["config"]) + _overrides(args))
     seed = cfg["train.seeds"][0]
     # A bad model is reported before any dataset work.
-    students, teacher = load_model(run_dir / f"model_seed{seed}.trcm")
+    model = run_dir / f"model_seed{seed}.trcm"
+    students, teacher = load_model(model)
     ds = cfg.build_dataset()
+    _check_fits(model, students, ds)
     train_cfg = cfg.train_config(seed)
     eps_grid = cfg["game.epsilon_grid"] or [cfg["perturb.epsilon"]]
     # The run's own attack at each budget, so the incumbent is on its grid;

@@ -33,7 +33,6 @@ from .data import (
 from .errors import BoundError, FormatError, InvalidInputError, NonFiniteError
 from .generator import PerturbConfig, pgd_perturb_batch
 from .numerics import entropy_rows, softmax_rows, stream
-from .parallel import per_view
 from .settings import check_fields, setting
 from .student import (
     StudentParams,
@@ -295,8 +294,8 @@ def assemble_step(
     None in evaluation mode. Each is called only when its term draws from it
     (``pgd_perturb_batch`` calls ``attack_rng`` only at gamma > 0), and each
     must give a fresh draw per (purpose, view), so the order of the calls
-    does not matter; under a multi-step attack, view 1's ``mc_seed`` and
-    ``attack_rng`` calls run on the worker thread of ``per_view``.
+    does not matter. View 0's generator block runs before view 1's, both in
+    the caller.
     """
     lab_rows, unl_rows, val_rows = rows
     s = students
@@ -331,12 +330,8 @@ def assemble_step(
             view_x_adv = views_u[view] + delta
         return layer, view_stats, view_accepted, mask_rate, gate, view_x_adv
 
-    # The views' blocks share no data. A multi-step attack is long enough to
-    # repay the hand-off of view 1's block to a worker thread; a single-step
-    # one is not.
-    threaded = cfg.adv_enabled and cfg.perturb.steps > 1
     layers, stats, accepted, mask_rates, gates, x_adv = map(
-        list, zip(*per_view(generator_block, threaded)))
+        list, zip(generator_block(0), generator_block(1)))
 
     # (5) loss assembly. Dropout keeps are drawn per (view, term); the unsup
     # keeps cover the whole unlabeled batch so the teacher's soft path sees
@@ -737,6 +732,9 @@ def load_model(path) -> tuple[tuple[StudentParams, StudentParams], TeacherStrate
         for _ in range(2):
             header = _read_exact(fh, 20, path, offset)
             d_in, d_h, n_classes, dropout = struct.unpack("<IIId", header)
+            if students and n_classes != students[0].n_classes:
+                raise FormatError(path, f"student 1 has {n_classes} classes, "
+                                  f"student 0 has {students[0].n_classes}", offset=offset + 8)
             offset += 20
             count = 8 * (d_in * d_h + d_h + d_h * n_classes + n_classes)
             vector = np.frombuffer(_read_exact(fh, count, path, offset), dtype="<f8").copy()

@@ -21,6 +21,7 @@ from cotriad.config import SCHEMA, RunConfig, echo_overrides, parse_config
 from cotriad.engine import MODEL_MAGIC, MODEL_VERSION, TrainConfig, load_model, save_model
 from cotriad.errors import ConfigError
 from cotriad.generator import PerturbConfig
+from cotriad.student import init_student
 from goldens import GOLDENS
 
 
@@ -684,6 +685,18 @@ class TestCommands:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "report.json").exists()
 
+    # Both runs diverge and stop on a non-finite value; at eta 1e50 the
+    # students' layers overflow before the guard sees it. The multi-step
+    # attack runs under the command's error state, so numpy stays silent.
+    @pytest.mark.parametrize("eta", ["1e6", "1e50"])
+    def test_multi_step_attack_run_warns_nothing(self, tiny_cfg, tmp_path, eta):
+        argv = ["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "o"),
+                "--train.epochs", "2", "--train.eta", eta, "--perturb.steps", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_removed_balanced_batch_key_is_unknown(self, tiny_cfg, tmp_path, capsys):
         # Each removed key is gone: as a flag, and in the config echo of a
         # run directory written while it existed.
@@ -827,6 +840,33 @@ class TestCommands:
         payload = json.loads((out / "equilibrium_report.json").read_text())
         assert payload["grid_nash"] is False
         assert math.isnan(payload["payoffs"]["students"])
+
+    @pytest.mark.parametrize("command", ["eval", "equilibrium"])
+    def test_model_that_does_not_fit_the_dataset_is_one_error_line(
+        self, tiny_cfg, tmp_path, capsys, command
+    ):
+        # The tiny dataset has 3 classes and two views 6 columns wide.
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
+        model = out / "model_seed1.trcm"
+        _, teacher = load_model(model)
+        argv = {
+            "eval": ["eval", "--model", str(model), "--config", str(tiny_cfg)],
+            "equilibrium": ["equilibrium", "--run", str(out)],
+        }[command]
+        cases = [
+            ((5, 6), 3, "student 0 takes 5 inputs, but its view has 6 columns"),
+            ((6, 7), 3, "student 1 takes 7 inputs, but its view has 6 columns"),
+            ((6, 6), 2, "the model has 2 classes, but the dataset's labels need 3"),
+        ]
+        for widths, classes, message in cases:
+            save_model(model, tuple(init_student(d, 8, classes) for d in widths), teacher)
+            capsys.readouterr()
+            assert main(argv) == 1
+            out_err = capsys.readouterr()
+            assert out_err.out == ""
+            assert out_err.err.splitlines() == [f"error: {model}: {message}"]
+        assert not (out / "equilibrium_report.json").exists()
 
     def test_oversized_model_header_is_one_error_line(self, tiny_cfg, tmp_path, capsys):
         model = tmp_path / "huge.trcm"

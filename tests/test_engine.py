@@ -34,7 +34,6 @@ from cotriad.engine import (
     save_model,
 )
 from cotriad import engine as engine_module
-from cotriad import parallel
 from cotriad import student as student_module
 from cotriad.errors import FormatError, InvalidInputError, NonFiniteError
 from cotriad.game import stackelberg_residual
@@ -295,19 +294,6 @@ class TestGoldenDigest:
     def test_variant_run_digest_is_unchanged(self, name):
         """The same run with one change; recorded as GOLDEN was."""
         assert self._digest(self._run(**self.VARIANTS[name])[2]) == GOLDENS["VARIANTS"][name]
-
-    @pytest.mark.parametrize("name", ["gamma_mi_attack", "pgd10_frozen"])
-    def test_threaded_generator_blocks_equal_the_sequential_ones(self, name):
-        """A multi-step attack runs view 1's generator block on the worker
-        thread; with one usable CPU both views run in the caller."""
-        reports = []
-        for cpus in (1, 2):
-            with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
-                reports.append(self._run(**self.VARIANTS[name])[2])
-        sequential, threaded = reports
-        for a, b in zip(sequential.students, threaded.students):
-            assert np.array_equal(a.vector, b.vector)
-        assert np.array_equal(sequential.teacher.z, threaded.teacher.z)
 
     def test_base_run_robust_accuracy_is_unchanged(self, base_run):
         assert base_run[2].final_eval["pgd_robust_accuracy"] == GOLDENS["ROBUST_ACCURACY"]
@@ -766,6 +752,16 @@ class TestModelContainer:
         cut.write_bytes(payload + b"\0")
         with pytest.raises(FormatError, match="trailing bytes"):
             load_model(cut)
+
+    def test_students_with_different_class_counts_fail_at_the_second_header(self, tmp_path):
+        p = tmp_path / "model.trcm"
+        students = (init_student(5, 6, 3), init_student(4, 6, 4))
+        save_model(p, students, init_strategy())
+        # The second header's class count, after its d_in and d_h.
+        at = 6 + 20 + 8 * (5 * 6 + 6 + 6 * 3 + 3) + 8
+        with pytest.raises(FormatError) as err:
+            load_model(p)
+        assert str(err.value) == f"{p} @ byte {at}: student 1 has 4 classes, student 0 has 3"
 
     # GOLDEN_TRCM is the sha256 of the file written below; it pins the .trcm
     # byte layout.

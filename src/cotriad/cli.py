@@ -129,7 +129,6 @@ def cmd_equilibrium(args) -> int:
     game = TrainedTriadicGame(
         ds,
         train_cfg,
-        teacher_points=cfg.teacher_grid(),
         generator_points=generator_points,
         budgets=[StudentBudget(epochs=cfg["game.budget_epochs"], seed=cfg["game.budget_seed"])],
         probe_size=cfg["game.probe_size"],

@@ -19,7 +19,6 @@ from .data import (
 )
 from .engine import TrainConfig
 from .errors import BoundError, ConfigError
-from .game import TEACHER_AXES, teacher_grid
 from .generator import PerturbConfig
 from .settings import declare, settings_of
 
@@ -42,9 +41,6 @@ _OTHER_KEYS = [
     declare("data.view2", "", "view-2 embeddings path (files mode)"),
     declare("data.labels", "", "labels path (files mode)"),
     declare("train.seeds", [1, 2, 3], "training seeds, comma separated", ">= 0"),
-    declare("game.tau_grid", list(TEACHER_AXES[0]), "teacher deviation thresholds", "[0, 1]"),
-    declare("game.lambda_u_grid", list(TEACHER_AXES[1]), "teacher deviation unsup weights", "[0, 1]"),
-    declare("game.lambda_adv_grid", list(TEACHER_AXES[2]), "teacher deviation adv weights", "[0, 1]"),
     declare("game.epsilon_grid", [], "generator deviation budgets, empty = training epsilon", "> 0"),
     declare("game.budget_epochs", 2, "student best-response retraining epochs", ">= 0"),
     declare("game.budget_seed", 97, "student best-response retraining seed", ">= 0"),
@@ -93,9 +89,6 @@ class RunConfig:
         seeds = v["train.seeds"]
         if not seeds or len(set(seeds)) < len(seeds):
             raise BoundError("{0} must list at least one seed, each once", "train.seeds")
-        if not self.teacher_grid():
-            rule = "{1} x {2} x {0} holds no point with lambda_u + lambda_adv <= 1"
-            raise BoundError(rule, "game.lambda_adv_grid", "game.tau_grid", "game.lambda_u_grid")
         # The fields' own bounds and the rules between them.
         self.train_config(seeds[0])
 
@@ -135,10 +128,6 @@ class RunConfig:
             return split
         except BoundError as exc:
             raise self._error(exc, [f"data.{n}" for n in exc.names]) from None
-
-    def teacher_grid(self) -> list[tuple[float, float, float]]:
-        v = self.values
-        return teacher_grid(v["game.tau_grid"], v["game.lambda_u_grid"], v["game.lambda_adv_grid"])
 
     def echo(self) -> dict:
         return {k: list(v) if isinstance(v, list) else v for k, v in sorted(self.values.items())}

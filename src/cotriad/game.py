@@ -105,18 +105,11 @@ class StudentBudget:
     seed: int
 
 
-def teacher_grid(taus, lambda_us, lambda_advs) -> list[tuple[float, float, float]]:
-    """The (tau, lambda_u, lambda_adv) points of a grid that lie on the weight simplex."""
-    return [(t, lu, la) for t in taus for lu in lambda_us for la in lambda_advs if lu + la <= 1.0]
-
-
-# The default teacher grid's (tau, lambda_u, lambda_adv) axes, which are also
-# the defaults of the game.*_grid config keys.
-TEACHER_AXES = ((0.01, 0.05, 0.1, 0.2), (0.0, 0.25, 0.5, 0.75), (0.0, 0.25, 0.5))
-
-
 def default_teacher_grid() -> list[tuple[float, float, float]]:
-    return teacher_grid(*TEACHER_AXES)
+    """The teacher's deviations: the (tau, lambda_u, lambda_adv) points of a
+    grid that lie on the weight simplex, 44 of them."""
+    return [(t, lu, la) for t in (0.01, 0.05, 0.1, 0.2) for lu in (0.0, 0.25, 0.5, 0.75)
+            for la in (0.0, 0.25, 0.5) if lu + la <= 1.0]
 
 
 class TrainedTriadicGame:

@@ -254,8 +254,6 @@ BAD_VALUES = [
     ("game.budget_epochs", "-1", "game.budget_epochs must be >= 0"),
     ("game.tolerance", "-1", "game.tolerance must be >= 0"),
     ("game.epsilon_grid", "-1", "game.epsilon_grid must be > 0"),
-    ("game.tau_grid", "2", "game.tau_grid must lie in [0, 1]"),
-    ("game.lambda_u_grid", "-1", "game.lambda_u_grid must lie in [0, 1]"),
 ]
 
 
@@ -498,8 +496,6 @@ class TestCommands:
         code = main([
             "equilibrium", "--run", str(out),
             "--game.probe_size", "32", "--game.budget_epochs", "1",
-            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
-            "--game.lambda_adv_grid", "0.25",
         ])
         assert code == 0
         payload = json.loads((out / "equilibrium_report.json").read_text())
@@ -515,8 +511,6 @@ class TestCommands:
         args = [
             "equilibrium", "--run", str(out),
             "--game.probe_size", "32", "--game.budget_epochs", "1",
-            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
-            "--game.lambda_adv_grid", "0.25",
         ]
         assert main(args) == 0
         first = (out / "equilibrium_report.json").read_bytes()
@@ -537,8 +531,6 @@ class TestCommands:
         code = main([
             "equilibrium", "--run", str(out),
             "--game.probe_size", "32", "--game.budget_epochs", "1",
-            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
-            "--game.lambda_adv_grid", "0.25",
         ])
         assert code == 0
         payload = json.loads((out / "equilibrium_report.json").read_text())
@@ -556,8 +548,6 @@ class TestCommands:
         assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + attack) == 0
         grids = [
             "--game.probe_size", "32", "--game.budget_epochs", "1",
-            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
-            "--game.lambda_adv_grid", "0.25",
         ]
         assert main(["equilibrium", "--run", str(out)] + grids) == 0
         payload = json.loads((out / "equilibrium_report.json").read_text())
@@ -831,8 +821,6 @@ class TestCommands:
         assert main([
             "equilibrium", "--run", str(out),
             "--game.probe_size", "32", "--game.budget_epochs", "1",
-            "--game.tau_grid", "0.05", "--game.lambda_u_grid", "0.5",
-            "--game.lambda_adv_grid", "0.25",
         ]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: non-finite payoffs.students in the equilibrium report"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from cotriad import engine as engine_module
 from cotriad import game as game_module
-from cotriad.config import parse_config
 from cotriad.data import LABELED, VALIDATION, gen_synthetic_two_view, split_by_counts
 from cotriad.engine import TrainConfig, _apply_filter, run_training
 from cotriad.errors import InvalidInputError
@@ -307,8 +306,11 @@ class TestTrainedGame:
             assert 0.0 <= tau <= 1.0
             assert lam_u + lam_adv <= 1.0
 
-    def test_config_default_grid_is_the_default_teacher_grid(self):
-        assert parse_config(None).teacher_grid() == default_teacher_grid()
+    def test_default_teacher_grid_is_its_axes_on_the_simplex(self):
+        # The 44 points, in the order the equilibrium report lists them.
+        axes = ((0.01, 0.05, 0.1, 0.2), (0.0, 0.25, 0.5, 0.75), (0.0, 0.25, 0.5))
+        expected = [p for p in itertools.product(*axes) if p[1] + p[2] <= 1.0]
+        assert default_teacher_grid() == expected and len(expected) == 44
 
     def test_equilibrium_report_shape(self):
         ds = small_task()

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, gradcheck
-from .config import SCHEMA, echo_overrides, parse_config
+from .config import SCHEMA, parse_config
 from .data import write_embeddings, write_labels, write_labels_csv, write_matrix_csv
 from .engine import (
     CURVE_COLUMNS,
@@ -113,8 +113,7 @@ def cmd_equilibrium(args) -> int:
     report_path = run_dir / "report.json"
     if not report_path.exists():
         raise ConfigError(f"{report_path} not found; point --run at a train output directory")
-    stored = json.loads(report_path.read_text(encoding="utf-8"))
-    cfg = parse_config(None, echo_overrides(stored["config"]) + _overrides(args))
+    cfg = parse_config(None, _overrides(args), report=report_path)
     seed = cfg["train.seeds"][0]
     # A bad model is reported before any dataset work.
     model = run_dir / f"model_seed{seed}.trcm"

@@ -1,12 +1,13 @@
 """Run configuration: a flat ``section.key = value`` file plus flag overrides.
 
 Unknown keys are hard errors, every key has a documented default, and errors
-carry the line they came from. The resolved configuration is echoed into
-every report so a run can be reproduced from its artifacts alone.
+carry the line or the report they came from. The resolved configuration is
+echoed into every report so a run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,10 +16,11 @@ from .data import (
     TwoViewDataset,
     gen_synthetic_two_view,
     load_embedding_file,
+    read_utf8,
     split_by_counts,
 )
 from .engine import TrainConfig
-from .errors import BoundError, ConfigError
+from .errors import BoundError, ConfigError, FormatError
 from .generator import PerturbConfig
 from .settings import declare, settings_of
 
@@ -148,11 +150,26 @@ def _apply(config: RunConfig, key: str, raw: str, line: int | None):
     config.origin[key] = line
 
 
-def parse_config(path=None, overrides: list[tuple[str, str]] | None = None) -> RunConfig:
-    """Resolve defaults, then the file, then flag overrides, then validate."""
+def parse_config(path=None, overrides: list[tuple[str, str]] | None = None,
+                 report=None) -> RunConfig:
+    """Resolve defaults, then the configuration echoed in ``report`` (a run's
+    ``report.json``), then the file, then flag overrides, then validate. A fault
+    in the report is a ``ConfigError`` that names it."""
     config = RunConfig({key: s.default for key, s in SCHEMA.items()}, dict.fromkeys(SCHEMA))
+    if report is not None:
+        try:
+            stored = json.loads(Path(report).read_text(encoding="utf-8"))
+            if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
+                raise ConfigError("expected a JSON object whose 'config' is an object")
+            for key, raw in echo_overrides(stored["config"]):
+                _apply(config, key, raw, None)
+        except ValueError as exc:  # not UTF-8, not JSON, or a ConfigError
+            raise ConfigError(f"{report}: {exc}") from None
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = read_utf8(path)
+        except FormatError as exc:
+            raise ConfigError(exc.message, exc.line) from None
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

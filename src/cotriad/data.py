@@ -16,6 +16,7 @@ generation so every encoding round-trips exactly.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import stat
@@ -331,6 +332,16 @@ def read_labels(path) -> np.ndarray:
 # CSV encodings
 
 
+def read_utf8(path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 is a ``FormatError`` at its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(path, f"byte {raw[exc.start]:#04x} is not UTF-8", line=line) from None
+
+
 def write_matrix_csv(path, x: np.ndarray) -> None:
     x32 = np.asarray(x, dtype=np.float32)
     with open(path, "w", encoding="utf-8") as fh:
@@ -340,7 +351,7 @@ def write_matrix_csv(path, x: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(read_utf8(path), newline=None) as fh:
         header = fh.readline().rstrip("\n")
         cols = header.split(",")
         if cols != [f"f{j}" for j in range(len(cols))]:
@@ -374,7 +385,7 @@ def write_labels_csv(path, labels: np.ndarray) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(read_utf8(path), newline=None) as fh:
         header = fh.readline().rstrip("\n")
         if header != "label":
             raise FormatError(path, f"bad header {header!r}", line=1)

@@ -40,6 +40,7 @@ class FormatError(ValueError):
 
     def __init__(self, path, message, *, offset=None, line=None):
         self.path = str(path)
+        self.message = message
         self.offset = offset
         self.line = line
         where = f" @ byte {offset}" if offset is not None else f" @ line {line}" if line else ""

@@ -178,6 +178,14 @@ class TestParseConfig:
             parse_config(p)
         assert err.value.line == 2
 
+    def test_config_that_is_not_utf8_cites_line(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"train.epochs = 3\n# caf\xff\n")
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: line 2: byte 0xff is not UTF-8"
+        ]
+
     def test_weight_simplex_violation_cites_assignment(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("teacher.lambda_u_init = 0.8\nteacher.lambda_adv_init = 0.7\n")
@@ -453,6 +461,23 @@ class TestCommands:
         ]
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("name, line", [("view1", 1), ("labels", 1), ("view1", 4)])
+    def test_csv_that_is_not_utf8_names_its_line(self, tiny_cfg, tmp_path, capsys, name, line):
+        # A UTF-16 byte-order mark is no magic number, so the CSV reader gets
+        # the file; the line of its first byte that does not decode is named.
+        files = tmp_path / "files"
+        assert main(["synth-data", "--config", str(tiny_cfg), "--out", str(files),
+                     "--format", "csv"]) == 0
+        path = files / f"{name}.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = b"\xff\xfe" + lines[line - 1]
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert self._train_on_files(tiny_cfg, files, "csv", "csv", tmp_path / "o") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path} @ line {line}: byte 0xff is not UTF-8"
+        ]
+
     def test_non_finite_binary_value_names_its_byte(self, tiny_cfg, tmp_path, capsys):
         files = tmp_path / "files"
         assert main(["synth-data", "--config", str(tiny_cfg), "--out", str(files)]) == 0
@@ -695,6 +720,9 @@ class TestCommands:
             "train.tie_view_rng": False,
             "teacher.meta_after_step": False,
             "eval.attack_step_frac": 0.25,
+            "game.tau_grid": [0.01, 0.05, 0.1, 0.2],
+            "game.lambda_u_grid": [0.0, 0.25, 0.5, 0.75],
+            "game.lambda_adv_grid": [0.0, 0.25, 0.5],
         }
         out = tmp_path / "run"
         for key, value in removed.items():
@@ -711,7 +739,22 @@ class TestCommands:
             (out / "report.json").write_text(json.dumps(report))
             capsys.readouterr()
             assert main(["equilibrium", "--run", str(out)]) == 2
-            assert f"unknown key '{key}'" in capsys.readouterr().err
+            assert capsys.readouterr().err.splitlines() == [
+                f"config error: {out / 'report.json'}: unknown key '{key}'"
+            ]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'\xff{"config": {}}', b"not json", b"[1]", b'{"seeds": [1]}', b'{"config": [1]}'],
+        ids=["not-utf8", "not-json", "list", "no-config", "config-not-object"],
+    )
+    def test_malformed_report_is_one_config_error_line(self, tmp_path, capsys, content):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "report.json").write_bytes(content)
+        assert main(["equilibrium", "--run", str(run)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {run / 'report.json'}: ")
 
     def test_eval_reads_the_model_before_building_the_dataset(self, tiny_cfg, tmp_path, capsys,
                                                                monkeypatch):

@@ -571,10 +571,8 @@ class TestCommands:
         out = tmp_path / "run"
         attack = ["--perturb.step_size", "0.1", "--perturb.steps", "2"]
         assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + attack) == 0
-        grids = [
-            "--game.probe_size", "32", "--game.budget_epochs", "1",
-        ]
-        assert main(["equilibrium", "--run", str(out)] + grids) == 0
+        game_flags = ["--game.probe_size", "32", "--game.budget_epochs", "1"]
+        assert main(["equilibrium", "--run", str(out)] + game_flags) == 0
         payload = json.loads((out / "equilibrium_report.json").read_text())
         incumbent = payload["generator_config"]
         assert (incumbent["epsilon"], incumbent["steps"], incumbent["step_size"]) == (0.2, 2, 0.1)

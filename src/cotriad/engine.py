@@ -110,13 +110,11 @@ class TrainConfig:
         f">= {MIN_TEMPERATURE!r} (the smallest normal float)")
     teacher_update_every: int = setting(
         "teacher.update_every", 1, "meta-update period in steps", ">= 1")
-    stability_stop: bool = setting("stop.stability_enabled", False, "teacher-stability early stop")
-    stop_epsilon: float = setting("stop.epsilon", 1e-4, "stability score threshold", ">= 0")
+    stop_epsilon: float = setting("stop.epsilon", 0.0, "stability score threshold", ">= 0 (0 = off)")
     stop_patience: int = setting("stop.patience", 5, "consecutive epochs below threshold", ">= 1")
     stability_window: int = setting("stop.window", 10, "stability variance window", ">= 2")
-    ea_stop: bool = setting("stop.ea_enabled", False, "entropy/agreement early stop")
-    delta_entropy: float = setting("stop.delta_h", 1e-3, "entropy delta threshold", ">= 0")
-    delta_agreement: float = setting("stop.delta_a", 1e-3, "agreement delta threshold", ">= 0")
+    delta_entropy: float = setting("stop.delta_h", 0.0, "entropy delta threshold", ">= 0 (0 = off)")
+    delta_agreement: float = setting("stop.delta_a", 0.0, "agreement delta threshold", ">= 0 (0 = off)")
     ea_window: int = setting("stop.ea_window", 5, "entropy/agreement window", ">= 1")
     eval_attack_steps: int = setting(
         "eval.attack_steps", 10, "robustness evaluation attack steps", ">= 1")
@@ -185,15 +183,12 @@ class TrainerState:
 def converged(epoch_rows: list[dict], delta_h: float, delta_a: float, window: int) -> bool:
     """True when every epoch-over-epoch change of ``mean_entropy`` and
     ``agreement`` in the last ``window + 1`` rows stays below its threshold;
-    epochs without unlabeled statistics (NaN) never qualify."""
-    if len(epoch_rows) < window + 1:
-        return False
+    a NaN change (an epoch without unlabeled statistics) never does."""
     last = epoch_rows[-(window + 1):]
-    h = np.array([row["mean_entropy"] for row in last])
-    a = np.array([row["agreement"] for row in last])
-    if np.any(np.isnan(h)) or np.any(np.isnan(a)):
-        return False
-    return bool(np.all(np.abs(np.diff(h)) < delta_h) and np.all(np.abs(np.diff(a)) < delta_a))
+    return all(
+        should_stop(np.abs(np.diff([row[key] for row in last])), delta, window)
+        for key, delta in (("mean_entropy", delta_h), ("agreement", delta_a))
+    )
 
 
 def _rng(cfg: TrainConfig, tag: int, epoch: int, step: int, view: int) -> np.random.Generator:
@@ -646,15 +641,14 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
                 if len(trace) >= 2 else float("nan"),
             }
         )
-        # Epoch 0 has no stability score.
-        if cfg.stability_stop and should_stop(
+        # Epoch 0 has no stability score. A threshold of 0 never fires: no
+        # score or |change| is below it.
+        if should_stop(
             [row["stability_score"] for row in epoch_rows[1:]], cfg.stop_epsilon, cfg.stop_patience
         ):
             stop_reason = "teacher_stability"
             break
-        if cfg.ea_stop and converged(
-            epoch_rows, cfg.delta_entropy, cfg.delta_agreement, cfg.ea_window
-        ):
+        if converged(epoch_rows, cfg.delta_entropy, cfg.delta_agreement, cfg.ea_window):
             stop_reason = "entropy_agreement"
             break
 

@@ -371,6 +371,15 @@ class TestCommands:
         strategy = report["runs"][0]["final_strategy"]
         assert strategy["tau_mi"] == pytest.approx(0.05)
 
+    def test_a_stop_threshold_alone_turns_its_rule_on(self, tiny_cfg, tmp_path):
+        # No on/off key: a frozen teacher scores 0 from the second epoch, so
+        # with the default patience of 5 the run stops after epoch 6.
+        out = tmp_path / "run"
+        flags = ["--train.epochs", "8", "--stop.epsilon", "1e-4", "--teacher.eta_t", "0"]
+        assert main(["train", "--config", str(tiny_cfg), "--out", str(out)] + flags) == 0
+        run = json.loads((out / "report.json").read_text())["runs"][0]
+        assert (run["stop_reason"], run["epochs_run"]) == ("teacher_stability", 6)
+
     def test_train_determinism_bit_identical(self, tiny_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["train", "--config", str(tiny_cfg), "--out", str(out1)])
@@ -721,6 +730,8 @@ class TestCommands:
             "game.tau_grid": [0.01, 0.05, 0.1, 0.2],
             "game.lambda_u_grid": [0.0, 0.25, 0.5, 0.75],
             "game.lambda_adv_grid": [0.0, 0.25, 0.5],
+            "stop.stability_enabled": False,
+            "stop.ea_enabled": False,
         }
         out = tmp_path / "run"
         for key, value in removed.items():

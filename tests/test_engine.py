@@ -386,11 +386,9 @@ class TestReportBytes:
         cfg = small_cfg(
             epochs=8,
             weight_norm_bound=3.0,
-            stability_stop=True,
             stop_epsilon=1e-9,
             stop_patience=5,
             stability_window=3,
-            ea_stop=True,
             ea_window=2,
             delta_entropy=0.06,
             delta_agreement=0.1,
@@ -522,7 +520,6 @@ class TestEarlyStopping:
         cfg = small_cfg(
             epochs=12,
             eta_teacher=0.0,
-            stability_stop=True,
             stop_epsilon=1e-4,
             stop_patience=5,
             stability_window=10,
@@ -535,9 +532,10 @@ class TestEarlyStopping:
     def test_prefix_property_of_early_stop(self):
         ds = small_task()
         stopping = small_cfg(
-            epochs=12, eta_teacher=0.0, stability_stop=True, stop_patience=5
+            epochs=12, eta_teacher=0.0, stop_epsilon=1e-4, stop_patience=5
         )
-        free = dataclasses.replace(stopping, stability_stop=False)
+        # A constant teacher scores exactly 0, which a threshold of 0 never passes.
+        free = dataclasses.replace(stopping, stop_epsilon=0.0)
         a = run_training(stopping, ds)
         b = run_training(free, ds)
         for ra, rb in zip(a.step_reports, b.step_reports):
@@ -555,9 +553,7 @@ class TestEarlyStopping:
         ds = small_task()
         # Thresholds so loose that any window of real traces qualifies: the
         # stop fires at the first epoch with window+1 recorded values.
-        cfg = small_cfg(
-            epochs=10, ea_stop=True, delta_entropy=1e9, delta_agreement=1e9, ea_window=2
-        )
+        cfg = small_cfg(epochs=10, delta_entropy=1e9, delta_agreement=1e9, ea_window=2)
         rep = run_training(cfg, ds)
         assert rep.stop_reason == "entropy_agreement"
         assert len(rep.epoch_rows) == 3
@@ -576,6 +572,16 @@ class TestEarlyStopping:
         assert converged(rows([(5.0, 0.0)]) + trace, 0.1, 0.1, window=2)
         nan = float("nan")
         assert not converged(rows([(nan, nan)] * 4), 0.1, 0.1, window=2)
+
+    def test_a_zero_agreement_threshold_never_fires(self):
+        # Not even on a constant trace: its changes are exactly 0, not below 0.
+        steady = [{"mean_entropy": 1.0, "agreement": 0.5}] * 4
+        assert converged(steady, 0.1, 1e-12, window=2)
+        assert not converged(steady, 0.1, 0.0, window=2)
+        ds = small_task()
+        cfg = small_cfg(epochs=4, delta_entropy=1e9, delta_agreement=0.0, ea_window=1)
+        rep = run_training(cfg, ds)
+        assert (rep.stop_reason, len(rep.epoch_rows)) == ("epochs_exhausted", 4)
 
     @pytest.mark.parametrize("window", [2, 10])
     def test_stability_score_reads_the_last_window_epochs(self, window):

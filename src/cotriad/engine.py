@@ -56,13 +56,7 @@ from .teacher import (
     stability_score,
     teacher_step,
 )
-from .uncertainty import (
-    batch_statistics,
-    confidence_filter,
-    confidence_mask,
-    impurity,
-    mi_filter,
-)
+from .uncertainty import apply_filter, batch_statistics, impurity
 
 # Purpose tags for per-step RNG substreams.
 _RNG_INIT = 10
@@ -224,37 +218,6 @@ def init_state(cfg: TrainConfig, ds: TwoViewDataset, total_steps: int) -> Traine
     return TrainerState(tuple(students), velocities, teacher, total_steps)
 
 
-def _apply_filter(
-    cfg: TrainConfig, stats, tau: float
-) -> tuple[np.ndarray, float, tuple[np.ndarray, float]]:
-    """Accepted rows, mask rate, and the (values, sign) fed to the teacher's soft gate.
-
-    In MI modes the real MI values flow to the gate, so the threshold gets a
-    gradient with the sign of the configured acceptance direction;
-    confidence-rejected rows of the composed mode and the non-MI modes are
-    saturated to reproduce the hard accepted set with an exactly vanishing
-    threshold derivative.
-    """
-    n = len(stats)
-    sign = 1.0 if cfg.filter_direction == "above" else -1.0
-    if cfg.filter_mode == "mi":
-        accepted, mask_rate = mi_filter(stats, tau, cfg.filter_direction)
-        return accepted, mask_rate, (stats.mi, sign)
-    if cfg.filter_mode == "mi_conf":
-        # Composed filter: the MI gate and the confidence gate must both pass.
-        conf_ok = confidence_mask(stats, cfg.tau_conf)
-        mi_acc, _ = mi_filter(stats, tau, cfg.filter_direction)
-        accepted = mi_acc[conf_ok[mi_acc]]
-        gate = (np.where(conf_ok, stats.mi, -sign * 1e6), sign)
-    else:
-        confident = cfg.filter_mode == "confidence"
-        accepted = confidence_filter(stats, cfg.tau_conf) if confident else np.arange(n)
-        synth = np.full(n, -1e6)
-        synth[accepted] = 1e6
-        gate = (synth, 1.0)
-    return accepted, 1.0 - accepted.size / n, gate
-
-
 @dataclass
 class StepParts:
     """What one step builds from its rows, before any update. A disabled
@@ -318,7 +281,7 @@ def assemble_step(
         if cfg.unsup_enabled:
             probs = mc_forward_batch(s[view], layer, cfg.mc_passes, mc_seed(view))
             view_stats = batch_statistics(probs)
-            view_accepted, mask_rate, gate = _apply_filter(cfg, view_stats, tau)
+            view_accepted, mask_rate, gate = apply_filter(cfg, view_stats, tau)
         # (4) the embedding attack and the adversarial inputs.
         if cfg.adv_enabled:
             delta = pgd_perturb_batch(s[view], layer, cfg.perturb, lambda: attack_rng(view))

@@ -19,13 +19,13 @@ from typing import Any
 import numpy as np
 
 from .data import LABELED, UNLABELED, VALIDATION, TwoViewDataset
-from .engine import TrainConfig, _apply_filter, assemble_step, evaluate, run_training
+from .engine import TrainConfig, assemble_step, evaluate, run_training
 from .errors import InvalidInputError
 from .generator import PerturbConfig, fixed_point_residual, pgd_perturb_batch
 from .numerics import entropy_rows, softmax_rows, stream
 from .student import StudentParams, forward_batch, loss_and_grads, mc_forward_batch
 from .teacher import TeacherStrategy, meta_grad
-from .uncertainty import batch_statistics
+from .uncertainty import apply_filter, batch_statistics
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class TrainedTriadicGame:
         for view in (0, 1):
             other = 1 - view
             if lam_u > 0:
-                accepted = _apply_filter(self.base_cfg, stats[other], tau)[0]
+                accepted = apply_filter(self.base_cfg, stats[other], tau)[0]
                 if accepted.size:
                     # A row subset is not a row slice of the full-probe pass
                     # (the rounding trap), so this loss is computed per call.

@@ -91,6 +91,38 @@ def confidence_filter(stats: BatchUncertainty, threshold: float) -> np.ndarray:
     return np.flatnonzero(confidence_mask(stats, threshold))
 
 
+def apply_filter(
+    cfg, stats: BatchUncertainty, tau: float
+) -> tuple[np.ndarray, float, tuple[np.ndarray, float]]:
+    """Accepted rows, mask rate, and the (values, sign) fed to the teacher's soft gate,
+    under the ``filter_mode``, ``filter_direction`` and ``tau_conf`` of ``cfg``.
+
+    In MI modes the real MI values flow to the gate, so the threshold gets a
+    gradient with the sign of the configured acceptance direction;
+    confidence-rejected rows of the composed mode and the non-MI modes are
+    saturated to reproduce the hard accepted set with an exactly vanishing
+    threshold derivative.
+    """
+    n = len(stats)
+    sign = 1.0 if cfg.filter_direction == "above" else -1.0
+    if cfg.filter_mode == "mi":
+        accepted, mask_rate = mi_filter(stats, tau, cfg.filter_direction)
+        return accepted, mask_rate, (stats.mi, sign)
+    if cfg.filter_mode == "mi_conf":
+        # Composed filter: the MI gate and the confidence gate must both pass.
+        conf_ok = confidence_mask(stats, cfg.tau_conf)
+        mi_acc, _ = mi_filter(stats, tau, cfg.filter_direction)
+        accepted = mi_acc[conf_ok[mi_acc]]
+        gate = (np.where(conf_ok, stats.mi, -sign * 1e6), sign)
+    else:
+        confident = cfg.filter_mode == "confidence"
+        accepted = confidence_filter(stats, cfg.tau_conf) if confident else np.arange(n)
+        synth = np.full(n, -1e6)
+        synth[accepted] = 1e6
+        gate = (synth, 1.0)
+    return accepted, 1.0 - accepted.size / n, gate
+
+
 def impurity(
     pseudo_labels: np.ndarray, accepted: np.ndarray, true_labels: np.ndarray
 ) -> float:

@@ -40,6 +40,7 @@ from cotriad.game import stackelberg_residual
 from cotriad.generator import PerturbConfig
 from cotriad.student import StudentParams, init_student, loss_and_grads, sgd_step
 from cotriad.teacher import TeacherStrategy, init_strategy, stability_score
+from cotriad.uncertainty import apply_filter, batch_statistics, confidence_filter, mi_filter
 from goldens import GOLDENS
 
 
@@ -419,10 +420,8 @@ class TestReportBytes:
 
 
 def _filter_and_gate_oracle(cfg, stats, tau):
-    """The separate filter and soft-gate inputs that ``_apply_filter``
+    """The separate filter and soft-gate inputs that ``apply_filter``
     replaced; the composed mode ran the confidence filter in each."""
-    from cotriad.uncertainty import confidence_filter, mi_filter
-
     n = len(stats)
     if cfg.filter_mode == "mi":
         accepted, rate = mi_filter(stats, tau, cfg.filter_direction)
@@ -462,8 +461,6 @@ class TestFilterAgainstOracle:
     def test_one_confidence_pass_gives_the_same_filter_and_gate(
         self, seed, n, c, mode, direction, tau_conf
     ):
-        from cotriad.uncertainty import batch_statistics
-
         rng = np.random.default_rng(seed)
         logits = rng.normal(scale=rng.choice([0.5, 5.0]), size=(3, n, c))
         probs = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
@@ -471,7 +468,7 @@ class TestFilterAgainstOracle:
         stats = batch_statistics(probs)
         tau = float(np.quantile(stats.mi, 0.5))
         cfg = small_cfg(filter_mode=mode, filter_direction=direction, tau_conf=tau_conf)
-        got = engine_module._apply_filter(cfg, stats, tau)
+        got = apply_filter(cfg, stats, tau)
         want = _filter_and_gate_oracle(cfg, stats, tau)
         assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
         assert got[1] == want[1]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cotriad import engine as engine_module
 from cotriad import game as game_module
 from cotriad.data import LABELED, VALIDATION, gen_synthetic_two_view, split_by_counts
-from cotriad.engine import TrainConfig, _apply_filter, run_training
+from cotriad.engine import TrainConfig, run_training
 from cotriad.errors import InvalidInputError
 from cotriad.game import (
     GameProfile,
@@ -30,7 +30,7 @@ from cotriad.game import (
 from cotriad.generator import PerturbConfig, pgd_perturb_batch
 from cotriad.student import loss_and_grads, mc_forward_batch
 from cotriad.teacher import MetaBatch, map_strategy, meta_grad
-from cotriad.uncertainty import batch_statistics
+from cotriad.uncertainty import apply_filter, batch_statistics
 from goldens import GOLDENS
 from toy_game import (
     TabularTriadicGame,
@@ -552,7 +552,7 @@ def probe_filter_oracle(students, ds, cfg, tau, probe_size):
         batch_statistics(mc_forward_batch(students[v], x_u[v], cfg.mc_passes, seed=v))
         for v in (0, 1)
     ]
-    return probe, x_u, stats, [_apply_filter(cfg, stats[v], tau) for v in (0, 1)]
+    return probe, x_u, stats, [apply_filter(cfg, stats[v], tau) for v in (0, 1)]
 
 
 def residual_oracle(students, teacher, ds, cfg, probe_size):

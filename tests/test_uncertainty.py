@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotriad.engine import TrainConfig, _apply_filter
+from cotriad.engine import TrainConfig
 from cotriad.errors import InvalidInputError
 from cotriad.student import init_student, mc_forward_batch
-from cotriad.uncertainty import batch_statistics, confidence_filter, impurity, mi_filter
+from cotriad.uncertainty import (
+    apply_filter,
+    batch_statistics,
+    confidence_filter,
+    impurity,
+    mi_filter,
+)
 
 LN2 = 0.69314718055994530942
 
@@ -181,7 +187,7 @@ class TestFilters:
         cfg = TrainConfig(filter_mode="mi_conf", filter_direction=direction, tau_conf=tau_conf)
         for accept in (
             lambda tau: mi_filter(stats, tau, direction)[0],
-            lambda tau: _apply_filter(cfg, stats, tau)[0],
+            lambda tau: apply_filter(cfg, stats, tau)[0],
         ):
             at_lo, at_hi = set(accept(lo)), set(accept(hi))
             assert at_lo <= at_hi if direction == "below" else at_hi <= at_lo

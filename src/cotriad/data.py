@@ -333,10 +333,13 @@ def read_labels(path) -> np.ndarray:
 
 
 def read_utf8(path) -> str:
-    """The text of ``path``; a byte that is not UTF-8 is a ``FormatError`` at its line."""
+    """The text of ``path`` without a leading byte-order mark; a byte that is
+    not UTF-8 is a ``FormatError`` at its line."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        # The mark decodes to U+FEFF. Not "utf-8-sig": its error offsets
+        # count from after the mark, not from the file's first byte.
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise FormatError(path, f"byte {raw[exc.start]:#04x} is not UTF-8", line=line) from None

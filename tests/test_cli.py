@@ -1,5 +1,6 @@
 """Config grammar, override precedence, subcommands, exit codes."""
 
+import codecs
 import contextlib
 import dataclasses
 import io
@@ -181,6 +182,17 @@ class TestParseConfig:
     def test_config_that_is_not_utf8_cites_line(self, tmp_path, capsys):
         p = tmp_path / "run.cfg"
         p.write_bytes(b"train.epochs = 3\n# caf\xff\n")
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: line 2: byte 0xff is not UTF-8"
+        ]
+
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(codecs.BOM_UTF8 + b"train.epochs = 3\n")
+        assert parse_config(p)["train.epochs"] == 3
+        # A bad byte after the mark still names its line.
+        p.write_bytes(codecs.BOM_UTF8 + b"train.epochs = 3\n# caf\xff\n")
         assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "config error: line 2: byte 0xff is not UTF-8"

@@ -1,5 +1,6 @@
 """Dataset construction, splits, batching, and serialization round-trips."""
 
+import codecs
 import struct
 from dataclasses import replace
 
@@ -359,6 +360,25 @@ class TestLoadEmbeddingFile:
                 read(p)
             assert (err.value.line, err.value.offset) == (1, None)
             assert f"{p} @ line 1: bad header 'a,b'" == str(err.value)
+
+    def test_csv_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        # Spreadsheet exports often start with the UTF-8 mark.
+        ds = gen_synthetic_two_view(20, 3, 4, 5, 0.7, seed=8)
+        paths = self.write_all(tmp_path, ds.view1, ds.view2, ds.labels, csv=True)
+        plain = load_embedding_file(*paths)
+        for path in paths:
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        marked = load_embedding_file(*paths)
+        for view in ("view1", "view2", "labels"):
+            np.testing.assert_array_equal(getattr(marked, view), getattr(plain, view))
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        # Lines and bytes count from the file's first byte, the mark included.
+        p = tmp_path / "y.csv"
+        p.write_bytes(codecs.BOM_UTF8 + b"label\n0\n\xff1\n")
+        with pytest.raises(FormatError) as err:
+            read_labels_csv(p)
+        assert str(err.value) == f"{p} @ line 3: byte 0xff is not UTF-8"
 
     def test_labels_csv_bad_value_cites_line(self, tmp_path):
         p = tmp_path / "y.csv"

@@ -66,12 +66,12 @@ _RNG_KEEP_SUP = 5
 _RNG_KEEP_UNSUP = 6
 _RNG_KEEP_ADV = 7
 
+EVAL_ATTACK_STEPS = 10
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = setting("train.epochs", 30, "training epochs", ">= 0")
-    steps_per_epoch: int = setting(
-        "train.steps_per_epoch", 0, "0 = one full unlabeled pass", ">= 0 (0 = one full unlabeled pass)")
     labeled_batch: int = setting("train.labeled_batch", 64, "labeled batch size", ">= 1")
     unlabeled_ratio: int = setting("train.mu", 7, "unlabeled-to-labeled batch ratio", ">= 1")
     lr: float = setting("train.eta", 0.03, "student base learning rate", "> 0")
@@ -109,9 +109,6 @@ class TrainConfig:
     stability_window: int = setting("stop.window", 10, "stability variance window", ">= 2")
     delta_entropy: float = setting("stop.delta_h", 0.0, "entropy delta threshold", ">= 0 (0 = off)")
     delta_agreement: float = setting("stop.delta_a", 0.0, "agreement delta threshold", ">= 0 (0 = off)")
-    ea_window: int = setting("stop.ea_window", 5, "entropy/agreement window", ">= 1")
-    eval_attack_steps: int = setting(
-        "eval.attack_steps", 10, "robustness evaluation attack steps", ">= 1")
     seed: int = 1
 
     def __post_init__(self):
@@ -174,13 +171,13 @@ class TrainerState:
     step: int = 0
 
 
-def converged(epoch_rows: list[dict], delta_h: float, delta_a: float, window: int) -> bool:
+def converged(epoch_rows: list[dict], delta_h: float, delta_a: float, patience: int) -> bool:
     """True when every epoch-over-epoch change of ``mean_entropy`` and
-    ``agreement`` in the last ``window + 1`` rows stays below its threshold;
+    ``agreement`` in the last ``patience + 1`` rows stays below its threshold;
     a NaN change (an epoch without unlabeled statistics) never does."""
-    last = epoch_rows[-(window + 1):]
+    last = epoch_rows[-(patience + 1):]
     return all(
-        should_stop(np.abs(np.diff([row[key] for row in last])), delta, window)
+        should_stop(np.abs(np.diff([row[key] for row in last])), delta, patience)
         for key, delta in (("mean_entropy", delta_h), ("agreement", delta_a))
     )
 
@@ -510,10 +507,10 @@ def eval_split(ds: TwoViewDataset) -> int:
 
 
 def eval_attack_config(cfg: TrainConfig) -> PerturbConfig:
-    """The documented robustness attack: ``eval.attack_steps`` steps of
+    """The documented robustness attack: EVAL_ATTACK_STEPS steps of
     epsilon / 4 at the training budget epsilon."""
     eps = cfg.perturb.epsilon
-    return PerturbConfig(epsilon=eps, gamma=0.0, steps=cfg.eval_attack_steps, step_size=eps * 0.25)
+    return PerturbConfig(epsilon=eps, gamma=0.0, steps=EVAL_ATTACK_STEPS, step_size=eps * 0.25)
 
 
 def bin_error_histogram(
@@ -569,8 +566,7 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
     iterator = BatchIterator(
         ds, cfg.labeled_batch, cfg.labeled_batch * cfg.unlabeled_ratio, cfg.seed
     )
-    steps_per_epoch = cfg.steps_per_epoch or iterator.steps_per_epoch
-    total_steps = max(cfg.epochs * steps_per_epoch, 1)
+    total_steps = max(cfg.epochs * iterator.steps_per_epoch, 1)
     state = init_state(cfg, ds, total_steps)
     trace: list[tuple[float, float, float]] = []  # the teacher's mapped triple per epoch
     epoch_rows: list[dict] = []
@@ -578,11 +574,11 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
     stop_reason = "epochs_exhausted" if cfg.epochs > 0 else "no_epochs"
 
     for epoch in range(cfg.epochs):
-        for step in range(steps_per_epoch):
+        for step in range(iterator.steps_per_epoch):
             rows = iterator.next_batch()
             state, report = train_step(state, cfg, ds, rows, epoch, step)
             step_reports.append(report)
-        epoch_steps = step_reports[-steps_per_epoch:]
+        epoch_steps = step_reports[-iterator.steps_per_epoch:]
         trace.append(state.teacher.mapped())
         val_metrics = evaluate(state.students, ds, VALIDATION)
         tau, lam_u, lam_adv = cfg.weights(trace[-1])
@@ -611,7 +607,7 @@ def run_training(cfg: TrainConfig, ds: TwoViewDataset) -> TrainingReport:
         ):
             stop_reason = "teacher_stability"
             break
-        if converged(epoch_rows, cfg.delta_entropy, cfg.delta_agreement, cfg.ea_window):
+        if converged(epoch_rows, cfg.delta_entropy, cfg.delta_agreement, cfg.stop_patience):
             stop_reason = "entropy_agreement"
             break
 

@@ -25,12 +25,15 @@ def parse_bool(text: str) -> bool:
 def _holds(spec: str, value) -> bool:
     if "|" in spec:
         return value in spec.split(" | ")
-    if spec[0] in "([":
-        lo, hi = (float(v) for v in spec[1:-1].split(","))
-        above = lo < value if spec[0] == "(" else lo <= value
-        return above and (value < hi if spec[-1] == ")" else value <= hi)
-    op, num = spec.split()[:2]
-    return value > float(num) if op == ">" else value >= float(num)
+    try:
+        if spec[0] in "([":
+            lo, hi = (float(v) for v in spec[1:-1].split(","))
+            above = lo < value if spec[0] == "(" else lo <= value
+            return above and (value < hi if spec[-1] == ")" else value <= hi)
+        op, num = spec.split()[:2]
+        return value > float(num) if op == ">" else value >= float(num)
+    except TypeError:  # None, or a string against a number
+        return False
 
 
 class Setting(NamedTuple):
@@ -43,7 +46,7 @@ class Setting(NamedTuple):
     def check(self, value, name: str) -> None:
         """Raise ``BoundError`` citing ``name`` if ``value`` breaks the bound."""
         values = value if isinstance(value, list) else [value]
-        if self.bound and value is not None and not all(_holds(self.bound, v) for v in values):
+        if self.bound and not all(_holds(self.bound, v) for v in values):
             verb = "be one of" if "|" in self.bound else "lie in" if self.bound[0] in "([" else "be"
             raise BoundError(f"{{0}} must {verb} {self.bound}", name)
 

@@ -29,9 +29,11 @@ from cotriad.engine import (
     cost_summary,
     eval_attack_config,
     evaluate,
+    init_state,
     load_model,
     run_training,
     save_model,
+    train_step,
 )
 from cotriad import engine as engine_module
 from cotriad import student as student_module
@@ -133,8 +135,11 @@ class TestTrainStepSemantics:
         # A step's student update must be independent of the teacher's rate:
         # the teacher moves after the students, so only later steps diverge.
         ds = small_task()
-        slow = run_training(small_cfg(eta_teacher=0.0, epochs=1, steps_per_epoch=1), ds)
-        fast = run_training(small_cfg(eta_teacher=5.0, epochs=1, steps_per_epoch=1), ds)
+        rows = BatchIterator(ds, 8, 24, 11).next_batch()
+        slow, fast = (
+            train_step(init_state(cfg, ds, 1), cfg, ds, rows, 0, 0)[0]
+            for cfg in (small_cfg(eta_teacher=0.0), small_cfg(eta_teacher=5.0))
+        )
         np.testing.assert_array_equal(
             slow.students[0].vector, fast.students[0].vector
         )
@@ -165,7 +170,6 @@ class TestTrainStepSemantics:
             tau_conf=0.9999,
             teacher_enabled=False,
             epochs=1,
-            steps_per_epoch=1,
         )
         rep = run_training(cfg, ds)
         r = rep.step_reports[0]
@@ -197,7 +201,6 @@ class TestTrainStepSemantics:
         "fields",
         [
             pytest.param({"teacher_update_every": 0}, id="teacher_update_every-0"),
-            pytest.param({"steps_per_epoch": -1}, id="steps_per_epoch--1"),
             pytest.param({"filter_mode": "mi_conf", "mc_passes": 1}, id="mi_conf-one-pass"),
             pytest.param({"filter_mode": "confidence", "mc_passes": 0}, id="confidence-zero-passes"),
         ],
@@ -387,10 +390,9 @@ class TestReportBytes:
         cfg = small_cfg(
             epochs=8,
             weight_norm_bound=3.0,
-            stop_epsilon=1e-9,
-            stop_patience=5,
+            stop_epsilon=1e-10,
+            stop_patience=2,
             stability_window=3,
-            ea_window=2,
             delta_entropy=0.06,
             delta_agreement=0.1,
         )
@@ -495,20 +497,21 @@ class TestNonFiniteGuard:
     def test_non_finite_parameters_after_the_last_step(self, monkeypatch):
         # No loss follows the last update, so the run checks its parameters.
         ds = small_task()
-        cfg = small_cfg(epochs=2, steps_per_epoch=3, teacher_enabled=False)
+        cfg = small_cfg(epochs=2, teacher_enabled=False)
+        steps = BatchIterator(ds, 8, 24).steps_per_epoch
         calls = []
 
         def last_update_breaks(*args):
             calls.append(None)
             new, velocity = sgd_step(*args)
-            if len(calls) > 2 * 5:
+            if len(calls) > 2 * (2 * steps - 1):
                 new = new.with_vector(np.full_like(new.vector, np.nan))
             return new, velocity
 
         monkeypatch.setattr(engine_module, "sgd_step", last_update_breaks)
         with pytest.raises(NonFiniteError) as err:
             run_training(cfg, ds)
-        assert (err.value.quantity, err.value.epoch, err.value.step) == ("parameters", 1, 2)
+        assert (err.value.quantity, err.value.epoch, err.value.step) == ("parameters", 1, steps - 1)
 
 
 class TestEarlyStopping:
@@ -549,8 +552,8 @@ class TestEarlyStopping:
     def test_entropy_agreement_stop_fires(self):
         ds = small_task()
         # Thresholds so loose that any window of real traces qualifies: the
-        # stop fires at the first epoch with window+1 recorded values.
-        cfg = small_cfg(epochs=10, delta_entropy=1e9, delta_agreement=1e9, ea_window=2)
+        # stop fires at the first epoch with patience + 1 recorded values.
+        cfg = small_cfg(epochs=10, delta_entropy=1e9, delta_agreement=1e9, stop_patience=2)
         rep = run_training(cfg, ds)
         assert rep.stop_reason == "entropy_agreement"
         assert len(rep.epoch_rows) == 3
@@ -560,23 +563,25 @@ class TestEarlyStopping:
             return [{"mean_entropy": h, "agreement": a} for h, a in pairs]
 
         trace = rows([(1.0, 0.5), (0.95, 0.52), (0.93, 0.53)])
-        assert converged(trace, 0.1, 0.1, window=2)
-        assert not converged(trace[:2], 0.1, 0.1, window=2)  # too few epochs
+        assert converged(trace, 0.1, 0.1, patience=2)
+        assert not converged(trace[:2], 0.1, 0.1, patience=2)  # too few epochs
         # An entropy jump breaks the window; an agreement jump does too.
-        assert not converged(trace + rows([(2.0, 0.5)]), 0.1, 0.1, window=2)
-        assert not converged(trace + rows([(0.93, 0.9)]), 0.1, 0.1, window=2)
-        # Only the last window + 1 epochs count.
-        assert converged(rows([(5.0, 0.0)]) + trace, 0.1, 0.1, window=2)
+        assert not converged(trace + rows([(2.0, 0.5)]), 0.1, 0.1, patience=2)
+        assert not converged(trace + rows([(0.93, 0.9)]), 0.1, 0.1, patience=2)
+        # Only the last patience + 1 epochs count.
+        assert converged(rows([(5.0, 0.0)]) + trace, 0.1, 0.1, patience=2)
         nan = float("nan")
-        assert not converged(rows([(nan, nan)] * 4), 0.1, 0.1, window=2)
+        assert not converged(rows([(nan, nan)] * 4), 0.1, 0.1, patience=2)
+        with pytest.raises(InvalidInputError, match="patience must be >= 1"):
+            converged(trace, 0.1, 0.1, 0)
 
     def test_a_zero_agreement_threshold_never_fires(self):
         # Not even on a constant trace: its changes are exactly 0, not below 0.
         steady = [{"mean_entropy": 1.0, "agreement": 0.5}] * 4
-        assert converged(steady, 0.1, 1e-12, window=2)
-        assert not converged(steady, 0.1, 0.0, window=2)
+        assert converged(steady, 0.1, 1e-12, patience=2)
+        assert not converged(steady, 0.1, 0.0, patience=2)
         ds = small_task()
-        cfg = small_cfg(epochs=4, delta_entropy=1e9, delta_agreement=0.0, ea_window=1)
+        cfg = small_cfg(epochs=4, delta_entropy=1e9, delta_agreement=0.0, stop_patience=1)
         rep = run_training(cfg, ds)
         assert (rep.stop_reason, len(rep.epoch_rows)) == ("epochs_exhausted", 4)
 
@@ -585,8 +590,7 @@ class TestEarlyStopping:
         # A large teacher rate moves the mapped triple every epoch, so a
         # window that dropped its slice would score a different trace.
         ds = small_task()
-        cfg = small_cfg(epochs=12, steps_per_epoch=3, eta_teacher=200.0,
-                        stability_window=window)
+        cfg = small_cfg(epochs=12, eta_teacher=200.0, stability_window=window)
         rows = run_training(cfg, ds).epoch_rows
         trace = [(r["tau_mi"], r["lambda_u"], r["lambda_adv"]) for r in rows]
         assert math.isnan(rows[0]["stability_score"])
